@@ -6,9 +6,9 @@
     stabrank mds <file>... --distance sqrt-js --out PATH
 
 Exit codes: 0 success, 2 parse error, 3 validation error, 4 metric/kind
-contract mismatch, 5 numeric degeneracy (zero random baseline or a
-non-converging embedding). All commands are deterministic for fixed
-arguments: repeated invocations produce identical bytes.
+contract mismatch, 5 numeric degeneracy (a zero random baseline, or an MDS
+eigenproblem that is not finite or fails). All commands are deterministic
+for fixed arguments: repeated invocations produce identical bytes.
 """
 
 from __future__ import annotations

@@ -86,44 +86,73 @@ def validate(lst: AnyList) -> str | None:
     first violated invariant (e.g. ``"duplicate rank 1"``).
     """
     if isinstance(lst, FullRanking):
-        return _validate_permutation(lst.ranks, lst.t, what="rank")
+        return _scan("full", lst.ranks, lst.t)
     if isinstance(lst, TopKMask):
-        t = lst.t
-        if t < 1:
-            return "empty mask"
-        if not 1 <= lst.k <= t:
-            return f"k={lst.k} out of range 1..{t}"
-        for v in lst.selected:
-            if v not in (0, 1):
-                return f"entry {v} is not 0 or 1"
-        ones = sum(lst.selected)
-        if ones != lst.k:
-            return f"{ones} ones, expected {lst.k}"
-        return None
+        return _scan("topk", lst.selected, lst.k)
     if isinstance(lst, PartialRanking):
-        t = lst.t
-        if t < 1:
-            return "empty ranking"
-        if not 1 <= lst.k <= t:
-            return f"k={lst.k} out of range 1..{t}"
-        nonzero = [v for v in lst.ranks if v != 0]
-        if any(v < 0 for v in lst.ranks):
-            return f"negative rank {min(lst.ranks)}"
-        if len(nonzero) != lst.k:
-            return f"{len(nonzero)} ranked entries, expected {lst.k}"
-        return _validate_permutation(nonzero, lst.k, what="rank")
+        return _scan("partial", lst.ranks, lst.k)
     raise TypeError(f"unsupported list type: {type(lst).__name__}")
 
 
-def _validate_permutation(values: Sequence[int], n: int, what: str) -> str | None:
-    if n < 1:
-        return "empty ranking"
+def row_violations(kind: str, matrix: np.ndarray, k: int) -> list[str | None]:
+    """Check every row of a (lists x features) matrix of one kind.
+
+    Returns one entry per row: ``None`` where the row is valid, otherwise
+    the message ``validate`` gives for it. A ranking row is valid exactly
+    when it sorts to ``t - k`` zeros followed by ``1..k``, and a mask row
+    when it holds only 0/1 with ``k`` ones; these vectorised checks find
+    the bad rows, and only those are scanned for their message. ``k`` is
+    ignored for full rankings.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}, expected one of {KINDS}")
+    m = np.asarray(matrix)
+    runs, t = m.shape
+    if kind == "full":
+        k = t
+    if not 1 <= k <= t:
+        bad = range(runs)
+    elif kind == "topk":
+        bad = np.flatnonzero(~(np.all((m == 0) | (m == 1), axis=1) & (m.sum(axis=1) == k)))
+    else:
+        expected = np.concatenate([np.zeros(t - k, dtype=np.int64), np.arange(1, k + 1)])
+        bad = np.flatnonzero(~np.all(np.sort(m, axis=1) == expected, axis=1))
+    problems: list[str | None] = [None] * runs
+    for j in bad:
+        problems[j] = _scan(kind, m[j].tolist(), k)
+    return problems
+
+
+def _scan(kind: str, values: Sequence[int], k: int) -> str | None:
+    """First violated invariant of one list, in reading order, or ``None``."""
+    t = len(values)
+    if t < 1:
+        return "empty mask" if kind == "topk" else "empty ranking"
+    if kind == "full":
+        return _validate_permutation(values, t)
+    if not 1 <= k <= t:
+        return f"k={k} out of range 1..{t}"
+    if kind == "topk":
+        for v in values:
+            if v not in (0, 1):
+                return f"entry {v} is not 0 or 1"
+        ones = sum(values)
+        return None if ones == k else f"{ones} ones, expected {k}"
+    if any(v < 0 for v in values):
+        return f"negative rank {min(values)}"
+    nonzero = [v for v in values if v != 0]
+    if len(nonzero) != k:
+        return f"{len(nonzero)} ranked entries, expected {k}"
+    return _validate_permutation(nonzero, k)
+
+
+def _validate_permutation(values: Sequence[int], n: int) -> str | None:
     seen = set()
     for v in values:
         if not 1 <= v <= n:
-            return f"{what} {v} out of range 1..{n}"
+            return f"rank {v} out of range 1..{n}"
         if v in seen:
-            return f"duplicate {what} {v}"
+            return f"duplicate rank {v}"
         seen.add(v)
     return None
 
@@ -192,38 +221,15 @@ class RunSet:
             else:
                 k = int(np.count_nonzero(m[0]))
         object.__setattr__(self, "k", int(k))
-        self._check_rows(m, t)
+        if self.kind == "full" and k != t:
+            raise ValueError(f"full run sets require k == t, got k={k}, t={t}")
+        if not 1 <= k <= t:
+            raise ValueError(f"k={k} out of range 1..{t}")
+        for j, problem in enumerate(row_violations(self.kind, m, k)):
+            if problem is not None:
+                raise ValueError(f"run {j}: {problem}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    def _check_rows(self, m: np.ndarray, t: int) -> None:
-        k = self.k
-        if self.kind == "full":
-            if k != t:
-                raise ValueError(f"full run sets require k == t, got k={k}, t={t}")
-            expected = np.arange(1, t + 1)
-            bad = np.nonzero(~np.all(np.sort(m, axis=1) == expected, axis=1))[0]
-            if bad.size:
-                j = int(bad[0])
-                raise ValueError(f"run {j}: {_row_violation(FullRanking(m[j]))}")
-        elif self.kind == "topk":
-            if not 1 <= k <= t:
-                raise ValueError(f"k={k} out of range 1..{t}")
-            bad = np.nonzero(~(np.all((m == 0) | (m == 1), axis=1) & (m.sum(axis=1) == k)))[0]
-            if bad.size:
-                j = int(bad[0])
-                raise ValueError(f"run {j}: {_row_violation(TopKMask(m[j], k))}")
-        else:
-            if not 1 <= k <= t:
-                raise ValueError(f"k={k} out of range 1..{t}")
-            counts = np.count_nonzero(m, axis=1)
-            sorted_rows = np.sort(m, axis=1)
-            expected = np.concatenate([np.zeros(t - k, dtype=np.int64), np.arange(1, k + 1)])
-            ok = (counts == k) & np.all(sorted_rows == expected, axis=1) & np.all(m >= 0, axis=1)
-            bad = np.nonzero(~ok)[0]
-            if bad.size:
-                j = int(bad[0])
-                raise ValueError(f"run {j}: {_row_violation(PartialRanking(m[j], k))}")
 
     @property
     def runs(self) -> int:
@@ -272,6 +278,3 @@ class RunSet:
             return RunSet("topk", (self.matrix <= k).astype(np.int64), k)
         return RunSet("topk", (self.matrix != 0).astype(np.int64), self.k)
 
-
-def _row_violation(lst: AnyList) -> str:
-    return validate(lst) or "invalid"

@@ -9,9 +9,9 @@ any pairwise baseline is available as an alternative, flagged as possibly
 non-metric.
 
 The projection is classical (Torgerson) MDS: double-center the squared
-distances and take the top-2 eigenpairs, here via deterministic shifted
-block power (orthogonal) iteration. Negative eigenvalues are clamped to
-zero.
+distances and take the top-2 eigenpairs from ``numpy.linalg.eigh``.
+Negative eigenvalues are clamped to zero. Each axis's sign is fixed by
+making the largest-magnitude entry of its eigenvector positive.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .probability import run_probabilities
 
 
 class MdsConvergenceError(RuntimeError):
-    """The power-iteration eigensolver did not converge."""
+    """The embedding is undefined: a non-finite centred matrix or a failed eigensolve."""
 
 
 DISTANCES = ("sqrt-js", "one-minus-spearman", "one-minus-kuncheva", "one-minus-jaccard")
@@ -123,97 +123,36 @@ def distance_matrix(
     return DistanceMatrix(d, tuple(labels))
 
 
-def classical_mds(dm: DistanceMatrix, tol: float = 1e-10, max_iter: int = 10_000) -> Embedding:
+def classical_mds(dm: DistanceMatrix) -> Embedding:
     """Project a distance matrix to 2D via Torgerson double centering.
 
-    Deterministic for a given input: the two dominant eigenpairs of
-    ``B = -0.5 * J D^2 J`` come from shifted orthogonal (block power)
-    iteration with a fixed starting block. Raises ``MdsConvergenceError``
-    if the eigenpairs have not settled within ``max_iter`` iterations.
+    The two algebraically largest eigenpairs of ``B = -0.5 * J D^2 J`` give
+    the axes; each axis's largest-magnitude eigenvector entry is made
+    positive, so the signs do not depend on the eigensolver. Raises
+    ``MdsConvergenceError`` when ``B`` is not finite or ``eigh`` fails.
     """
     n = dm.n
     if n < 3:
         raise ValueError(f"need at least 3 points, got {n}")
-    d2 = dm.d**2
-    centerer = np.eye(n) - np.ones((n, n)) / n
-    b = -0.5 * centerer @ d2 @ centerer
-    b = 0.5 * (b + b.T)  # enforce symmetry against rounding
-
-    eigvals, eigvecs = _top_eigenpairs(b, tol=tol, max_iter=max_iter)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite B is reported below
+        b = dm.d**2
+        b -= b.mean(axis=0)[np.newaxis, :]
+        b -= b.mean(axis=1)[:, np.newaxis]
+        b *= -0.5
+    if not np.all(np.isfinite(b)):
+        raise MdsConvergenceError("double-centred distance matrix is not finite")
+    try:
+        eigvals, eigvecs = np.linalg.eigh(b)
+    except np.linalg.LinAlgError as exc:
+        raise MdsConvergenceError(f"eigendecomposition failed: {exc}") from None
+    eigvals, eigvecs = eigvals[:-3:-1], eigvecs[:, :-3:-1]
+    peaks = eigvecs[np.argmax(np.abs(eigvecs), axis=0), [0, 1]]
+    eigvecs = eigvecs * np.where(peaks < 0, -1.0, 1.0)[np.newaxis, :]
     clamped = np.maximum(eigvals, 0.0)
     coords = eigvecs * np.sqrt(clamped)[np.newaxis, :]
 
-    recon = np.sqrt(
-        np.maximum(
-            0.0,
-            np.sum(coords**2, axis=1)[:, None]
-            + np.sum(coords**2, axis=1)[None, :]
-            - 2.0 * coords @ coords.T,
-        )
-    )
+    sq = np.sum(coords**2, axis=1)
+    recon = np.sqrt(np.maximum(0.0, sq[:, None] + sq[None, :] - 2.0 * coords @ coords.T))
     denom = float(np.sum(dm.d**2))
     stress = math.sqrt(float(np.sum((dm.d - recon) ** 2)) / denom) if denom > 0 else 0.0
     return Embedding(coords=coords, eigvals=(float(clamped[0]), float(clamped[1])), stress=stress)
-
-
-def _orthonormal_pair(block: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt orthonormalisation of two columns."""
-    first = block[:, 0]
-    norm = np.linalg.norm(first)
-    if norm == 0.0:
-        raise MdsConvergenceError("degenerate iterate (zero column)")
-    first = first / norm
-    second = block[:, 1] - (first @ block[:, 1]) * first
-    norm = np.linalg.norm(second)
-    if norm == 0.0:
-        raise MdsConvergenceError("degenerate iterate (rank-deficient block)")
-    return np.column_stack([first, second / norm])
-
-
-def _eig_2x2(a: float, b: float, c: float):
-    """Eigenpairs of [[a, b], [b, c]], eigenvalues descending."""
-    if b == 0.0:
-        if a >= c:
-            return (a, c), np.eye(2)
-        return (c, a), np.array([[0.0, 1.0], [1.0, 0.0]])
-    half_gap = 0.5 * (a - c)
-    disc = math.hypot(half_gap, b)
-    hi = 0.5 * (a + c) + disc
-    lo = 0.5 * (a + c) - disc
-    # pick the better-conditioned eigenvector formula
-    u = np.array([b, hi - a]) if abs(hi - a) >= abs(hi - c) else np.array([hi - c, b])
-    u = u / np.linalg.norm(u)
-    rotation = np.column_stack([u, [-u[1], u[0]]])
-    return (hi, lo), rotation
-
-
-def _top_eigenpairs(b: np.ndarray, tol: float, max_iter: int):
-    """Two algebraically largest eigenpairs of a symmetric matrix.
-
-    Orthogonal iteration on the shifted matrix ``B + shift*I`` (the
-    Gershgorin shift makes it positive semidefinite, so the dominant
-    eigenvalues are the algebraically largest) with a 2x2 Rayleigh-Ritz
-    split per step; the block form keeps tied eigenvalues well-posed.
-    Converged when both Ritz values have settled within ``tol`` and the
-    eigenvector residuals are small.
-    """
-    n = b.shape[0]
-    shift = float(np.max(np.sum(np.abs(b), axis=1)))
-    if shift == 0.0:  # zero matrix: all eigenvalues 0
-        return np.zeros(2), np.zeros((n, 2))
-    shifted = b + shift * np.eye(n)
-    block = _orthonormal_pair(np.random.default_rng(20).standard_normal((n, 2)))
-    previous = None
-    for _ in range(max_iter):
-        block = _orthonormal_pair(shifted @ block)
-        small = block.T @ shifted @ block
-        ritz, rotation = _eig_2x2(float(small[0, 0]), float(small[0, 1]), float(small[1, 1]))
-        vectors = block @ rotation
-        if previous is not None and abs(ritz[0] - previous[0]) < tol and abs(
-            ritz[1] - previous[1]
-        ) < tol:
-            residual = shifted @ vectors - vectors * np.array(ritz)[np.newaxis, :]
-            if np.linalg.norm(residual, axis=0).max() <= 1e-8 * max(ritz[0], shift):
-                return np.array(ritz) - shift, vectors
-        previous = ritz
-    raise MdsConvergenceError(f"eigenpairs did not converge within {max_iter} iterations")

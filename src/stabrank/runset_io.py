@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lists import KINDS, FullRanking, PartialRanking, RunSet, TopKMask, validate
+from .lists import KINDS, RunSet, row_violations
 
 
 class RunSetParseError(ValueError):
@@ -89,16 +89,7 @@ def read_columns(text: str) -> tuple[RunSetFileHeader, np.ndarray]:
 
 def column_violations(header: RunSetFileHeader, runs_matrix: np.ndarray) -> list[str | None]:
     """Per-column validation results, ``None`` where a column is valid."""
-    results: list[str | None] = []
-    for row in runs_matrix:
-        if header.kind == "full":
-            lst = FullRanking(row)
-        elif header.kind == "topk":
-            lst = TopKMask(row, header.k)
-        else:
-            lst = PartialRanking(row, header.k)
-        results.append(validate(lst))
-    return results
+    return row_violations(header.kind, runs_matrix, header.k)
 
 
 def parse_runset(text: str) -> RunSet:

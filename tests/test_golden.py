@@ -1,0 +1,57 @@
+"""Golden CLI bytes: ``validate``, ``stability`` and ``experiment`` are pinned.
+
+Every case runs one command from inside ``tests/golden`` (so file names in
+the output are relative) and compares its stdout, byte for byte, with
+``tests/golden/<case>.out``. The validate inputs hold one valid column plus
+one column per validation message of their kind. A change to these bytes
+must be deliberate and recorded in CHANGES.md.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from stabrank.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "validate_full": (["validate", "validate_full.csv"], 3),
+    "validate_topk": (["validate", "validate_topk.csv"], 3),
+    "validate_partial": (["validate", "validate_partial.csv"], 3),
+    "validate_single": (["validate", "validate_single.csv"], 3),
+    "validate_example": (["validate", "example_partial.csv"], 0),
+    "stability_full": (["stability", "example_full.csv", "--metrics", "sjs,spearman"], 0),
+    "stability_full_json": (
+        ["stability", "example_full.csv", "--metrics", "sjs,spearman", "--json"],
+        0,
+    ),
+    "stability_partial_json": (["stability", "example_partial.csv", "--json"], 0),
+    "stability_topk_json": (
+        ["stability", "example_topk.csv", "--metrics", "sjs,kuncheva,jaccard", "--json"],
+        0,
+    ),
+    "experiment_fig4": (["experiment", "fig4", "--seed", "0", "--t", "30", "--runs", "6"], 0),
+    "experiment_fig5": (
+        ["experiment", "fig5", "--seed", "0", "--t", "40", "--k", "8", "--runs", "5"],
+        0,
+    ),
+    "experiment_fig6_json": (
+        ["experiment", "fig6", "--seed", "0", "--t", "60", "--k", "12", "--runs", "5",
+         "--overlap", "8", "--json"],
+        0,
+    ),
+    "experiment_fig7": (
+        ["experiment", "fig7", "--seed", "0", "--t", "40", "--k", "8", "--runs", "4"],
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_bytes(case, monkeypatch, capsys):
+    argv, code = CASES[case]
+    monkeypatch.chdir(GOLDEN)
+    assert main(argv) == code
+    expected = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected

@@ -270,6 +270,19 @@ class TestMdsCommand:
         assert len(payload["points"]) == 5
         assert {"label", "run", "x", "y"} == set(payload["points"][0])
 
+    def test_undefined_embedding_exits_5(self, monkeypatch, mask_file, capsys):
+        # no run-set file yields an infinite distance, so inject one
+        from stabrank import DistanceMatrix, cli
+
+        def infinite_distances(labeled, distance):
+            d = np.ones((3, 3)) - np.eye(3)
+            d[0, 1] = d[1, 0] = np.inf
+            return DistanceMatrix(d, (("x", 0), ("x", 1), ("x", 2)))
+
+        monkeypatch.setattr(cli, "distance_matrix", infinite_distances)
+        assert main(["mds", mask_file]) == 5
+        assert "not finite" in capsys.readouterr().err
+
     def test_repeat_invocations_identical(self, tmp_path, mask_file, identical_mask_file):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

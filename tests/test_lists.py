@@ -15,6 +15,7 @@ from stabrank import (
     full_to_partial,
     full_to_topk,
     partial_to_topk,
+    row_violations,
     validate,
 )
 from conftest import EXAMPLE_FULL, EXAMPLE_K, EXAMPLE_MASKS, EXAMPLE_PARTIAL
@@ -56,6 +57,30 @@ class TestValidate:
 
     def test_k_out_of_range(self):
         assert validate(TopKMask((0, 0, 0), k=0)) == "k=0 out of range 1..3"
+
+    @given(
+        st.sampled_from(["full", "partial", "topk"]),
+        st.integers(1, 7),
+        st.integers(0, 100),
+        st.integers(-2, 8),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_row_violations_match_per_row_scan(self, kind, t, seed, value, data):
+        # valid rows of one kind with one entry overwritten, k one beyond its
+        # range on either side included: the vectorised check flags a row
+        # exactly when the per-row scan finds a problem, with its message
+        k = t if kind == "full" else data.draw(st.integers(0, t + 1))
+        rng = np.random.default_rng(seed)
+        m = np.array([rng.permutation(t) + 1 for _ in range(3)])
+        if kind == "partial":
+            m = np.where(m <= k, m, 0)
+        elif kind == "topk":
+            m = (m <= k).astype(np.int64)
+        m[data.draw(st.integers(0, 2)), data.draw(st.integers(0, t - 1))] = value
+        typed = {"full": FullRanking, "partial": PartialRanking, "topk": TopKMask}[kind]
+        expected = [validate(typed(row) if kind == "full" else typed(row, k)) for row in m]
+        assert row_violations(kind, m, k) == expected
 
 
 EXAMPLE_FIRST_RUN = FullRanking(EXAMPLE_FULL[0])

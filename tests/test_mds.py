@@ -8,6 +8,7 @@ import pytest
 from stabrank import (
     DistanceMatrix,
     ExperimentConfig,
+    MdsConvergenceError,
     MetricMismatchError,
     RunSet,
     classical_mds,
@@ -133,6 +134,29 @@ class TestClassicalMds:
         emb_a = classical_mds(equilateral_dm())
         emb_b = classical_mds(equilateral_dm())
         assert np.array_equal(emb_a.coords, emb_b.coords)
+        # sign convention: each axis's largest-magnitude entry is positive
+        for axis in emb_a.coords.T:
+            assert axis[np.argmax(np.abs(axis))] > 0
+
+    def test_near_tied_trailing_eigenvalues(self):
+        # 30 centred points in 3D with axis powers 4, 1 and 1 - 1e-6: the 2nd
+        # and 3rd eigenvalues nearly tie, which an iterative solver may not
+        # separate in any number of steps
+        rng = np.random.default_rng(0)
+        points = rng.standard_normal((30, 3))
+        points -= points.mean(axis=0)
+        axes, _ = np.linalg.qr(points)
+        points = axes * np.sqrt([4.0, 1.0, 1.0 - 1e-6])
+        emb = classical_mds(DistanceMatrix(pairwise(points), tuple(("p", i) for i in range(30))))
+        assert emb.eigvals[0] == pytest.approx(4.0, abs=1e-9)
+        assert emb.eigvals[1] == pytest.approx(1.0, abs=1e-9)
+
+    def test_infinite_distance_raises(self):
+        d = np.ones((3, 3)) - np.eye(3)
+        d[0, 1] = d[1, 0] = np.inf
+        dm = DistanceMatrix(d, (("p", 0), ("p", 1), ("p", 2)))
+        with pytest.raises(MdsConvergenceError, match="not finite"):
+            classical_mds(dm)
 
     def test_needs_three_points(self):
         d = np.zeros((2, 2))
