@@ -98,21 +98,29 @@ def jaccard(first, second) -> float:
 
 @dataclass(frozen=True)
 class PairwiseStability:
-    """Mean pairwise similarity over a run set, optionally with the pairs."""
+    """Mean pairwise similarity over a run set."""
 
     metric_name: str
     phi: float
-    pair_values: tuple[float, ...] | None = None
 
 
-def pairwise_stability(
-    run_set: RunSet, metric: str, include_pairs: bool = False
-) -> PairwiseStability:
+def pairwise_stability(run_set: RunSet, metric: str) -> PairwiseStability:
     """Average a similarity metric over all unordered pairs of a run set.
+
+    The pairs are the upper triangle of ``similarity_matrix``; the mean uses
+    compensated summation.
+    """
+    values = similarity_matrix(run_set, metric)[np.triu_indices(run_set.runs, 1)]
+    return PairwiseStability(metric_name=metric, phi=math.fsum(values) / len(values))
+
+
+def similarity_matrix(run_set: RunSet, metric: str) -> np.ndarray:
+    """The K x K matrix of a similarity metric between every two lists.
 
     ``metric`` is one of ``spearman`` (full rankings only), ``kuncheva`` or
     ``jaccard`` (topk masks only); a kind mismatch raises
-    ``MetricMismatchError``. The mean uses compensated summation.
+    ``MetricMismatchError``. Every entry is computed from the Gram matrix of
+    the lists and equals the scalar metric on that pair exactly.
     """
     if metric not in METRIC_KINDS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {sorted(METRIC_KINDS)}")
@@ -121,31 +129,17 @@ def pairwise_stability(
         raise MetricMismatchError(
             f"metric {metric!r} applies to {required} run sets, got {run_set.kind!r}"
         )
-    values = _pair_values(run_set, metric)
-    phi = math.fsum(values) / len(values)
-    return PairwiseStability(
-        metric_name=metric,
-        phi=phi,
-        pair_values=tuple(values) if include_pairs else None,
-    )
-
-
-def _pair_values(run_set: RunSet, metric: str) -> np.ndarray:
     m = run_set.matrix.astype(np.float64)
-    runs, t = m.shape
-    iu = np.triu_indices(runs, 1)
+    gram = m @ m.T
+    t, k = run_set.t, run_set.k
     if metric == "spearman":
-        gram = m @ m.T
+        if t < 2:
+            raise ValueError("Spearman correlation needs at least 2 features")
         sq = np.diag(gram)
         d2 = sq[:, None] + sq[None, :] - 2.0 * gram
-        pairs = 1.0 - 6.0 * d2 / (t * (t * t - 1.0))
-        return pairs[iu]
-    overlap = m @ m.T
-    k = run_set.k
+        return 1.0 - 6.0 * d2 / (t * (t * t - 1.0))
     if metric == "kuncheva":
         if k == t:
             raise ValueError(f"Kuncheva index is undefined for k={k} of t={t}")
-        pairs = (overlap * t - k * k) / (k * (t - k))
-        return pairs[iu]
-    union = 2.0 * k - overlap
-    return (overlap / union)[iu]
+        return (gram * t - k * k) / (k * (t - k))
+    return gram / (2.0 * k - gram)

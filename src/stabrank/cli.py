@@ -5,10 +5,12 @@
     stabrank experiment fig4|fig5|fig6|fig7 --seed N [--t N --k N --runs N] --out PATH
     stabrank mds <file>... --distance sqrt-js --out PATH
 
-Exit codes: 0 success, 2 parse error, 3 validation error, 4 metric/kind
-contract mismatch, 5 numeric degeneracy (a zero random baseline, or an MDS
-eigenproblem that is not finite or fails). All commands are deterministic
-for fixed arguments: repeated invocations produce identical bytes.
+Exit codes: 0 success, 2 parse or file error, 3 validation error, 4
+metric/kind contract mismatch, 5 numeric degeneracy (a zero random baseline,
+or an MDS eigenproblem that is not finite or fails). ``main`` maps every
+failure to its code and a one-line stderr message through ``FAILURES``.
+All commands are deterministic for fixed arguments: repeated invocations
+produce identical bytes.
 """
 
 from __future__ import annotations
@@ -17,19 +19,35 @@ import argparse
 import json
 import sys
 
-from .baselines import MetricMismatchError, pairwise_stability
+from .baselines import pairwise_stability
 from .divergence import js_stability
 from .experiments import EXPERIMENT_NAMES, run_experiment
-from .lists import RunSet
 from .mds import DISTANCES, MdsConvergenceError, classical_mds, distance_matrix
 from .probability import DegenerateNormalizerError
-from .runset_io import RunSetParseError, column_violations, load_runset, read_columns
+from .runset_io import (
+    RunSetParseError,
+    RunSetValidationError,
+    column_violations,
+    load_runset,
+    read_columns,
+    read_text,
+)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_MISMATCH = 4
 EXIT_DEGENERATE = 5
+
+# (exception types, exit code, stderr prefix); the first match wins, so the
+# ValueError subclasses come before the bare ValueError of a contract mismatch
+FAILURES = (
+    ((RunSetParseError,), EXIT_PARSE, "parse error"),
+    ((OSError,), EXIT_PARSE, "file error"),
+    ((RunSetValidationError,), EXIT_VALIDATION, "validation error"),
+    ((DegenerateNormalizerError, MdsConvergenceError), EXIT_DEGENERATE, "error"),
+    ((ValueError,), EXIT_MISMATCH, "error"),
+)
 
 STABILITY_METRICS = ("sjs", "spearman", "kuncheva", "jaccard")
 
@@ -38,29 +56,36 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
-def _round12(value: float) -> float:
-    return float(_fmt(value))
+def _rounded(value):
+    """``value`` with every float rounded to the 12 printed digits."""
+    if isinstance(value, float):
+        return float(_fmt(value))
+    if isinstance(value, dict):
+        return {key: _rounded(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_rounded(v) for v in value]
+    return value
 
 
-def _write_out(text: str, out: str | None) -> None:
-    if out is None:
+def _emit(args, document: dict, rows) -> None:
+    """Write ``document`` as JSON (``--json`` or a ``.json`` ``--out``) or
+    ``rows`` as comma-joined lines, to ``--out`` or stdout."""
+    if args.json or (args.out or "").endswith(".json"):
+        text = json.dumps(_rounded(document), indent=2, sort_keys=True) + "\n"
+    else:
+        text = "".join(
+            ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+            for row in rows
+        )
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 
 def cmd_validate(args) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        header, matrix = read_columns(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except RunSetParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    header, matrix = read_columns(read_text(args.file))
     problems = column_violations(header, matrix)
     for col, problem in enumerate(problems, start=1):
         print(f"column {col}: {problem if problem else 'ok'}")
@@ -76,160 +101,69 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _stability_payload(run_set: RunSet, metrics: list[str]) -> dict:
-    payload: dict = {
-        "schema": 1,
-        "kind": run_set.kind,
-        "t": run_set.t,
-        "k": run_set.k,
-        "K": run_set.runs,
-        "metrics": {},
-    }
-    for metric in metrics:
-        if metric == "sjs":
-            report = js_stability(run_set)
-            payload["metrics"]["sjs"] = {
-                "d_js": _round12(report.d_js),
-                "d_star": _round12(report.d_star),
-                "s_js": _round12(report.s_js),
-            }
-        else:
-            result = pairwise_stability(run_set, metric)
-            payload["metrics"][metric] = {"phi": _round12(result.phi)}
-    return payload
-
-
 def cmd_stability(args) -> int:
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     unknown = [m for m in metrics if m not in STABILITY_METRICS]
     if unknown:
-        print(
-            f"error: unknown metric(s) {', '.join(unknown)}; "
-            f"expected a subset of {','.join(STABILITY_METRICS)}",
-            file=sys.stderr,
+        raise ValueError(
+            f"unknown metric(s) {', '.join(unknown)}; "
+            f"expected a subset of {','.join(STABILITY_METRICS)}"
         )
-        return EXIT_MISMATCH
     if not metrics:
-        print("error: no metrics requested", file=sys.stderr)
-        return EXIT_MISMATCH
-    try:
-        run_set = load_runset(args.file)
-    except (OSError, RunSetParseError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        payload = _stability_payload(run_set, metrics)
-    except MetricMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except DegenerateNormalizerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(f"kind={payload['kind']} t={payload['t']} k={payload['k']} K={payload['K']}")
-        for metric in metrics:
-            fields = payload["metrics"][metric]
-            rendered = " ".join(f"{name}={_fmt(value)}" for name, value in fields.items())
-            print(f"{metric}: {rendered}")
+        raise ValueError("no metrics requested")
+    run_set = load_runset(args.file)
+    scores = {}
+    for metric in metrics:
+        if metric == "sjs":
+            report = js_stability(run_set)
+            scores["sjs"] = {"d_js": report.d_js, "d_star": report.d_star, "s_js": report.s_js}
+        else:
+            scores[metric] = {"phi": pairwise_stability(run_set, metric).phi}
+    shape = {"kind": run_set.kind, "t": run_set.t, "k": run_set.k, "K": run_set.runs}
+    rows = [[" ".join(f"{name}={value}" for name, value in shape.items())]]
+    for metric in metrics:
+        rendered = " ".join(f"{name}={_fmt(value)}" for name, value in scores[metric].items())
+        rows.append([f"{metric}: {rendered}"])
+    _emit(args, {"schema": 1, **shape, "metrics": scores}, rows)
     return EXIT_OK
 
 
 def cmd_experiment(args) -> int:
-    overrides: dict = {}
-    if args.t is not None:
-        overrides["t"] = args.t
-    if args.k is not None:
-        overrides["k"] = args.k
-    if args.runs is not None:
-        overrides["runs"] = args.runs
-    if args.overlap is not None:
-        if args.experiment != "fig6":
-            print("error: --overlap only applies to fig6", file=sys.stderr)
-            return EXIT_MISMATCH
-        overrides["overlap"] = args.overlap
-    try:
-        curve = run_experiment(args.experiment, args.seed, **overrides)
-    except (ValueError, DegenerateNormalizerError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE if isinstance(exc, DegenerateNormalizerError) else EXIT_MISMATCH
-    if args.json or (args.out or "").endswith(".json"):
-        document = {
-            "schema": 1,
-            "experiment": args.experiment,
-            "seed": args.seed,
-            "points": [
-                {key: (_round12(v) if isinstance(v, float) else v) for key, v in point.items()}
-                for point in curve
-            ],
-        }
-        _write_out(json.dumps(document, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        names = list(curve[0].keys())
-        lines = [",".join(names)]
-        for point in curve:
-            lines.append(
-                ",".join(
-                    _fmt(point[n]) if isinstance(point[n], float) else str(point[n])
-                    for n in names
-                )
-            )
-        _write_out("\n".join(lines) + "\n", args.out)
+    overrides = {
+        name: getattr(args, name)
+        for name in ("t", "k", "runs", "overlap")
+        if getattr(args, name) is not None
+    }
+    if "overlap" in overrides and args.experiment != "fig6":
+        raise ValueError("--overlap only applies to fig6")
+    curve = run_experiment(args.experiment, args.seed, **overrides)
+    names = list(curve[0])
+    document = {"schema": 1, "experiment": args.experiment, "seed": args.seed, "points": curve}
+    _emit(args, document, [names] + [[point[n] for n in names] for point in curve])
     return EXIT_OK
 
 
 def cmd_mds(args) -> int:
     labeled = []
-    try:
-        for path in args.files:
-            stem = path.rsplit("/", 1)[-1]
-            stem = stem[: -len(".csv")] if stem.endswith(".csv") else stem
-            labeled.append((stem, load_runset(path)))
-    except (OSError, RunSetParseError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        dm = distance_matrix(labeled, distance=args.distance)
-        embedding = classical_mds(dm)
-    except MetricMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except MdsConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    if args.json or (args.out or "").endswith(".json"):
-        document = {
-            "schema": 1,
-            "distance": args.distance,
-            "eigvals": [_round12(v) for v in embedding.eigvals],
-            "stress": _round12(embedding.stress),
-            "points": [
-                {
-                    "label": label,
-                    "run": run,
-                    "x": _round12(float(embedding.coords[idx, 0])),
-                    "y": _round12(float(embedding.coords[idx, 1])),
-                }
-                for idx, (label, run) in enumerate(dm.labels)
-            ],
-        }
-        _write_out(json.dumps(document, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        lines = ["label,run,x,y"]
-        for idx, (label, run) in enumerate(dm.labels):
-            x, y = embedding.coords[idx]
-            lines.append(f"{label},{run},{_fmt(float(x))},{_fmt(float(y))}")
-        _write_out("\n".join(lines) + "\n", args.out)
+    for path in args.files:
+        stem = path.rsplit("/", 1)[-1]
+        stem = stem[: -len(".csv")] if stem.endswith(".csv") else stem
+        labeled.append((stem, load_runset(path)))
+    dm = distance_matrix(labeled, distance=args.distance)
+    embedding = classical_mds(dm)
+    points = [
+        {"label": label, "run": run, "x": float(x), "y": float(y)}
+        for (label, run), (x, y) in zip(dm.labels, embedding.coords)
+    ]
+    document = {
+        "schema": 1,
+        "distance": args.distance,
+        "eigvals": embedding.eigvals,
+        "stress": embedding.stress,
+        "points": points,
+    }
+    rows = [["label", "run", "x", "y"]] + [list(point.values()) for point in points]
+    _emit(args, document, rows)
     return EXIT_OK
 
 
@@ -252,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated subset of {','.join(STABILITY_METRICS)} (default: sjs)",
     )
     p_stab.add_argument("--json", action="store_true", help="emit a JSON report")
-    p_stab.set_defaults(func=cmd_stability)
+    p_stab.set_defaults(func=cmd_stability, out=None)
 
     p_exp = sub.add_parser("experiment", help="run a canned synthetic experiment")
     p_exp.add_argument("experiment", choices=EXPERIMENT_NAMES)
@@ -276,7 +210,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        for types, code, prefix in FAILURES:
+            if isinstance(exc, types):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

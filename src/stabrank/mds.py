@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .baselines import METRIC_KINDS, MetricMismatchError, jaccard, kuncheva, spearman
+from .baselines import similarity_matrix
 from .divergence import js_pair
 from .lists import RunSet
 from .probability import run_probabilities
@@ -33,12 +33,6 @@ class MdsConvergenceError(RuntimeError):
 
 
 DISTANCES = ("sqrt-js", "one-minus-spearman", "one-minus-kuncheva", "one-minus-jaccard")
-
-_METRIC_FOR_DISTANCE = {
-    "one-minus-spearman": spearman,
-    "one-minus-kuncheva": kuncheva,
-    "one-minus-jaccard": jaccard,
-}
 
 
 @dataclass(frozen=True)
@@ -85,6 +79,9 @@ def distance_matrix(
 
     All run sets must share kind, t and k. With the default ``sqrt-js``
     distance, identical lists sit at 0 and disjoint masks at sqrt(ln 2).
+    A ``one-minus-*`` distance is ``1 - similarity_matrix`` of all the lists
+    stacked into one run set, clamped at 0; its metric must apply to their
+    kind (``MetricMismatchError`` otherwise).
     """
     if distance not in DISTANCES:
         raise ValueError(f"unknown distance {distance!r}, expected one of {DISTANCES}")
@@ -97,30 +94,18 @@ def distance_matrix(
     if len(shapes) != 1:
         raise ValueError(f"mixed run set shapes (t, k): {sorted(shapes)}")
     kind = kinds.pop()
+    labels = tuple((label, run) for label, rs in labeled_run_sets for run in range(rs.runs))
     if distance != "sqrt-js":
-        required = METRIC_KINDS[distance.removeprefix("one-minus-")]
-        if kind != required:
-            raise MetricMismatchError(
-                f"distance {distance!r} applies to {required} run sets, got {kind!r}"
-            )
-
-    labels = [
-        (label, run) for label, rs in labeled_run_sets for run in range(rs.runs)
-    ]
+        rows = RunSet(kind, np.vstack([rs.matrix for _, rs in labeled_run_sets]), shapes.pop()[1])
+        similarity = similarity_matrix(rows, distance.removeprefix("one-minus-"))
+        return DistanceMatrix(np.maximum(0.0, 1.0 - similarity), labels)
     n = len(labels)
     d = np.zeros((n, n))
-    if distance == "sqrt-js":
-        points = np.vstack([run_probabilities(rs) for _, rs in labeled_run_sets])
-        for i in range(n):
-            for j in range(i + 1, n):
-                d[i, j] = d[j, i] = math.sqrt(max(0.0, js_pair(points[i], points[j])))
-    else:
-        metric = _METRIC_FOR_DISTANCE[distance]
-        rows = np.vstack([rs.matrix for _, rs in labeled_run_sets])
-        for i in range(n):
-            for j in range(i + 1, n):
-                d[i, j] = d[j, i] = max(0.0, 1.0 - metric(rows[i], rows[j]))
-    return DistanceMatrix(d, tuple(labels))
+    points = np.vstack([run_probabilities(rs) for _, rs in labeled_run_sets])
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i, j] = d[j, i] = math.sqrt(max(0.0, js_pair(points[i], points[j])))
+    return DistanceMatrix(d, labels)
 
 
 def classical_mds(dm: DistanceMatrix) -> Embedding:

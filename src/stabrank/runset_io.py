@@ -25,6 +25,10 @@ class RunSetParseError(ValueError):
     """Structural problem in a run-set file (reported with line/column)."""
 
 
+class RunSetValidationError(ValueError):
+    """A well-formed run-set file whose lists break their kind's invariants."""
+
+
 _HEADER_RE = re.compile(
     r"#stabrank v1 kind=(full|partial|topk) t=(\d+) k=(\d+) K=(\d+)\s*$"
 )
@@ -70,7 +74,9 @@ def read_columns(text: str) -> tuple[RunSetFileHeader, np.ndarray]:
     body = lines[1:]
     if len(body) != header.t:
         raise RunSetParseError(f"expected {header.t} data rows, found {len(body)}")
-    matrix = np.empty((header.t, header.runs), dtype=np.int64)
+    # sized by the first row, not the header: a header that overstates K then
+    # fails the column check below instead of asking for a huge allocation
+    matrix = np.empty((header.t, body[0].count(",") + 1), dtype=np.int64)
     for row, line in enumerate(body):
         cells = line.split(",")
         if len(cells) != header.runs:
@@ -80,7 +86,7 @@ def read_columns(text: str) -> tuple[RunSetFileHeader, np.ndarray]:
         for col, cell in enumerate(cells):
             try:
                 matrix[row, col] = int(cell)
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise RunSetParseError(
                     f"line {row + 2}, column {col + 1}: invalid integer {cell.strip()!r}"
                 ) from None
@@ -96,19 +102,30 @@ def parse_runset(text: str) -> RunSet:
     """Parse and validate a run-set file into a ``RunSet``.
 
     Structural problems raise ``RunSetParseError``; invariant violations
-    raise ``ValueError`` naming the first offending column.
+    and a single run raise ``RunSetValidationError`` (the first offending
+    column is named).
     """
     header, matrix = read_columns(text)
     problems = column_violations(header, matrix)
     for col, problem in enumerate(problems):
         if problem is not None:
-            raise ValueError(f"column {col + 1}: {problem}")
+            raise RunSetValidationError(f"column {col + 1}: {problem}")
+    if header.runs < 2:
+        raise RunSetValidationError(f"a run set needs at least 2 lists, got {header.runs}")
     return RunSet(header.kind, matrix, header.k)
 
 
+def read_text(path) -> str:
+    """A file's text, newlines universal; bytes that are not UTF-8 raise ``RunSetParseError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise RunSetParseError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+
+
 def load_runset(path) -> RunSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_runset(fh.read())
+    return parse_runset(read_text(path))
 
 
 def serialize_runset(run_set: RunSet) -> str:
@@ -119,7 +136,7 @@ def serialize_runset(run_set: RunSet) -> str:
         f"#stabrank v1 kind={run_set.kind} t={run_set.t} k={run_set.k} K={run_set.runs}"
     ]
     for feature_row in run_set.matrix.T:
-        lines.append(",".join(str(int(v)) for v in feature_row))
+        lines.append(",".join(map(str, feature_row.tolist())))
     return "\n".join(lines) + "\n"
 
 

@@ -20,6 +20,7 @@ from stabrank import (
     jaccard,
     kuncheva,
     pairwise_stability,
+    similarity_matrix,
     spearman,
 )
 from conftest import EXAMPLE_MASKS
@@ -149,34 +150,28 @@ class TestPairwiseStability:
         assert result.phi == pytest.approx(1 / 6, abs=1e-15)
 
     def test_pair_values_mean_matches_phi(self, mask_run_set):
-        result = pairwise_stability(mask_run_set, "kuncheva", include_pairs=True)
-        assert len(result.pair_values) == 10
-        assert result.phi == pytest.approx(
-            math.fsum(result.pair_values) / 10, abs=1e-12
+        pairs = similarity_matrix(mask_run_set, "kuncheva")[np.triu_indices(5, 1)]
+        assert len(pairs) == 10
+        assert pairwise_stability(mask_run_set, "kuncheva").phi == pytest.approx(
+            math.fsum(pairs) / 10, abs=1e-12
         )
-        assert result.pair_values[0] == pytest.approx(1 / 6, abs=1e-15)
+        assert pairs[0] == pytest.approx(1 / 6, abs=1e-15)
 
     def test_vectorised_matches_scalar_loop(self):
         rng = np.random.default_rng(12)
         rows = np.array([rng.permutation(9) + 1 for _ in range(6)])
         full = RunSet("full", rows)
-        result = pairwise_stability(full, "spearman", include_pairs=True)
-        direct = [
-            spearman(rows[i], rows[j])
-            for i in range(6)
-            for j in range(i + 1, 6)
-        ]
-        assert list(result.pair_values) == pytest.approx(direct, abs=0)
-
         masks = full.to_topk(3)
-        for metric, func in (("kuncheva", kuncheva), ("jaccard", jaccard)):
-            got = pairwise_stability(masks, metric, include_pairs=True).pair_values
-            want = [
-                func(masks.matrix[i], masks.matrix[j])
-                for i in range(6)
-                for j in range(i + 1, 6)
-            ]
-            assert list(got) == pytest.approx(want, abs=0)
+        for run_set, metric, func in (
+            (full, "spearman", spearman),
+            (masks, "kuncheva", kuncheva),
+            (masks, "jaccard", jaccard),
+        ):
+            got = similarity_matrix(run_set, metric)
+            want = np.array(
+                [[func(run_set.matrix[i], run_set.matrix[j]) for j in range(6)] for i in range(6)]
+            )
+            assert got == pytest.approx(want, abs=0)
 
     def test_list_order_invariance(self, mask_run_set):
         reference = pairwise_stability(mask_run_set, "jaccard").phi
@@ -195,8 +190,22 @@ class TestPairwiseStability:
         with pytest.raises(ValueError, match="unknown metric"):
             pairwise_stability(full_run_set, "kendall")
 
-    def test_pairs_omitted_by_default(self, mask_run_set):
-        assert pairwise_stability(mask_run_set, "kuncheva").pair_values is None
+    def test_similarity_matrix_is_symmetric_with_unit_diagonal(self, full_run_set, mask_run_set):
+        for run_set, metric in (
+            (full_run_set, "spearman"),
+            (mask_run_set, "kuncheva"),
+            (mask_run_set, "jaccard"),
+        ):
+            got = similarity_matrix(run_set, metric)
+            assert got.shape == (run_set.runs, run_set.runs)
+            assert np.array_equal(got, got.T)
+            assert np.all(np.diag(got) == 1.0)
+
+    def test_similarity_matrix_degenerate_shapes(self):
+        with pytest.raises(ValueError, match="at least 2 features"):
+            similarity_matrix(RunSet("full", [[1], [1]]), "spearman")
+        with pytest.raises(ValueError, match="undefined for k=3 of t=3"):
+            similarity_matrix(RunSet("topk", [[1, 1, 1], [1, 1, 1]], 3), "kuncheva")
 
     def test_random_rankings_average_near_zero(self):
         rng = np.random.default_rng(77)

@@ -1,9 +1,11 @@
-"""Golden CLI bytes: ``validate``, ``stability`` and ``experiment`` are pinned.
+"""Golden CLI bytes: ``validate``, ``stability``, ``experiment`` and ``mds`` are pinned.
 
 Every case runs one command from inside ``tests/golden`` (so file names in
 the output are relative) and compares its stdout, byte for byte, with
 ``tests/golden/<case>.out``. The validate inputs hold one valid column plus
-one column per validation message of their kind. A change to these bytes
+one column per validation message of their kind; the ``mds`` inputs are
+small generated run sets (two runs of each ``a`` file identical, the ``b``
+files random), one case per distance. A change to these bytes
 must be deliberate and recorded in CHANGES.md.
 """
 
@@ -43,6 +45,20 @@ CASES = {
     ),
     "experiment_fig7": (
         ["experiment", "fig7", "--seed", "0", "--t", "40", "--k", "8", "--runs", "4"],
+        0,
+    ),
+    "mds_topk_sqrt_js": (["mds", "mds_topk_a.csv", "mds_topk_b.csv"], 0),
+    "mds_topk_kuncheva": (
+        ["mds", "mds_topk_a.csv", "mds_topk_b.csv", "--distance", "one-minus-kuncheva"],
+        0,
+    ),
+    "mds_topk_jaccard_json": (
+        ["mds", "mds_topk_a.csv", "mds_topk_b.csv", "--distance", "one-minus-jaccard", "--json"],
+        0,
+    ),
+    "mds_full_sqrt_js_json": (["mds", "mds_full_a.csv", "mds_full_b.csv", "--json"], 0),
+    "mds_full_spearman": (
+        ["mds", "mds_full_a.csv", "mds_full_b.csv", "--distance", "one-minus-spearman"],
         0,
     ),
 }

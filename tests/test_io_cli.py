@@ -1,11 +1,12 @@
 """Run-set file format and command-line interface tests."""
 
 import json
+import traceback
 
 import numpy as np
 import pytest
 
-from stabrank import RunSet, RunSetParseError, parse_runset, serialize_runset
+from stabrank import RunSet, RunSetParseError, load_runset, parse_runset, serialize_runset
 from stabrank.cli import main
 from conftest import EXAMPLE_FULL, EXAMPLE_MASKS
 
@@ -58,6 +59,22 @@ class TestParsing:
         text = "#stabrank v1 kind=full t=2 k=2 K=2\n1,2\n2,x\n"
         with pytest.raises(RunSetParseError, match="line 3, column 2"):
             parse_runset(text)
+
+    def test_oversized_cell(self):
+        text = "#stabrank v1 kind=full t=2 k=2 K=2\n1,99999999999999999999999\n2,1\n"
+        with pytest.raises(RunSetParseError, match="line 2, column 2: invalid integer"):
+            parse_runset(text)
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"#stabrank v1 kind=full t=2 k=2 K=2\n1,2\n2,\xe91\n")
+        with pytest.raises(RunSetParseError, match="not UTF-8"):
+            load_runset(path)
+
+    def test_crlf_file_reads_like_lf(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(FULL_TEXT.replace("\n", "\r\n").encode())
+        assert np.array_equal(load_runset(path).matrix, parse_runset(FULL_TEXT).matrix)
 
     def test_invalid_column_named(self):
         text = "#stabrank v1 kind=full t=3 k=3 K=2\n1,1\n2,1\n3,3\n"
@@ -289,3 +306,68 @@ class TestMdsCommand:
         main(["mds", identical_mask_file, mask_file, "--out", str(a)])
         main(["mds", identical_mask_file, mask_file, "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+# Files the failure table's commands read; names resolve inside a temp dir.
+FAILURE_FILES = {
+    "full.csv": FULL_TEXT.encode(),
+    "masks.csv": MASK_TEXT.encode(),
+    "all_selected.csv": b"#stabrank v1 kind=topk t=3 k=3 K=2\n1,1\n1,1\n1,1\n",
+    "overstated_k.csv": b"#stabrank v1 kind=full t=2 k=2 K=1000000000000\n1,2\n2,1\n",
+    "oversized.csv": b"#stabrank v1 kind=full t=2 k=2 K=2\n1,99999999999999999999999\n2,1\n",
+    "latin1.csv": b"#stabrank v1 kind=full t=2 k=2 K=2\n1,2\n2,\xe91\n",
+    "empty.csv": b"",
+    "duplicate.csv": b"#stabrank v1 kind=full t=2 k=2 K=2\n1,1\n1,2\n",
+    "one_run.csv": b"#stabrank v1 kind=full t=2 k=2 K=1\n1\n2\n",
+}
+
+# (id, argv, exit code, stderr prefix): one row per documented failure path
+FAILURE_TABLE = [
+    ("validate-missing", ["validate", "missing/x.csv"], 2, "file error"),
+    ("stability-missing", ["stability", "missing/x.csv"], 2, "file error"),
+    ("mds-missing", ["mds", "masks.csv", "missing/x.csv"], 2, "file error"),
+    ("validate-empty", ["validate", "empty.csv"], 2, "parse error"),
+    ("validate-oversized", ["validate", "oversized.csv"], 2, "parse error"),
+    ("stability-oversized", ["stability", "oversized.csv"], 2, "parse error"),
+    ("mds-oversized", ["mds", "oversized.csv"], 2, "parse error"),
+    ("validate-overstated-k", ["validate", "overstated_k.csv"], 2, "parse error"),
+    ("validate-latin1", ["validate", "latin1.csv"], 2, "parse error"),
+    ("stability-latin1", ["stability", "latin1.csv"], 2, "parse error"),
+    ("mds-latin1", ["mds", "latin1.csv"], 2, "parse error"),
+    ("experiment-unwritable-out",
+     ["experiment", "fig4", "--t", "30", "--runs", "6", "--out", "missing/x.csv"], 2, "file error"),
+    ("stability-invalid-column", ["stability", "duplicate.csv"], 3, "validation error"),
+    ("stability-one-run", ["stability", "one_run.csv"], 3, "validation error"),
+    ("mds-invalid-column", ["mds", "masks.csv", "duplicate.csv"], 3, "validation error"),
+    ("stability-kind-mismatch", ["stability", "full.csv", "--metrics", "kuncheva"], 4, "error"),
+    ("stability-unknown-metric", ["stability", "full.csv", "--metrics", "kendall"], 4, "error"),
+    ("stability-kuncheva-k-equals-t",
+     ["stability", "all_selected.csv", "--metrics", "kuncheva"], 4, "error"),
+    ("mds-kuncheva-k-equals-t",
+     ["mds", "all_selected.csv", "masks.csv", "--distance", "one-minus-kuncheva"], 4, "error"),
+    ("mds-mixed-kinds", ["mds", "full.csv", "masks.csv"], 4, "error"),
+    ("experiment-overlap-outside-fig6", ["experiment", "fig4", "--overlap", "10"], 4, "error"),
+    ("stability-zero-baseline", ["stability", "all_selected.csv"], 5, "error"),
+    ("experiment-zero-baseline",
+     ["experiment", "fig5", "--t", "10", "--k", "10", "--runs", "4"], 5, "error"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, prefix",
+    [row[1:] for row in FAILURE_TABLE],
+    ids=[row[0] for row in FAILURE_TABLE],
+)
+def test_failure_table(argv, code, prefix, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, data in FAILURE_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    try:
+        got = main(argv)
+    except Exception:  # what the interpreter would print before exiting 1
+        traceback.print_exc()
+        got = 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert got == code
+    assert err.startswith(f"{prefix}: ")
