@@ -8,7 +8,9 @@ similarity metric over all unordered pairs of lists:
 Spearman's rank correlation applies to full rankings; the Kuncheva index
 and the Jaccard index apply to equal-size top-k masks. Values are computed
 exactly as defined: Spearman and Kuncheva go negative for strongly
-discordant inputs and are deliberately not clamped.
+discordant inputs and are deliberately not clamped. Mean Spearman and
+Kuncheva are read from column sums (the frequency view of Nogueira,
+Sechidis & Brown, JMLR 2018); Jaccard needs the pairwise overlaps.
 """
 
 from __future__ import annotations
@@ -104,14 +106,46 @@ class PairwiseStability:
     phi: float
 
 
-def pairwise_stability(run_set: RunSet, metric: str) -> PairwiseStability:
-    """Average a similarity metric over all unordered pairs of a run set.
+def _check_metric(run_set: RunSet, metric: str) -> None:
+    """Raise unless ``metric`` is known and defined for this run set."""
+    if metric not in METRIC_KINDS:
+        raise ValueError(f"unknown metric {metric!r}, expected one of {sorted(METRIC_KINDS)}")
+    required = METRIC_KINDS[metric]
+    if run_set.kind != required:
+        raise MetricMismatchError(
+            f"metric {metric!r} applies to {required} run sets, got {run_set.kind!r}"
+        )
+    t, k = run_set.t, run_set.k
+    if metric == "spearman" and t < 2:
+        raise ValueError("Spearman correlation needs at least 2 features")
+    if metric == "kuncheva" and k == t:
+        raise ValueError(f"Kuncheva index is undefined for k={k} of t={t}")
 
-    The pairs are the upper triangle of ``similarity_matrix``; the mean uses
-    compensated summation.
+
+def pairwise_stability(run_set: RunSet, metric: str) -> PairwiseStability:
+    """Average a similarity metric over all P = K(K-1)/2 unordered pairs.
+
+    Spearman and Kuncheva are exact integer sums over columns, rounded once:
+    all pairs' squared rank differences sum to ``sum_f (K S2_f - S1_f^2)``
+    (S1_f, S2_f: the sums of r and r^2 over feature f) and their overlaps
+    to ``sum_f c_f (c_f - 1) / 2`` (c_f: feature f's selection count).
+    Jaccard averages the ``similarity_matrix`` pairs.
     """
-    values = similarity_matrix(run_set, metric)[np.triu_indices(run_set.runs, 1)]
-    return PairwiseStability(metric_name=metric, phi=math.fsum(values) / len(values))
+    _check_metric(run_set, metric)
+    runs, t, k = run_set.runs, run_set.t, run_set.k
+    if metric == "jaccard":
+        values = similarity_matrix(run_set, metric)[np.triu_indices(runs, 1)]
+        return PairwiseStability(metric_name=metric, phi=math.fsum(values) / len(values))
+    pairs = runs * (runs - 1) // 2
+    s1 = run_set.matrix.sum(axis=0)
+    if metric == "spearman":
+        s2 = np.einsum("ij,ij->j", run_set.matrix, run_set.matrix)
+        scale = pairs * t * (t * t - 1)
+        phi = (scale - 6 * sum((runs * s2 - s1 * s1).tolist())) / scale
+    else:
+        overlaps = sum((s1 * (s1 - 1) // 2).tolist())
+        phi = (t * overlaps - pairs * k * k) / (pairs * k * (t - k))
+    return PairwiseStability(metric_name=metric, phi=phi)
 
 
 def similarity_matrix(run_set: RunSet, metric: str) -> np.ndarray:
@@ -122,24 +156,14 @@ def similarity_matrix(run_set: RunSet, metric: str) -> np.ndarray:
     ``MetricMismatchError``. Every entry is computed from the Gram matrix of
     the lists and equals the scalar metric on that pair exactly.
     """
-    if metric not in METRIC_KINDS:
-        raise ValueError(f"unknown metric {metric!r}, expected one of {sorted(METRIC_KINDS)}")
-    required = METRIC_KINDS[metric]
-    if run_set.kind != required:
-        raise MetricMismatchError(
-            f"metric {metric!r} applies to {required} run sets, got {run_set.kind!r}"
-        )
+    _check_metric(run_set, metric)
     m = run_set.matrix.astype(np.float64)
     gram = m @ m.T
     t, k = run_set.t, run_set.k
     if metric == "spearman":
-        if t < 2:
-            raise ValueError("Spearman correlation needs at least 2 features")
         sq = np.diag(gram)
         d2 = sq[:, None] + sq[None, :] - 2.0 * gram
         return 1.0 - 6.0 * d2 / (t * (t * t - 1.0))
     if metric == "kuncheva":
-        if k == t:
-            raise ValueError(f"Kuncheva index is undefined for k={k} of t={t}")
         return (gram * t - k * k) / (k * (t - k))
     return gram / (2.0 * k - gram)

@@ -143,12 +143,17 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+def _labels(paths) -> list[str]:
+    """Each input's base name without ``.csv``; when two inputs share a base
+    name, every input is labelled by its path as given, without ``.csv``."""
+    labels = [path.rsplit("/", 1)[-1].removesuffix(".csv") for path in paths]
+    if len(set(labels)) < len(labels):
+        labels = [path.removesuffix(".csv") for path in paths]
+    return labels
+
+
 def cmd_mds(args) -> int:
-    labeled = []
-    for path in args.files:
-        stem = path.rsplit("/", 1)[-1]
-        stem = stem[: -len(".csv")] if stem.endswith(".csv") else stem
-        labeled.append((stem, load_runset(path)))
+    labeled = [(label, load_runset(path)) for label, path in zip(_labels(args.files), args.files)]
     dm = distance_matrix(labeled, distance=args.distance)
     embedding = classical_mds(dm)
     points = [

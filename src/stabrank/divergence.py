@@ -7,7 +7,8 @@ the same shape would attain:
     s_js = 1 - d_js / d_star
 
 so identical lists score 1 and random lists score about 0. All divergences
-are reported in nats.
+are reported in nats. ``js_multi`` reduces the K x t probabilities feature
+by feature, in two compensated passes and O(t) working memory.
 """
 
 from __future__ import annotations
@@ -56,28 +57,38 @@ def js_pair(p, q) -> float:
     return 0.5 * (kl(p, m) + kl(q, m))
 
 
+def _column_sums(rows, t: int) -> np.ndarray:
+    """Kahan-compensated sums of t-long rows, feature by feature."""
+    total, carry, y, s = (np.zeros(t) for _ in range(4))
+    for row in rows:
+        np.subtract(row, carry, out=y)
+        np.add(total, y, out=s)
+        np.subtract(s, total, out=carry)
+        carry -= y
+        total, s = s, total
+    return total
+
+
 def js_multi(ps) -> float:
     """Generalized Jensen-Shannon divergence of K distributions.
 
     Mean KL divergence of each distribution from the entrywise mean;
     equals ``js_pair`` at K = 2, is invariant to input order, and is 0
-    exactly when all distributions are identical. Terms are accumulated
-    with exact (compensated) summation.
+    exactly when all distributions are identical. Two passes over the rows
+    keep only t-long work arrays: Kahan-compensated per-feature sums give
+    the mean, then each row's ``p ln(p / mean)`` on its support is
+    Kahan-added per feature, and the t per-feature totals are summed
+    exactly with ``math.fsum``.
     """
     m = _as_prob_matrix(ps)
-    runs = m.shape[0]
+    runs, t = m.shape
     if runs < 2:
         raise ValueError(f"need at least 2 distributions, got {runs}")
     if np.all(m == m[0]):
         return 0.0
-    mean = m.mean(axis=0)
-    mask = m > 0
-    ratio = np.ones_like(m)
-    np.divide(m, mean[np.newaxis, :], out=ratio, where=mask)
-    terms = np.where(mask, m * np.log(ratio), 0.0)
-    # feature-major accumulation; fsum is exact so the order only matters
-    # for reproducibility of the intent
-    return math.fsum(terms.T.ravel()) / runs
+    mean = _column_sums(m, t) / runs
+    terms = (row * np.log(np.divide(row, mean, out=np.ones(t), where=row > 0)) for row in m)
+    return math.fsum(_column_sums(terms, t)) / runs
 
 
 @dataclass(frozen=True)

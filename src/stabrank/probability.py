@@ -73,13 +73,10 @@ def map_topk(mask: TopKMask) -> np.ndarray:
 
 def run_probabilities(run_set: RunSet) -> np.ndarray:
     """Map every list of a run set; returns a (K, t) row-stochastic matrix."""
-    m = run_set.matrix
-    if run_set.kind == "full":
-        return _rank_weights(run_set.t)[m - 1]
-    if run_set.kind == "partial":
-        table = np.concatenate(([0.0], _rank_weights(run_set.k)))
-        return table[m]
-    return m / float(run_set.k)
+    if run_set.kind == "topk":
+        return run_set.matrix / float(run_set.k)
+    # rank 0 (unranked) reads 0; full rankings have k = t and no zeros
+    return np.concatenate(([0.0], _rank_weights(run_set.k)))[run_set.matrix]
 
 
 def normalizer(kind: str, t: int, k: int | None = None) -> float:

@@ -1,7 +1,9 @@
 """Baseline similarity metrics and the pairwise-average reduction.
 
 Brute-force oracles: set arithmetic for the mask metrics (enumerated
-exhaustively at small t) and a literal term-by-term sum for Spearman.
+exhaustively at small t) and a literal term-by-term sum for Spearman. The
+column-sum means of ``pairwise_stability`` are held to the compensated mean
+of the ``similarity_matrix`` upper triangle.
 """
 
 import itertools
@@ -206,6 +208,40 @@ class TestPairwiseStability:
             similarity_matrix(RunSet("full", [[1], [1]]), "spearman")
         with pytest.raises(ValueError, match="undefined for k=3 of t=3"):
             similarity_matrix(RunSet("topk", [[1, 1, 1], [1, 1, 1]], 3), "kuncheva")
+
+    @given(
+        st.sampled_from(["spearman", "kuncheva"]),
+        st.integers(2, 40),
+        st.integers(2, 15),
+        st.integers(0, 15),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_column_sum_means_match_triangle_fsum(self, metric, t, runs, fixed, seed):
+        rng = np.random.default_rng(seed)
+        rows = np.array([rng.permutation(t) + 1 for _ in range(runs)])
+        rows[:fixed] = rows[0]
+        run_set = RunSet("full", rows)
+        if metric == "kuncheva":
+            run_set = run_set.to_topk(int(rng.integers(1, t)))
+        pairs = similarity_matrix(run_set, metric)[np.triu_indices(runs, 1)]
+        assert pairwise_stability(run_set, metric).phi == pytest.approx(
+            math.fsum(pairs) / len(pairs), abs=1e-15
+        )
+
+    def test_column_sum_means_raise_like_similarity_matrix(self, full_run_set, mask_run_set):
+        for run_set, metric in (
+            (RunSet("full", [[1], [1]]), "spearman"),
+            (RunSet("topk", [[1, 1, 1], [1, 1, 1]], 3), "kuncheva"),
+            (full_run_set, "kuncheva"),
+            (mask_run_set, "spearman"),
+            (full_run_set, "kendall"),
+        ):
+            with pytest.raises(ValueError) as want:
+                similarity_matrix(run_set, metric)
+            with pytest.raises(ValueError) as got:
+                pairwise_stability(run_set, metric)
+            assert (got.type, str(got.value)) == (want.type, str(want.value))
 
     def test_random_rankings_average_near_zero(self):
         rng = np.random.default_rng(77)

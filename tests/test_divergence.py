@@ -4,14 +4,17 @@ The independent oracle here is the entropy identity: because every list of
 one shape maps to a permutation of the same probability multiset, the
 stability score equals (ln t - H(mean)) / (ln t - H(row)) where H(row) is
 the entropy of any single mapped list. The implementation under test never
-takes that route; it evaluates the divergence sum directly.
+takes that route; it evaluates the divergence sum directly. ``js_multi``
+is also held to the all-terms ``math.fsum`` form it replaced, and to an
+O(t) bound on its working memory.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stabrank import (
@@ -45,6 +48,39 @@ def oracle_s_js(run_set: RunSet) -> float:
     h_row = -math.fsum(p * math.log(p) for p in probs[0] if p > 0)
     log_t = math.log(run_set.t)
     return (log_t - h_mean) / (log_t - h_row)
+
+
+def fsum_js_multi(m: np.ndarray) -> float:
+    """All-terms oracle: one ``math.fsum`` over every ``p ln(p / mean)`` of the
+    K x t matrix, with the mean from ``ndarray.mean``."""
+    mean = m.mean(axis=0)
+    mask = m > 0
+    ratio = np.ones_like(m)
+    np.divide(m, mean, out=ratio, where=mask)
+    return math.fsum(np.where(mask, m * np.log(ratio), 0.0).ravel()) / m.shape[0]
+
+
+def with_fixed_rows(run_set: RunSet, fixed: int) -> RunSet:
+    """The run set with its first ``fixed`` rows replaced by its first row."""
+    rows = run_set.matrix.copy()
+    rows[:fixed] = rows[0]
+    return RunSet(run_set.kind, rows, run_set.k)
+
+
+@st.composite
+def run_sets_with_fixed_rows(draw):
+    kind = draw(st.sampled_from(["full", "partial", "topk"]))
+    t = draw(st.integers(2, 30))
+    k = t if kind == "full" else draw(st.integers(1, t - 1))
+    runs = draw(st.integers(2, 12))
+    fixed = draw(st.integers(0, runs))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return with_fixed_rows(random_run_set(rng, kind, t, k, runs), fixed)
+
+
+def edge_run_set(kind: str, t: int, k: int, runs: int, fixed: int) -> RunSet:
+    rng = np.random.default_rng(t * runs + fixed)
+    return with_fixed_rows(random_run_set(rng, kind, t, k, runs), fixed)
 
 
 @st.composite
@@ -121,6 +157,32 @@ class TestJsMulti:
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
             js_multi([[0.5, 0.5]])
+
+    @given(run_sets_with_fixed_rows())
+    @example(edge_run_set("full", t=7, k=7, runs=2, fixed=0))
+    @example(edge_run_set("topk", t=9, k=8, runs=2, fixed=0))
+    @example(edge_run_set("partial", t=9, k=8, runs=6, fixed=5))
+    @example(edge_run_set("topk", t=12, k=11, runs=5, fixed=4))
+    @example(edge_run_set("full", t=12, k=12, runs=5, fixed=4))
+    @example(edge_run_set("partial", t=5, k=2, runs=3, fixed=3))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_all_terms_fsum(self, run_set):
+        probs = run_probabilities(run_set)
+        got = js_multi(probs)
+        if np.all(run_set.matrix == run_set.matrix[0]):
+            assert got == 0.0
+        else:
+            assert got == pytest.approx(fsum_js_multi(probs), abs=1e-13)
+
+    def test_working_memory_is_a_quarter_of_the_input(self):
+        probs = np.random.default_rng(8).dirichlet(np.ones(5000), size=200)
+        tracemalloc.start()
+        try:
+            js_multi(probs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= probs.nbytes / 4
 
 
 class TestJsStability:

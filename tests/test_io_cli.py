@@ -275,6 +275,18 @@ class TestMdsCommand:
             assert float(a[0]) == pytest.approx(float(b[0]), abs=1e-9)
             assert float(a[1]) == pytest.approx(float(b[1]), abs=1e-9)
 
+    def test_shared_base_names_labelled_by_path(self, tmp_path, monkeypatch, capsys):
+        for folder in ("d1", "d2"):
+            (tmp_path / folder).mkdir()
+            (tmp_path / folder / "x.csv").write_text(MASK_TEXT)
+        (tmp_path / "y.csv").write_text(MASK_TEXT)
+        monkeypatch.chdir(tmp_path)
+        assert main(["mds", "d1/x.csv", "d2/x.csv", "y.csv"]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        labels = [tuple(row.split(",")[:2]) for row in rows]
+        assert len(set(labels)) == 15
+        assert [label for label, _ in labels[::5]] == ["d1/x", "d2/x", "y"]
+
     def test_mixed_kinds_rejected(self, full_file, mask_file, capsys):
         assert main(["mds", full_file, mask_file]) == 4
         assert "mixed" in capsys.readouterr().err
