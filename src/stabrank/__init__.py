@@ -28,15 +28,8 @@ from .experiments import (
 )
 from .lists import (
     KINDS,
-    FullRanking,
-    PartialRanking,
     RunSet,
-    TopKMask,
-    full_to_partial,
-    full_to_topk,
-    partial_to_topk,
     row_violations,
-    validate,
 )
 from .mds import (
     DISTANCES,
@@ -48,11 +41,7 @@ from .mds import (
 )
 from .probability import (
     DegenerateNormalizerError,
-    map_full,
-    map_partial,
-    map_topk,
     normalizer,
-    prob_of_rank,
     run_probabilities,
 )
 from .runset_io import (
@@ -71,7 +60,7 @@ from .synth import (
     gen_subset_family,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "DISTANCES",
@@ -80,23 +69,18 @@ __all__ = [
     "EXPERIMENT_NAMES",
     "Embedding",
     "ExperimentConfig",
-    "FullRanking",
     "KINDS",
     "METRIC_KINDS",
     "MdsConvergenceError",
     "MetricMismatchError",
     "PairwiseStability",
-    "PartialRanking",
     "RunSet",
     "RunSetParseError",
     "RunSetValidationError",
     "StabilityReport",
     "SupportMismatchError",
-    "TopKMask",
     "classical_mds",
     "distance_matrix",
-    "full_to_partial",
-    "full_to_topk",
     "gen_overlap_family",
     "gen_ranking_family",
     "gen_rank_shuffle_family",
@@ -108,15 +92,10 @@ __all__ = [
     "kl",
     "kuncheva",
     "load_runset",
-    "map_full",
-    "map_partial",
-    "map_topk",
     "normalizer",
     "overlap_curve",
     "pairwise_stability",
     "parse_runset",
-    "partial_to_topk",
-    "prob_of_rank",
     "ranking_curve",
     "rank_shuffle_curve",
     "row_violations",
@@ -127,5 +106,4 @@ __all__ = [
     "similarity_matrix",
     "spearman",
     "subset_curve",
-    "validate",
 ]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lists import FullRanking, RunSet, TopKMask, _require_valid
+from .lists import RunSet, _int64, _scan
 
 
 class MetricMismatchError(ValueError):
@@ -34,27 +34,30 @@ METRIC_KINDS = {
 }
 
 
-def _ranks(x) -> np.ndarray:
-    if isinstance(x, FullRanking):
-        _require_valid(x)
-        return np.asarray(x.ranks, dtype=np.int64)
-    return np.asarray(x, dtype=np.int64)
+def _plain(x, kind: str) -> np.ndarray:
+    """One list as an int64 vector, checked against its kind.
 
-
-def _mask(x) -> np.ndarray:
-    if isinstance(x, TopKMask):
-        _require_valid(x)
-        return np.asarray(x.selected, dtype=np.int64)
-    return np.asarray(x, dtype=np.int64)
+    ``full`` needs a permutation of 1..t and ``topk`` only 0/1 entries;
+    anything else raises ``ValueError``. An empty list or an all-zero mask
+    passes, so that each metric raises its own degenerate-shape error.
+    """
+    a = _int64(x)
+    if a.ndim != 1:
+        raise ValueError(f"expected a 1-dimensional list, got shape {a.shape}")
+    n = a.shape[0] if kind == "full" else int(np.count_nonzero(a))
+    problem = _scan(kind, a.tolist(), n) if n else None
+    if problem is not None:
+        raise ValueError(f"not a {'full ranking' if kind == 'full' else '0/1 mask'}: {problem}")
+    return a
 
 
 def spearman(first, second) -> float:
-    """Spearman's rank correlation between two full rankings.
+    """Spearman's rank correlation between two full rankings (plain sequences).
 
     ``1 - 6 * sum (r_i - r'_i)^2 / (t (t^2 - 1))``: 1 for identical
     rankings, -1 for exactly reversed ones. Requires t >= 2.
     """
-    a, b = _ranks(first), _ranks(second)
+    a, b = _plain(first, "full"), _plain(second, "full")
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
     t = a.shape[0]
@@ -65,14 +68,14 @@ def spearman(first, second) -> float:
 
 
 def kuncheva(first, second) -> float:
-    """Chance-corrected overlap of two equal-size selection masks.
+    """Chance-corrected overlap of two equal-size 0/1 selection masks.
 
     ``(o*t - k^2) / (k * (t - k))`` with o the intersection size: 1 only
     for identical masks, about 0 for independent draws, negative when the
     overlap falls below the k^2/t chance level. Undefined at k = 0 or
     k = t (degenerate denominator).
     """
-    a, b = _mask(first), _mask(second)
+    a, b = _plain(first, "topk"), _plain(second, "topk")
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
     t = a.shape[0]
@@ -88,7 +91,7 @@ def kuncheva(first, second) -> float:
 
 def jaccard(first, second) -> float:
     """Intersection over union of the selected features, in [0, 1]."""
-    a, b = _mask(first), _mask(second)
+    a, b = _plain(first, "topk"), _plain(second, "topk")
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
     o = int(np.sum(a & b))

@@ -1,14 +1,15 @@
-"""List representations for feature-ranking and feature-selection outputs.
+"""Run sets: the K lists of one algorithm as rows of one integer matrix.
 
-Three interchangeable views of an algorithm's output over t features:
+A ``RunSet`` holds K same-shaped lists over t features, one per row of a
+K x t matrix, in one of three kinds:
 
-* ``FullRanking``   -- every feature carries a distinct rank 1..t (1 = best).
-* ``TopKMask``      -- a binary vector marking the k selected features.
-* ``PartialRanking``-- the k best features keep their relative ranks 1..k,
+* ``full``    -- every feature carries a distinct rank 1..t (1 = best).
+* ``partial`` -- the k best features keep their relative ranks 1..k,
   everything else is 0 (unranked).
+* ``topk``    -- a 0/1 mask marking the k selected features.
 
-A ``RunSet`` bundles K same-shaped lists coming from K runs of one
-algorithm; it is the unit on which stability metrics operate.
+``RunSet.to_topk`` turns rankings into masks, and ``row_violations`` is the
+one validator: it names the first violated invariant of every row.
 
 Feature identity is positional (index 0..t-1). Ties are not representable:
 rankings must be strict permutations.
@@ -16,97 +17,30 @@ rankings must be strict permutations.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 KINDS = ("full", "partial", "topk")
 
 
-def _as_int_tuple(values: Iterable) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
-
-
-@dataclass(frozen=True)
-class FullRanking:
-    """A strict permutation of ranks 1..t; ``ranks[i]`` is feature i's rank."""
-
-    ranks: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "ranks", _as_int_tuple(self.ranks))
-
-    @property
-    def t(self) -> int:
-        return len(self.ranks)
-
-
-@dataclass(frozen=True)
-class TopKMask:
-    """Binary selection vector with exactly ``k`` entries equal to 1."""
-
-    selected: tuple[int, ...]
-    k: int = None  # type: ignore[assignment]  # inferred when omitted
-
-    def __post_init__(self):
-        object.__setattr__(self, "selected", _as_int_tuple(self.selected))
-        if self.k is None:
-            object.__setattr__(self, "k", sum(1 for v in self.selected if v == 1))
-
-    @property
-    def t(self) -> int:
-        return len(self.selected)
-
-
-@dataclass(frozen=True)
-class PartialRanking:
-    """Ranks 1..k on exactly ``k`` features, 0 on the unranked rest."""
-
-    ranks: tuple[int, ...]
-    k: int = None  # type: ignore[assignment]  # inferred when omitted
-
-    def __post_init__(self):
-        object.__setattr__(self, "ranks", _as_int_tuple(self.ranks))
-        if self.k is None:
-            object.__setattr__(self, "k", sum(1 for v in self.ranks if v != 0))
-
-    @property
-    def t(self) -> int:
-        return len(self.ranks)
-
-
-AnyList = Union[FullRanking, TopKMask, PartialRanking]
-
-
-def validate(lst: AnyList) -> str | None:
-    """Check a list against its kind's invariants.
-
-    Returns ``None`` when the list is valid, otherwise a description of the
-    first violated invariant (e.g. ``"duplicate rank 1"``).
-    """
-    if isinstance(lst, FullRanking):
-        return _scan("full", lst.ranks, lst.t)
-    if isinstance(lst, TopKMask):
-        return _scan("topk", lst.selected, lst.k)
-    if isinstance(lst, PartialRanking):
-        return _scan("partial", lst.ranks, lst.k)
-    raise TypeError(f"unsupported list type: {type(lst).__name__}")
-
-
 def row_violations(kind: str, matrix: np.ndarray, k: int) -> list[str | None]:
     """Check every row of a (lists x features) matrix of one kind.
 
     Returns one entry per row: ``None`` where the row is valid, otherwise
-    the message ``validate`` gives for it. A ranking row is valid exactly
-    when it sorts to ``t - k`` zeros followed by ``1..k``, and a mask row
-    when it holds only 0/1 with ``k`` ones; these vectorised checks find
-    the bad rows, and only those are scanned for their message. ``k`` is
-    ignored for full rankings.
+    its first violated invariant in reading order (e.g. ``"duplicate rank
+    1"``). A ranking row is valid exactly when it sorts to ``t - k`` zeros
+    followed by ``1..k``, and a mask row when it holds only 0/1 with ``k``
+    ones; these vectorised checks find the bad rows, and only those are
+    scanned for their message by ``_scan``. ``k`` is ignored for full
+    rankings. An entry that is not an exact integer raises ``ValueError``,
+    as it does in ``RunSet``.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}, expected one of {KINDS}")
-    m = np.asarray(matrix)
+    m = _int64(matrix)
     runs, t = m.shape
     if kind == "full":
         k = t
@@ -157,35 +91,51 @@ def _validate_permutation(values: Sequence[int], n: int) -> str | None:
     return None
 
 
-def _require_valid(lst: AnyList) -> None:
-    problem = validate(lst)
-    if problem is not None:
-        raise ValueError(f"invalid {type(lst).__name__}: {problem}")
+def _int64(values) -> np.ndarray:
+    """``values`` as an int64 array, refusing any entry the cast would change.
+
+    An int64 array is returned as it is; other integer and bool arrays that
+    fit int64 are cast with no extra pass. Otherwise every entry must be an
+    integer, or an integral finite float, within the int64 range: strings,
+    complex numbers, NaN, fractions and Python ints beyond int64 are
+    refused. The first refused entry raises a ``ValueError`` that names it
+    and, in a 2-D matrix, its run (row).
+    """
+    m = np.asarray(values)
+    if np.can_cast(m.dtype, np.int64):
+        return m.astype(np.int64, copy=False)
+    if m.dtype.kind == "u":
+        exact = m <= np.iinfo(np.int64).max
+    elif m.dtype.kind == "f":
+        exact = (np.abs(m) < 2.0**63) & (np.trunc(m) == m)  # NaN and inf fail both
+    elif m.dtype.kind == "O":
+        exact = np.array([_is_int64(v) for v in m.flat], dtype=bool).reshape(m.shape)
+    else:
+        exact = np.zeros(m.shape, dtype=bool)
+    if exact.all():
+        return m.astype(np.int64)
+    where = np.unravel_index(np.argmin(exact), m.shape)
+    value = m[where]
+    value = value.item() if isinstance(value, np.generic) else value
+    run = f"run {where[0]}: " if m.ndim == 2 else ""
+    raise ValueError(f"{run}entry {value!r} is not an int64 integer")
 
 
-def full_to_topk(ranking: FullRanking, k: int) -> TopKMask:
-    """Keep the k best-ranked features as a selection mask."""
-    _require_valid(ranking)
-    if not 1 <= k <= ranking.t:
-        raise ValueError(f"k={k} out of range 1..{ranking.t}")
-    return TopKMask(tuple(1 if r <= k else 0 for r in ranking.ranks), k)
+def _is_int64(v) -> bool:
+    """Whether one entry of an object array is an integral number within int64."""
+    if not isinstance(v, (int, float, np.integer, np.floating)):
+        return False
+    return -(2**63) <= v < 2**63 and v == int(v)  # NaN and inf fail the range
 
 
-def full_to_partial(ranking: FullRanking, k: int) -> PartialRanking:
-    """Keep ranks <= k, zero out the rest."""
-    _require_valid(ranking)
-    if not 1 <= k <= ranking.t:
-        raise ValueError(f"k={k} out of range 1..{ranking.t}")
-    return PartialRanking(tuple(r if r <= k else 0 for r in ranking.ranks), k)
-
-
-def partial_to_topk(partial: PartialRanking) -> TopKMask:
-    """Drop the rank information, keeping only which features are ranked."""
-    _require_valid(partial)
-    return TopKMask(tuple(1 if r != 0 else 0 for r in partial.ranks), partial.k)
-
-
-_LIST_KIND = {FullRanking: "full", PartialRanking: "partial", TopKMask: "topk"}
+def _exact_k(k) -> int:
+    """``k`` as an int; bools, floats and other non-integers raise ``TypeError``."""
+    if not isinstance(k, (bool, np.bool_)):
+        try:
+            return operator.index(k)
+        except TypeError:
+            pass
+    raise TypeError(f"k must be an integer, got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -204,7 +154,7 @@ class RunSet:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}, expected one of {KINDS}")
-        m = np.array(self.matrix, dtype=np.int64)
+        m = np.array(_int64(self.matrix))  # a copy, frozen below
         if m.ndim != 2:
             raise ValueError("matrix must be 2-dimensional (runs x features)")
         runs, t = m.shape
@@ -212,15 +162,15 @@ class RunSet:
             raise ValueError(f"a run set needs at least 2 lists, got {runs}")
         if t < 1:
             raise ValueError("lists must contain at least one feature")
-        k = self.k
-        if k is None:
-            if self.kind == "full":
-                k = t
-            elif self.kind == "topk":
-                k = int(np.sum(m[0] == 1))
-            else:
-                k = int(np.count_nonzero(m[0]))
-        object.__setattr__(self, "k", int(k))
+        if self.k is not None:
+            k = _exact_k(self.k)
+        elif self.kind == "full":
+            k = t
+        elif self.kind == "topk":
+            k = int(np.sum(m[0] == 1))
+        else:
+            k = int(np.count_nonzero(m[0]))
+        object.__setattr__(self, "k", k)
         if self.kind == "full" and k != t:
             raise ValueError(f"full run sets require k == t, got k={k}, t={t}")
         if not 1 <= k <= t:
@@ -241,33 +191,17 @@ class RunSet:
         """Number of features."""
         return self.matrix.shape[1]
 
-    def lists(self) -> tuple[AnyList, ...]:
-        """Materialise the rows as typed list objects."""
-        if self.kind == "full":
-            return tuple(FullRanking(row) for row in self.matrix)
-        if self.kind == "topk":
-            return tuple(TopKMask(row, self.k) for row in self.matrix)
-        return tuple(PartialRanking(row, self.k) for row in self.matrix)
-
-    @classmethod
-    def from_lists(cls, lists: Sequence[AnyList]) -> "RunSet":
-        """Build a run set from typed list objects (all of one kind)."""
-        if len(lists) < 2:
-            raise ValueError(f"a run set needs at least 2 lists, got {len(lists)}")
-        kinds = {_LIST_KIND[type(lst)] for lst in lists}
-        if len(kinds) != 1:
-            raise ValueError(f"mixed list kinds in run set: {sorted(kinds)}")
-        kind = kinds.pop()
-        rows = [lst.selected if kind == "topk" else lst.ranks for lst in lists]
-        k = None if kind == "full" else lists[0].k
-        return cls(kind, np.array(rows, dtype=np.int64), k)
-
     def to_topk(self, k: int | None = None) -> "RunSet":
         """View the run set as top-k masks.
 
         Full rankings require an explicit ``k``; partial rankings keep their
-        own ``k``; topk run sets are returned unchanged.
+        own ``k``; topk run sets are returned unchanged. For those two kinds a
+        ``k`` other than their own raises ``ValueError``.
         """
+        if k is not None:
+            k = _exact_k(k)
+            if self.kind != "full" and k != self.k:
+                raise ValueError(f"{self.kind} run sets keep their own k={self.k}, got k={k}")
         if self.kind == "topk":
             return self
         if self.kind == "full":
@@ -277,4 +211,3 @@ class RunSet:
                 raise ValueError(f"k={k} out of range 1..{self.t}")
             return RunSet("topk", (self.matrix <= k).astype(np.int64), k)
         return RunSet("topk", (self.matrix != 0).astype(np.int64), self.k)
-

@@ -1,6 +1,7 @@
-"""Rank-to-probability mappings and the random-baseline divergence.
+"""The rank-to-probability map and the random-baseline divergence.
 
-Each list kind induces a probability distribution over the t features:
+``run_probabilities`` maps every row of a run set to a probability
+distribution over its t features:
 
 * full ranking: ``p_i = (1/2t) * (1 + sum_{m=rank_i}^{t} 1/m)`` -- a smooth
   weight that decreases with rank and sums to one by construction.
@@ -21,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lists import FullRanking, PartialRanking, RunSet, TopKMask, _require_valid
+from .lists import RunSet
 
 
 class DegenerateNormalizerError(ValueError):
@@ -42,37 +43,8 @@ def _rank_weights(n: int) -> np.ndarray:
     return w
 
 
-def prob_of_rank(rank: int, t: int) -> float:
-    """Probability a full ranking over t features assigns to ``rank``."""
-    if not 1 <= rank <= t:
-        raise ValueError(f"rank {rank} out of range 1..{t}")
-    return float(_rank_weights(t)[rank - 1])
-
-
-def map_full(ranking: FullRanking) -> np.ndarray:
-    """Map a full ranking to its probability vector (sums to one)."""
-    _require_valid(ranking)
-    ranks = np.asarray(ranking.ranks, dtype=np.int64)
-    return _rank_weights(ranking.t)[ranks - 1]
-
-
-def map_partial(partial: PartialRanking) -> np.ndarray:
-    """Map a partial ranking to probabilities: ranked features get the
-    k-long rank weights, unranked features get exactly 0."""
-    _require_valid(partial)
-    ranks = np.asarray(partial.ranks, dtype=np.int64)
-    table = np.concatenate(([0.0], _rank_weights(partial.k)))
-    return table[ranks]
-
-
-def map_topk(mask: TopKMask) -> np.ndarray:
-    """Map a selection mask to the uniform distribution over its k features."""
-    _require_valid(mask)
-    return np.asarray(mask.selected, dtype=np.float64) / mask.k
-
-
 def run_probabilities(run_set: RunSet) -> np.ndarray:
-    """Map every list of a run set; returns a (K, t) row-stochastic matrix."""
+    """Map every row of a run set; returns a (K, t) row-stochastic matrix."""
     if run_set.kind == "topk":
         return run_set.matrix / float(run_set.k)
     # rank 0 (unranked) reads 0; full rankings have k = t and no zeros

@@ -15,10 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabrank import (
-    FullRanking,
     MetricMismatchError,
     RunSet,
-    TopKMask,
     jaccard,
     kuncheva,
     pairwise_stability,
@@ -61,8 +59,18 @@ class TestSpearman:
         assert value == spearman(b, a)
         assert value == pytest.approx(oracle_spearman(a, b), abs=1e-12)
 
-    def test_accepts_typed_rankings(self):
-        assert spearman(FullRanking((2, 1, 3)), FullRanking((2, 1, 3))) == 1.0
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            ((1, 2, 3), (1, 1, 1), "not a full ranking: duplicate rank 1"),
+            ((0, 1, 2), (1, 2, 3), "not a full ranking: rank 0 out of range 1..3"),
+            ((1.5, 2, 3), (1, 2, 3), "entry 1.5 is not an int64 integer"),
+        ],
+        ids=["duplicate", "zero-rank", "fraction"],
+    )
+    def test_rejects_non_permutations(self, first, second, message):
+        with pytest.raises(ValueError, match=message):
+            spearman(first, second)
 
 
 class TestKuncheva:
@@ -95,6 +103,19 @@ class TestKuncheva:
     def test_mismatched_counts(self):
         with pytest.raises(ValueError):
             kuncheva((1, 1, 0, 0), (1, 0, 0, 0))
+
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            ((2, 0, 0, 0), (0, 1, 1, 0), "not a 0/1 mask: entry 2 is not 0 or 1"),
+            ((1, 1, 0, 0), (1, -1, 1, 1), "not a 0/1 mask: entry -1 is not 0 or 1"),
+            ((1, 0.5, 0, 0), (1, 0, 0, 0), "entry 0.5 is not an int64 integer"),
+        ],
+        ids=["two", "negative", "fraction"],
+    )
+    def test_rejects_non_binary(self, first, second, message):
+        with pytest.raises(ValueError, match=message):
+            kuncheva(first, second)
 
     def test_exhaustive_set_arithmetic_oracle(self):
         t = 6
@@ -136,8 +157,18 @@ class TestJaccard:
                     assert jaccard(a, b) == pytest.approx(o / union, abs=1e-14)
                     assert 0.0 <= jaccard(a, b) <= 1.0
 
-    def test_accepts_typed_masks(self):
-        assert jaccard(TopKMask((1, 0, 1), 2), TopKMask((1, 0, 1), 2)) == 1.0
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            ((2, 0, 0), (1, 0, 0), "not a 0/1 mask: entry 2 is not 0 or 1"),
+            ((1, 0, 0), (1, 0, -1), "not a 0/1 mask: entry -1 is not 0 or 1"),
+            ((1, 0, 0), (1.5, 0, 0), "entry 1.5 is not an int64 integer"),
+        ],
+        ids=["two", "negative", "fraction"],
+    )
+    def test_rejects_non_binary(self, first, second, message):
+        with pytest.raises(ValueError, match=message):
+            jaccard(first, second)
 
 
 class TestPairwiseStability:

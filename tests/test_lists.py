@@ -1,62 +1,70 @@
-"""Representation, validation and conversion tests for the list model."""
+"""Run-set construction, validation and the ranking-to-mask conversion."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabrank import (
-    FullRanking,
-    PartialRanking,
-    RunSet,
-    TopKMask,
-    full_to_partial,
-    full_to_topk,
-    partial_to_topk,
-    row_violations,
-    validate,
-)
+from stabrank import RunSet, row_violations
+from stabrank.lists import _scan
 from conftest import EXAMPLE_FULL, EXAMPLE_K, EXAMPLE_MASKS, EXAMPLE_PARTIAL
+
+
+def truncate(ranks, k):
+    """Partial rankings of ``ranks`` at ``k``: ranks above k become 0."""
+    ranks = np.asarray(ranks)
+    return np.where(ranks <= k, ranks, 0)
 
 
 class TestValidate:
     def test_valid_permutation(self):
-        assert validate(FullRanking((3, 1, 2))) is None
+        assert row_violations("full", [[3, 1, 2]], 3) == [None]
 
     def test_duplicate_rank(self):
-        assert validate(FullRanking((1, 1, 3))) == "duplicate rank 1"
+        assert row_violations("full", [[1, 1, 3]], 3) == ["duplicate rank 1"]
 
     def test_rank_out_of_range(self):
-        assert validate(FullRanking((1, 2, 4))) == "rank 4 out of range 1..3"
+        assert row_violations("full", [[1, 2, 4]], 3) == ["rank 4 out of range 1..3"]
 
     def test_mask_wrong_count(self):
-        assert validate(TopKMask((1, 0, 1, 1), k=2)) == "3 ones, expected 2"
+        assert row_violations("topk", [[1, 0, 1, 1]], 2) == ["3 ones, expected 2"]
 
     def test_mask_bad_entry(self):
-        assert validate(TopKMask((1, 0, 2, 0), k=2)) == "entry 2 is not 0 or 1"
+        assert row_violations("topk", [[1, 0, 2, 0]], 2) == ["entry 2 is not 0 or 1"]
 
     def test_mask_valid(self):
-        assert validate(TopKMask((1, 0, 1, 0), k=2)) is None
+        assert row_violations("topk", [[1, 0, 1, 0]], 2) == [None]
 
     def test_mask_infers_k(self):
-        assert TopKMask((1, 0, 1, 0)).k == 2
+        # an omitted k is read from the first run and holds the others to it
+        assert RunSet("topk", [[1, 0, 1, 0], [0, 1, 1, 0]]).k == 2
+        assert RunSet("partial", [[2, 0, 1, 0], [0, 1, 0, 2]]).k == 2
+        with pytest.raises(ValueError, match="run 1: 3 ones, expected 2"):
+            RunSet("topk", [[1, 0, 1, 0], [1, 1, 1, 0]])
 
     def test_partial_valid(self):
-        assert validate(PartialRanking((2, 0, 1, 0), k=2)) is None
+        assert row_violations("partial", [[2, 0, 1, 0]], 2) == [None]
 
     def test_partial_duplicate(self):
-        assert validate(PartialRanking((1, 0, 1, 0), k=2)) == "duplicate rank 1"
+        assert row_violations("partial", [[1, 0, 1, 0]], 2) == ["duplicate rank 1"]
 
     def test_partial_wrong_count(self):
-        assert validate(PartialRanking((2, 1, 3, 0), k=2)) == "3 ranked entries, expected 2"
+        assert row_violations("partial", [[2, 1, 3, 0]], 2) == ["3 ranked entries, expected 2"]
 
     def test_partial_rank_exceeds_k(self):
-        assert validate(PartialRanking((3, 1, 0, 0), k=2)) == "rank 3 out of range 1..2"
+        assert row_violations("partial", [[3, 1, 0, 0]], 2) == ["rank 3 out of range 1..2"]
 
     def test_k_out_of_range(self):
-        assert validate(TopKMask((0, 0, 0), k=0)) == "k=0 out of range 1..3"
+        assert row_violations("topk", [[0, 0, 0]], 0) == ["k=0 out of range 1..3"]
+
+    def test_fractional_row_is_refused(self):
+        with pytest.raises(ValueError, match="run 0: entry 1.5 is not an int64 integer"):
+            row_violations("full", [[1.5, 2]], 2)
+        with pytest.raises(ValueError, match="run 1: entry nan is not an int64 integer"):
+            row_violations("topk", [[1, 0], [float("nan"), 1]], 1)
 
     @given(
         st.sampled_from(["full", "partial", "topk"]),
@@ -74,73 +82,78 @@ class TestValidate:
         rng = np.random.default_rng(seed)
         m = np.array([rng.permutation(t) + 1 for _ in range(3)])
         if kind == "partial":
-            m = np.where(m <= k, m, 0)
+            m = truncate(m, k)
         elif kind == "topk":
             m = (m <= k).astype(np.int64)
         m[data.draw(st.integers(0, 2)), data.draw(st.integers(0, t - 1))] = value
-        typed = {"full": FullRanking, "partial": PartialRanking, "topk": TopKMask}[kind]
-        expected = [validate(typed(row) if kind == "full" else typed(row, k)) for row in m]
-        assert row_violations(kind, m, k) == expected
-
-
-EXAMPLE_FIRST_RUN = FullRanking(EXAMPLE_FULL[0])
+        assert row_violations(kind, m, k) == [_scan(kind, row.tolist(), k) for row in m]
 
 
 class TestConversions:
-    def test_example_run_to_mask(self):
-        mask = full_to_topk(EXAMPLE_FIRST_RUN, EXAMPLE_K)
-        assert mask.selected == (1, 1, 1, 0, 0, 0, 0, 0, 1, 0)
-        assert mask.k == EXAMPLE_K
+    def test_example_run_to_mask(self, full_run_set):
+        masks = full_run_set.to_topk(EXAMPLE_K)
+        assert masks.matrix[0].tolist() == [1, 1, 1, 0, 0, 0, 0, 0, 1, 0]
+        assert masks.k == EXAMPLE_K
 
-    def test_example_run_to_partial(self):
-        partial = full_to_partial(EXAMPLE_FIRST_RUN, EXAMPLE_K)
-        assert partial.ranks == (3, 2, 4, 0, 0, 0, 0, 0, 1, 0)
+    def test_example_run_to_partial(self, full_run_set):
+        partial = RunSet("partial", truncate(full_run_set.matrix, EXAMPLE_K), EXAMPLE_K)
+        assert partial.matrix[0].tolist() == [3, 2, 4, 0, 0, 0, 0, 0, 1, 0]
 
-    def test_example_partial_to_mask(self):
-        partial = PartialRanking((3, 2, 4, 0, 0, 0, 0, 0, 1, 0), 4)
-        assert partial_to_topk(partial).selected == (1, 1, 1, 0, 0, 0, 0, 0, 1, 0)
+    def test_example_partial_to_mask(self, partial_run_set):
+        assert partial_run_set.to_topk().matrix[0].tolist() == [1, 1, 1, 0, 0, 0, 0, 0, 1, 0]
 
     def test_k_equals_t_selects_everything(self):
-        ranking = FullRanking((2, 3, 1))
-        assert full_to_topk(ranking, 3).selected == (1, 1, 1)
+        assert RunSet("full", [[2, 3, 1], [1, 2, 3]]).to_topk(3).matrix.tolist() == [
+            [1, 1, 1],
+            [1, 1, 1],
+        ]
 
     def test_k_one_keeps_best(self):
-        assert full_to_topk(FullRanking((2, 1, 3)), 1).selected == (0, 1, 0)
+        assert RunSet("full", [[2, 1, 3], [3, 2, 1]]).to_topk(1).matrix.tolist() == [
+            [0, 1, 0],
+            [0, 0, 1],
+        ]
 
     def test_partial_at_k_equals_t_is_the_ranking(self):
-        ranking = FullRanking((2, 3, 1))
-        partial = full_to_partial(ranking, 3)
-        assert partial.ranks == ranking.ranks
-        assert 0 not in partial.ranks
+        ranks = np.array([[2, 3, 1], [1, 3, 2]])
+        partial = RunSet("partial", truncate(ranks, 3), 3)
+        assert np.array_equal(partial.matrix, ranks)
+        assert 0 not in partial.matrix
 
     def test_small_truncation(self):
-        assert full_to_partial(FullRanking((1, 2, 3)), 2).ranks == (1, 2, 0)
-        assert partial_to_topk(PartialRanking((1, 0, 2), 2)).selected == (1, 0, 1)
+        assert truncate([[1, 2, 3]], 2).tolist() == [[1, 2, 0]]
+        partial = RunSet("partial", [[1, 0, 2], [0, 1, 2]], 2)
+        assert partial.to_topk().matrix.tolist() == [[1, 0, 1], [0, 1, 1]]
 
-    def test_k_out_of_range_rejected(self):
+    def test_k_out_of_range_rejected(self, full_run_set):
         with pytest.raises(ValueError):
-            full_to_topk(EXAMPLE_FIRST_RUN, 0)
+            full_run_set.to_topk(0)
         with pytest.raises(ValueError):
-            full_to_partial(EXAMPLE_FIRST_RUN, 11)
+            full_run_set.to_topk(11)
+        with pytest.raises(ValueError):
+            RunSet("partial", full_run_set.matrix, 11)
 
     def test_conversions_commute_exhaustively(self):
-        # full_to_topk == partial_to_topk . full_to_partial for every
-        # permutation and cut point up to t = 7
+        # ranks -> masks directly equals ranks -> partial -> masks, for every
+        # permutation and cut point up to t = 7 (every permutation is one run)
         for t in range(1, 8):
-            for perm in itertools.permutations(range(1, t + 1)):
-                ranking = FullRanking(perm)
-                for k in range(1, t + 1):
-                    direct = full_to_topk(ranking, k)
-                    via_partial = partial_to_topk(full_to_partial(ranking, k))
-                    assert direct == via_partial
+            ranks = np.array(list(itertools.permutations(range(1, t + 1))) * 2)
+            full = RunSet("full", ranks)
+            for k in range(1, t + 1):
+                direct = full.to_topk(k)
+                via_partial = RunSet("partial", truncate(ranks, k), k).to_topk()
+                assert direct.k == via_partial.k == k
+                assert np.array_equal(direct.matrix, via_partial.matrix)
 
     @given(st.permutations(list(range(1, 9))), st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
     def test_conversion_outputs_validate(self, perm, k):
-        ranking = FullRanking(perm)
-        assert validate(full_to_topk(ranking, k)) is None
-        assert validate(full_to_partial(ranking, k)) is None
-        assert validate(partial_to_topk(full_to_partial(ranking, k))) is None
+        ranks = np.array([perm, perm[::-1]])
+        full = RunSet("full", ranks)
+        assert row_violations("topk", full.to_topk(k).matrix, k) == [None, None]
+        assert row_violations("partial", truncate(ranks, k), k) == [None, None]
+        partial = RunSet("partial", truncate(ranks, k), k)
+        assert row_violations("topk", partial.to_topk().matrix, k) == [None, None]
 
 
 class TestRunSet:
@@ -174,15 +187,6 @@ class TestRunSet:
         with pytest.raises(ValueError):
             full_run_set.matrix[0, 0] = 5
 
-    def test_from_lists_round_trip(self):
-        lists = [FullRanking((1, 2, 3)), FullRanking((3, 2, 1))]
-        rs = RunSet.from_lists(lists)
-        assert rs.lists() == tuple(lists)
-
-    def test_from_lists_rejects_mixed_kinds(self):
-        with pytest.raises(ValueError, match="mixed"):
-            RunSet.from_lists([FullRanking((1, 2)), TopKMask((1, 0), 1)])
-
     def test_to_topk_from_full(self, full_run_set, mask_run_set):
         assert np.array_equal(full_run_set.to_topk(EXAMPLE_K).matrix, mask_run_set.matrix)
 
@@ -193,14 +197,60 @@ class TestRunSet:
         with pytest.raises(ValueError, match="requires k"):
             full_run_set.to_topk()
 
-    def test_example_partial_matches_conversion(self, full_run_set):
-        converted = [
-            full_to_partial(FullRanking(run), EXAMPLE_K).ranks for run in EXAMPLE_FULL
-        ]
-        assert tuple(converted) == EXAMPLE_PARTIAL
+    def test_example_partial_matches_conversion(self):
+        assert truncate(EXAMPLE_FULL, EXAMPLE_K).tolist() == [list(r) for r in EXAMPLE_PARTIAL]
 
     def test_example_masks_match_conversion(self):
-        converted = [
-            full_to_topk(FullRanking(run), EXAMPLE_K).selected for run in EXAMPLE_FULL
-        ]
-        assert tuple(converted) == EXAMPLE_MASKS
+        masks = (np.array(EXAMPLE_FULL) <= EXAMPLE_K).astype(np.int64)
+        assert masks.tolist() == [list(r) for r in EXAMPLE_MASKS]
+
+
+class TestNoCoercion:
+    """A matrix entry or a ``k`` that is not an exact integer is refused, never cast."""
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([[1.9, 2.2], [2, 1]], "run 0: entry 1.9 is not an int64 integer"),
+            ([[1, 2], [2, 1.5]], "run 1: entry 1.5 is not an int64 integer"),
+            ([["1", "2"], ["2", "1"]], "run 0: entry '1' is not an int64 integer"),
+            ([[1, 2], [float("nan"), 1]], "run 1: entry nan is not an int64 integer"),
+            ([[1, 2], [2, float("inf")]], "run 1: entry inf is not an int64 integer"),
+            ([[1, 2], [2, 1 + 0j]], r"run 0: entry \(1\+0j\) is not an int64 integer"),
+            ([[1, 2], [2, 2**70]], f"run 1: entry {2**70} is not an int64 integer"),
+            (np.array([[1, 2**63], [2, 1]], dtype=np.uint64), f"run 0: entry {2**63} is not"),
+        ],
+        ids=["fraction", "fraction-run-1", "string", "nan", "inf", "complex",
+             "python-int-beyond-int64", "uint64-beyond-int64"],
+    )
+    def test_rejects_non_integral_matrix(self, matrix, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning before the error
+            with pytest.raises(ValueError, match=message):
+                RunSet("full", matrix)
+
+    def test_integral_floats_are_exact(self):
+        # refused when fractional, accepted entry for entry when integral
+        with pytest.raises(ValueError, match="entry 2.5"):
+            RunSet("full", [[1.0, 2.5], [2.0, 1.0]])
+        for exact in (np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[1, 2.0], [2, 1]], dtype=object)):
+            rs = RunSet("full", exact)
+            assert rs.matrix.dtype == np.int64 and rs.matrix.tolist() == [[1, 2], [2, 1]]
+
+    @pytest.mark.parametrize("k", [1.5, 1.0, True], ids=["fraction", "float", "bool"])
+    def test_run_set_k_must_be_an_integer(self, k):
+        with pytest.raises(TypeError, match="k must be an integer"):
+            RunSet("topk", [[1, 0], [0, 1]], k)
+
+    @pytest.mark.parametrize("k", [1.5, 1.0, True], ids=["fraction", "float", "bool"])
+    def test_to_topk_k_must_be_an_integer(self, full_run_set, k):
+        with pytest.raises(TypeError, match="k must be an integer"):
+            full_run_set.to_topk(k)
+
+    def test_to_topk_keeps_a_truncated_run_sets_own_k(self, partial_run_set, mask_run_set):
+        assert partial_run_set.to_topk(EXAMPLE_K).k == mask_run_set.to_topk(EXAMPLE_K).k == EXAMPLE_K
+        for run_set in (partial_run_set, mask_run_set):
+            with pytest.raises(ValueError, match="keep their own k=4, got k=3"):
+                run_set.to_topk(3)
+            with pytest.raises(TypeError, match="k must be an integer"):
+                run_set.to_topk(4.0)

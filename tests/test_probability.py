@@ -1,8 +1,8 @@
-"""Probability-mapping tests against brute-force oracles.
+"""Rank-to-probability map tests against brute-force oracles.
 
 The oracle evaluates the defining sums term by term with exact
 (compensated) summation, independently of the cumulative-sum
-implementation under test.
+implementation under test. Each list is mapped as a row of a run set.
 """
 
 import math
@@ -14,14 +14,8 @@ from hypothesis import strategies as st
 
 from stabrank import (
     DegenerateNormalizerError,
-    FullRanking,
-    PartialRanking,
-    TopKMask,
-    map_full,
-    map_partial,
-    map_topk,
+    RunSet,
     normalizer,
-    prob_of_rank,
     run_probabilities,
 )
 
@@ -37,102 +31,110 @@ def oracle_normalizer(n: int, t: int) -> float:
     )
 
 
+def oracle_row(kind: str, row, k: int) -> list[float]:
+    """One list's probabilities from ``oracle_weight`` (rankings) or 1/k (masks)."""
+    if kind == "topk":
+        return [v / k for v in row]
+    return [oracle_weight(r, k) if r else 0.0 for r in row]
+
+
+def mapped(kind: str, row, k: int | None = None) -> np.ndarray:
+    """``run_probabilities`` of one list (a run set holds it twice)."""
+    return run_probabilities(RunSet(kind, [row, row], k))[0]
+
+
+def weights(t: int) -> np.ndarray:
+    """Probability of ranks 1..t in a full ranking over t features."""
+    return mapped("full", range(1, t + 1))
+
+
 class TestProbOfRank:
     def test_hand_evaluated_t2(self):
-        assert prob_of_rank(1, 2) == pytest.approx(0.625, abs=1e-15)
-        assert prob_of_rank(2, 2) == pytest.approx(0.375, abs=1e-15)
+        assert weights(2) == pytest.approx([0.625, 0.375], abs=1e-15)
 
     @pytest.mark.parametrize("t", [1, 2, 3, 7, 50, 600, 2000])
     def test_matches_oracle(self, t):
+        w = weights(t)
         for rank in {r for r in (1, 2, t // 2, t - 1, t) if 1 <= r <= t}:
-            assert prob_of_rank(rank, t) == pytest.approx(
-                oracle_weight(rank, t), abs=1e-14
-            )
+            assert w[rank - 1] == pytest.approx(oracle_weight(rank, t), abs=1e-14)
 
     @pytest.mark.parametrize("t", [1, 2, 5, 33])
     def test_last_rank_closed_form(self, t):
-        assert prob_of_rank(t, t) == pytest.approx((1 + 1 / t) / (2 * t), abs=1e-15)
+        assert weights(t)[-1] == pytest.approx((1 + 1 / t) / (2 * t), abs=1e-15)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            prob_of_rank(0, 5)
-        with pytest.raises(ValueError):
-            prob_of_rank(6, 5)
+        # a rank outside 1..t never reaches the map: the run set refuses it
+        with pytest.raises(ValueError, match="rank 0 out of range 1..5"):
+            mapped("full", [0, 1, 2, 3, 4])
+        with pytest.raises(ValueError, match="rank 6 out of range 1..5"):
+            mapped("full", [1, 2, 3, 4, 6])
 
     @pytest.mark.parametrize("t", [1, 2, 3, 10, 211])
     def test_sums_to_one(self, t):
-        total = math.fsum(prob_of_rank(r, t) for r in range(1, t + 1))
-        assert total == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(weights(t)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMapFull:
     def test_two_feature_examples(self):
-        assert map_full(FullRanking((1, 2))) == pytest.approx([0.625, 0.375], abs=1e-15)
-        assert map_full(FullRanking((2, 1))) == pytest.approx([0.375, 0.625], abs=1e-15)
+        probs = run_probabilities(RunSet("full", [[1, 2], [2, 1]]))
+        assert probs == pytest.approx(np.array([[0.625, 0.375], [0.375, 0.625]]), abs=1e-15)
 
     @given(st.permutations(list(range(1, 13))))
     @settings(max_examples=50, deadline=None)
     def test_sums_to_one(self, perm):
-        probs = map_full(FullRanking(perm))
+        probs = mapped("full", perm)
         assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
         assert np.all(probs > 0)
+        assert probs == pytest.approx(oracle_row("full", perm, 12), abs=1e-14)
 
     def test_strictly_monotone_in_rank(self):
-        t = 40
-        probs = map_full(FullRanking(range(1, t + 1)))
-        assert np.all(np.diff(probs) < 0)
+        assert np.all(np.diff(weights(40)) < 0)
 
     @given(st.permutations(list(range(1, 10))), st.permutations(list(range(9))))
     @settings(max_examples=50, deadline=None)
     def test_permutation_equivariance(self, perm, sigma):
-        base = map_full(FullRanking(perm))
-        relabeled = map_full(FullRanking([perm[i] for i in sigma]))
+        base = mapped("full", perm)
+        relabeled = mapped("full", [perm[i] for i in sigma])
         assert relabeled == pytest.approx([base[i] for i in sigma], abs=0)
 
 
 class TestMapPartialAndTopk:
     def test_partial_reduces_to_k_long_mapping(self):
-        probs = map_partial(PartialRanking((1, 2, 0, 0), 2))
+        probs = mapped("partial", [1, 2, 0, 0], 2)
         assert probs == pytest.approx([0.625, 0.375, 0.0, 0.0], abs=1e-15)
 
     def test_partial_with_k_equals_t_matches_full(self):
         ranks = (4, 1, 3, 2)
-        partial = map_partial(PartialRanking(ranks, 4))
-        full = map_full(FullRanking(ranks))
-        assert partial == pytest.approx(full, abs=0)
+        assert mapped("partial", ranks, 4) == pytest.approx(mapped("full", ranks), abs=0)
 
     @given(st.permutations(list(range(1, 9))), st.integers(1, 8))
     @settings(max_examples=50, deadline=None)
     def test_partial_sums_to_one_and_zero_support(self, perm, k):
-        ranks = tuple(r if r <= k else 0 for r in perm)
-        probs = map_partial(PartialRanking(ranks, k))
+        ranks = [r if r <= k else 0 for r in perm]
+        probs = mapped("partial", ranks, k)
         assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
         assert np.all((probs > 0) == (np.array(ranks) > 0))
+        assert probs == pytest.approx(oracle_row("partial", ranks, k), abs=1e-14)
 
     def test_topk_uniform(self):
-        assert map_topk(TopKMask((1, 0, 1, 0), 2)) == pytest.approx(
-            [0.5, 0.0, 0.5, 0.0], abs=0
-        )
+        assert mapped("topk", [1, 0, 1, 0], 2) == pytest.approx([0.5, 0.0, 0.5, 0.0], abs=0)
 
     def test_topk_all_selected_is_uniform(self):
-        assert map_topk(TopKMask((1, 1, 1), 3)) == pytest.approx([1 / 3] * 3, abs=1e-16)
+        assert mapped("topk", [1, 1, 1], 3) == pytest.approx([1 / 3] * 3, abs=1e-16)
 
     def test_example_mask_column(self):
-        probs = map_topk(TopKMask((1, 1, 1, 0, 0, 0, 0, 0, 1, 0), 4))
-        expected = np.where(np.array((1, 1, 1, 0, 0, 0, 0, 0, 1, 0)) == 1, 0.25, 0.0)
-        assert probs == pytest.approx(expected, abs=0)
+        mask = (1, 1, 1, 0, 0, 0, 0, 0, 1, 0)
+        expected = np.where(np.array(mask) == 1, 0.25, 0.0)
+        assert mapped("topk", mask, 4) == pytest.approx(expected, abs=0)
 
 
 class TestRunProbabilities:
     def test_rows_match_per_list_mapping(self, full_run_set, partial_run_set, mask_run_set):
-        for rs, mapper in [
-            (full_run_set, map_full),
-            (partial_run_set, map_partial),
-            (mask_run_set, map_topk),
-        ]:
+        for rs in (full_run_set, partial_run_set, mask_run_set):
             stacked = run_probabilities(rs)
-            for row, lst in zip(stacked, rs.lists()):
-                assert row == pytest.approx(mapper(lst), abs=0)
+            assert stacked.shape == (rs.runs, rs.t)
+            for row, ranks in zip(stacked, rs.matrix.tolist()):
+                assert row == pytest.approx(oracle_row(rs.kind, ranks, rs.k), abs=1e-15)
 
 
 class TestNormalizer:

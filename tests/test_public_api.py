@@ -1,0 +1,52 @@
+"""The public surface: every exported name resolves, and none removed in 0.2.0 is left.
+
+The removed names are read from the first column of the README's 0.2.0
+table, so the migration note and the package cannot drift apart.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+import stabrank
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def removed_names() -> list[str]:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## 0.2.0", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    return [name for cell in rows for name in re.findall(r"`([^`]+)`", cell)]
+
+
+REMOVED = removed_names()
+
+
+def test_readme_lists_the_removed_names():
+    assert len(REMOVED) == 13
+
+
+@pytest.mark.parametrize("name", stabrank.__all__)
+def test_exported_name_resolves(name):
+    assert getattr(stabrank, name) is not None
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_name_is_gone(name):
+    if name.startswith("RunSet."):
+        assert not hasattr(stabrank.RunSet, name.split(".", 1)[1])
+        return
+    assert name not in stabrank.__all__
+    for namespace in (stabrank, stabrank.lists, stabrank.probability, stabrank.baselines):
+        assert not hasattr(namespace, name)
+
+
+def test_no_duplicate_exports():
+    assert len(set(stabrank.__all__)) == len(stabrank.__all__)
+
+
+def test_version_matches_pyproject():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert f'version = "{stabrank.__version__}"' in pyproject

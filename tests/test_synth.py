@@ -11,7 +11,7 @@ from stabrank import (
     gen_rank_shuffle_family,
     gen_subset_family,
     js_stability,
-    validate,
+    row_violations,
 )
 
 
@@ -53,7 +53,7 @@ class TestRankingFamily:
 
     def test_all_rows_valid(self):
         rs = gen_ranking_family(cfg(k=40, fixed=2))
-        assert all(validate(lst) is None for lst in rs.lists())
+        assert row_violations(rs.kind, rs.matrix, rs.k) == [None] * rs.runs
 
     def test_fixed_block_repeats_one_row(self):
         rs = gen_ranking_family(cfg(k=40, fixed=4))
@@ -107,7 +107,7 @@ class TestOverlapFamily:
         b = gen_overlap_family(cfg(overlap=6, lam=0.3))
         assert np.array_equal(a.matrix, b.matrix)
         assert a.kind == "partial"
-        assert all(validate(lst) is None for lst in a.lists())
+        assert row_violations(a.kind, a.matrix, a.k) == [None] * a.runs
 
     def test_core_always_selected(self):
         rs = gen_overlap_family(cfg(overlap=6, lam=0.7))
@@ -153,7 +153,7 @@ class TestRankShuffleFamily:
         a = gen_rank_shuffle_family(cfg(q=0.6))
         b = gen_rank_shuffle_family(cfg(q=0.6))
         assert np.array_equal(a.matrix, b.matrix)
-        assert all(validate(lst) is None for lst in a.lists())
+        assert row_violations(a.kind, a.matrix, a.k) == [None] * a.runs
 
     def test_q_one_rows_differ(self):
         rs = gen_rank_shuffle_family(cfg(t=200, k=60, runs=8, q=1.0))
