@@ -60,7 +60,7 @@ from .synth import (
     gen_subset_family,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "DISTANCES",

@@ -114,6 +114,10 @@ def _int64(values) -> np.ndarray:
         exact = np.zeros(m.shape, dtype=bool)
     if exact.all():
         return m.astype(np.int64)
+    if m.dtype.kind == "f" and not isinstance(values, np.ndarray):
+        # asarray may have rounded Python ints to floats: recheck every entry
+        # as given, so an int is judged, and named, as itself
+        return _int64(np.asarray(values, dtype=object))
     where = np.unravel_index(np.argmin(exact), m.shape)
     value = m[where]
     value = value.item() if isinstance(value, np.generic) else value

@@ -4,11 +4,12 @@ UTF-8 text: a header line
 
     #stabrank v1 kind=<full|partial|topk> t=<int> k=<int> K=<int>
 
-followed by exactly t rows of K comma-separated integers, newline endings,
-no quoting. Columns are runs and rows are features, mirroring the usual
-one-column-per-run matrix layout. Ranks for full/partial kinds (0 =
-unranked), 0/1 flags for topk. ``serialize(parse(text)) == text`` holds
-for canonical files.
+followed by exactly t rows of K comma-separated integers, every line ending
+in a newline, no quoting. Columns are runs and rows are features, mirroring
+the usual one-column-per-run matrix layout. Ranks for full/partial kinds (0 =
+unranked), 0/1 flags for topk. Cells and header numbers follow one strict
+grammar (see ``_CELL_RE``), so every accepted text is canonical:
+``serialize(parse(text)) == text``.
 """
 
 from __future__ import annotations
@@ -29,8 +30,17 @@ class RunSetValidationError(ValueError):
     """A well-formed run-set file whose lists break their kind's invariants."""
 
 
+# The cell grammar, stated once: a cell is ASCII "0", or an optional "-", a
+# nonzero digit and more digits, and its value fits in int64. ``_cell_value``
+# applies it cell by cell; ``_bulk_cells`` accepts its non-negative part in
+# bulk from the same digits.
+_DIGITS = "0123456789"
+_CELL_RE = re.compile(f"0|-?[{_DIGITS[1:]}][{_DIGITS}]*")
+_INT64 = np.iinfo(np.int64)
+_BULK_ALPHABET = (_DIGITS + ",\n").encode("ascii")
+
 _HEADER_RE = re.compile(
-    r"#stabrank v1 kind=(full|partial|topk) t=(\d+) k=(\d+) K=(\d+)\s*$"
+    f"#stabrank v1 kind=(full|partial|topk) t=([{_DIGITS}]+) k=([{_DIGITS}]+) K=([{_DIGITS}]+)"
 )
 
 
@@ -42,14 +52,24 @@ class RunSetFileHeader:
     runs: int
 
 
+def _cell_value(cell: str) -> int | None:
+    """The integer ``cell`` spells under the cell grammar, or ``None``."""
+    # 20 characters hold every int64; the cap also keeps int() off huge strings
+    if len(cell) > 20 or not _CELL_RE.fullmatch(cell):
+        return None
+    value = int(cell)
+    return value if _INT64.min <= value <= _INT64.max else None
+
+
 def parse_header(line: str) -> RunSetFileHeader:
-    match = _HEADER_RE.match(line)
-    if not match:
+    match = _HEADER_RE.fullmatch(line)
+    t, k, runs = (_cell_value(group) for group in match.groups()[1:]) if match else (None,) * 3
+    if None in (t, k, runs):
         raise RunSetParseError(
             "line 1: expected header "
             "'#stabrank v1 kind=<full|partial|topk> t=<int> k=<int> K=<int>'"
         )
-    kind, t, k, runs = match.group(1), int(match.group(2)), int(match.group(3)), int(match.group(4))
+    kind = match.group(1)
     if t < 1 or k < 1 or runs < 1:
         raise RunSetParseError("line 1: t, k and K must be positive")
     if k > t:
@@ -59,6 +79,71 @@ def parse_header(line: str) -> RunSetFileHeader:
     return RunSetFileHeader(kind, t, k, runs)
 
 
+def read_cells(lines: list[str], first_line: int, runs: int) -> np.ndarray:
+    """The ``(len(lines), runs)`` int64 matrix of a block of data lines.
+
+    ``first_line`` is the file line number of ``lines[0]``. A line without
+    ``runs`` cells, or a cell outside the cell grammar, raises
+    ``RunSetParseError`` naming the first such line (and column).
+    """
+    matrix = _bulk_cells(lines, runs)
+    return _scan_cells(lines, first_line, runs) if matrix is None else matrix
+
+
+def _bulk_cells(lines: list[str], runs: int) -> np.ndarray | None:
+    """The matrix when every cell is a canonical non-negative int64, else ``None``.
+
+    Only digits, commas and newlines pass the alphabet check, a blank line
+    (which ``loadtxt`` would skip) and a 19-digit cell are sent to the scan,
+    and ``loadtxt`` refuses empty cells and ragged rows. A cell is at least
+    as long as its value's decimal digits, and equally long only without a
+    leading zero, so the cells are canonical exactly when the digit count
+    of the block equals the digit count of its values.
+    """
+    body = "\n".join(lines)
+    if not (body.isascii() and all(lines)) or body.encode("ascii").translate(None, _BULK_ALPHABET):
+        return None
+    digits = len(body) - body.count(",") - (len(lines) - 1)
+    del body  # a copy of the block: free it before loadtxt allocates the matrix
+    try:
+        matrix = np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2)
+    except ValueError:
+        return None
+    if matrix.shape != (len(lines), runs):
+        return None
+    top = int(matrix.max())
+    if top >= 10**18:
+        # 19-digit cells go to the scan, so no result rests on how loadtxt
+        # treats int64 overflow: whatever value below 10**18 it made of an
+        # overflowing cell has fewer digits than the cell, and fails the count
+        return None
+    widths = matrix.size + sum(
+        int(np.count_nonzero(matrix >= 10**e)) for e in range(1, len(str(top)))
+    )
+    return matrix if digits == widths else None
+
+
+def _scan_cells(lines: list[str], first_line: int, runs: int) -> np.ndarray:
+    """``read_cells`` cell by cell: the reference, and the path that names errors."""
+    # sized by the first row, not by ``runs``: a header that overstates K then
+    # fails the column check below instead of asking for a huge allocation
+    matrix = np.empty((len(lines), lines[0].count(",") + 1), dtype=np.int64)
+    for row, line in enumerate(lines):
+        cells = line.split(",")
+        if len(cells) != runs:
+            raise RunSetParseError(
+                f"line {first_line + row}: expected {runs} columns, found {len(cells)}"
+            )
+        for col, cell in enumerate(cells):
+            value = _cell_value(cell)
+            if value is None:
+                raise RunSetParseError(
+                    f"line {first_line + row}, column {col + 1}: invalid integer {cell!r}"
+                )
+            matrix[row, col] = value
+    return matrix
+
+
 def read_columns(text: str) -> tuple[RunSetFileHeader, np.ndarray]:
     """Parse header and body; returns the (K, t) matrix with runs as rows.
 
@@ -66,31 +151,18 @@ def read_columns(text: str) -> tuple[RunSetFileHeader, np.ndarray]:
     invariant checking is up to the caller (see ``column_violations``).
     """
     lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines = lines[:-1]
+    ended = lines[-1] == ""
+    if ended:
+        lines.pop()
     if not lines:
         raise RunSetParseError("empty file")
     header = parse_header(lines[0])
+    if not ended:
+        raise RunSetParseError(f"line {len(lines)}: no newline at the end of the file")
     body = lines[1:]
     if len(body) != header.t:
         raise RunSetParseError(f"expected {header.t} data rows, found {len(body)}")
-    # sized by the first row, not the header: a header that overstates K then
-    # fails the column check below instead of asking for a huge allocation
-    matrix = np.empty((header.t, body[0].count(",") + 1), dtype=np.int64)
-    for row, line in enumerate(body):
-        cells = line.split(",")
-        if len(cells) != header.runs:
-            raise RunSetParseError(
-                f"line {row + 2}: expected {header.runs} columns, found {len(cells)}"
-            )
-        for col, cell in enumerate(cells):
-            try:
-                matrix[row, col] = int(cell)
-            except (ValueError, OverflowError):
-                raise RunSetParseError(
-                    f"line {row + 2}, column {col + 1}: invalid integer {cell.strip()!r}"
-                ) from None
-    return header, matrix.T
+    return header, read_cells(body, 2, header.runs).T
 
 
 def column_violations(header: RunSetFileHeader, runs_matrix: np.ndarray) -> list[str | None]:

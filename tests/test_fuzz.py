@@ -1,0 +1,151 @@
+"""Fuzzed input contract: the bulk cell check against the per-cell reference,
+and the command line on arbitrary and near-valid file bytes."""
+
+import contextlib
+import io
+import traceback
+import warnings
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from stabrank import RunSetParseError, RunSetValidationError, parse_runset, serialize_runset
+from stabrank.cli import main
+from stabrank.runset_io import _bulk_cells, _scan_cells, read_cells
+
+# characters that break the cell grammar in one place, or nearly keep it
+TRICKY = "0123456789,\n-+ \t_\r١#."
+TRICKY_CELLS = ["", "0", "00", "-0", "+1", " 0", "\t1", "007", "1_0", "١", "-1",
+                "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+                "-9223372036854775809", "1e3", "1.0"]
+# spellings of a value that int() reads as the value itself
+RESPELLINGS = ["+{}", " {}", "{}\t", "0{}", "{}\r", "{}_0"]
+
+
+def _mutate(draw, text: str, start: int) -> str:
+    """``text`` with one cell replaced, or one character replaced, inserted or
+    deleted, at or after index ``start``."""
+    where = draw(st.integers(start, len(text)))
+    action = draw(st.sampled_from(["cell", "replace", "insert", "delete"]))
+    if action == "cell":
+        lines = text[start:].split("\n")
+        row = draw(st.integers(0, len(lines) - 1 - (len(lines) > 1 and lines[-1] == "")))
+        cells = lines[row].split(",")
+        col = draw(st.integers(0, len(cells) - 1))
+        cells[col] = draw(
+            st.sampled_from(TRICKY_CELLS)
+            | st.text(TRICKY, max_size=4)
+            | st.sampled_from(RESPELLINGS).map(lambda spelling: spelling.format(cells[col]))
+        )
+        lines[row] = ",".join(cells)
+        return text[:start] + "\n".join(lines)
+    char = draw(st.sampled_from(TRICKY) | st.characters(codec="utf-8"))
+    if action == "insert":
+        return text[:where] + char + text[where:]
+    tail = text[where + 1:]
+    return text[:where] + (char if action == "replace" else "") + tail
+
+
+@st.composite
+def cell_blocks(draw):
+    """(lines, runs, fast): a block of canonical non-negative rows, or one with
+    one cell or character perturbed; ``fast`` when the bulk check must take it
+    (unperturbed, and every cell shorter than 19 digits)."""
+    rows, runs = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    values = st.integers(0, 20) | st.integers(10**17, 10**18) | st.integers(0, 2**63 - 1)
+    matrix = draw(st.lists(st.lists(values, min_size=runs, max_size=runs),
+                           min_size=rows, max_size=rows))
+    body = "\n".join(",".join(map(str, row)) for row in matrix)
+    pristine = draw(st.booleans())
+    if not pristine:
+        body = _mutate(draw, body, 0)
+    return body.split("\n"), runs, pristine and max(map(max, matrix)) < 10**18
+
+
+def _outcome(read, lines, runs):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on a block of blank lines
+            return read(lines, 2, runs).tolist()
+    except RunSetParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300)
+@given(cell_blocks())
+def test_bulk_check_matches_per_cell_reference(block):
+    lines, runs, fast = block
+    reference = _outcome(_scan_cells, lines, runs)
+    assert _outcome(read_cells, lines, runs) == reference
+    bulk = _bulk_cells(lines, runs)
+    if fast:
+        assert bulk is not None
+    if bulk is not None:
+        assert bulk.dtype == np.int64 and bulk.tolist() == reference
+
+
+@st.composite
+def run_set_texts(draw):
+    """(text, pristine): a run-set file of any kind, valid and of two or more
+    runs when pristine, otherwise possibly invalid and with one perturbation."""
+    kind = draw(st.sampled_from(["full", "partial", "topk"]))
+    t = draw(st.integers(1, 6))
+    k = t if kind == "full" else draw(st.integers(1, t))
+    pristine = draw(st.booleans())
+    runs = draw(st.integers(2 if pristine else 1, 4))
+    ranks = np.array([draw(st.permutations(range(1, t + 1))) for _ in range(runs)])
+    matrix = {"full": ranks, "partial": np.where(ranks <= k, ranks, 0),
+              "topk": (ranks <= k).astype(int)}[kind]
+    header = f"#stabrank v1 kind={kind} t={t} k={k} K={runs}\n"
+    text = header + "".join(",".join(map(str, row)) + "\n" for row in matrix.T)
+    if not pristine:
+        text = draw(st.sampled_from([
+            text,
+            _mutate(draw, text, len(header)),
+            _mutate(draw, text, 0),
+            text[:-1],  # no final newline
+            text.replace("\n", " \n", 1),
+            text.replace(f" t={t} ", f" t=0{t} ", 1),
+        ]))
+    return text, pristine
+
+
+file_bytes = st.binary(max_size=80) | run_set_texts().map(lambda drawn: drawn[0].encode())
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    data=file_bytes,
+    argv=st.sampled_from([
+        ["validate", "in.csv"],
+        ["stability", "in.csv"],
+        ["stability", "in.csv", "--metrics", "sjs,spearman"],
+        ["stability", "in.csv", "--metrics", "sjs,kuncheva,jaccard", "--json"],
+        ["mds", "in.csv", "in.csv"],
+    ]),
+)
+def test_any_file_bytes_exit_with_a_documented_code(data, argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.csv").write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception:  # what the interpreter would print before exiting 1
+            traceback.print_exc()
+            code = 1
+    assert "Traceback" not in err.getvalue()
+    assert code in {0, 2, 3, 4, 5}
+
+
+@settings(max_examples=300)
+@given(run_set_texts())
+def test_every_accepted_text_round_trips(drawn):
+    text, pristine = drawn
+    try:
+        run_set = parse_runset(text)
+    except (RunSetParseError, RunSetValidationError):
+        assert not pristine
+        return
+    assert serialize_runset(run_set) == text

@@ -8,6 +8,7 @@ import pytest
 
 from stabrank import RunSet, RunSetParseError, load_runset, parse_runset, serialize_runset
 from stabrank.cli import main
+from stabrank.runset_io import read_columns
 from conftest import EXAMPLE_FULL, EXAMPLE_MASKS
 
 FULL_HEADER = "#stabrank v1 kind=full t=10 k=10 K=5"
@@ -64,6 +65,41 @@ class TestParsing:
         text = "#stabrank v1 kind=full t=2 k=2 K=2\n1,99999999999999999999999\n2,1\n"
         with pytest.raises(RunSetParseError, match="line 2, column 2: invalid integer"):
             parse_runset(text)
+
+    @pytest.mark.parametrize(
+        "cell",
+        ["+1", " 0", "\t1", "007", "1_0", "١", "-0", "9223372036854775808"],
+        ids=["plus", "space", "tab", "leading-zeros", "underscore", "arabic-indic-one",
+             "minus-zero", "int64-max-plus-one"],
+    )
+    def test_cell_outside_grammar_named_raw(self, cell):
+        text = f"#stabrank v1 kind=full t=2 k=2 K=2\n1,2\n2,{cell}\n"
+        with pytest.raises(RunSetParseError) as info:
+            parse_runset(text)
+        assert str(info.value) == f"line 3, column 2: invalid integer {cell!r}"
+
+    def test_int64_max_cell_reaches_validation(self, tmp_path, capsys):
+        text = "#stabrank v1 kind=full t=2 k=2 K=2\n1,2\n2,9223372036854775807\n"
+        assert read_columns(text)[1].tolist() == [[1, 2], [2, 2**63 - 1]]
+        path = tmp_path / "int64_max.csv"
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", str(path)]) == 3
+        assert "column 2: rank 9223372036854775807 out of range 1..2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "header",
+        ["#stabrank v1 kind=full t=2 k=2 K=2 ", "#stabrank v1 kind=full t=2 k=2 K=2\r",
+         "#stabrank v1 kind=full t=02 k=2 K=2", "#stabrank v1 kind=full t=٢ k=2 K=2",
+         "#stabrank v1 kind=full t=2 k=2 K=" + "9" * 5000],
+        ids=["trailing-space", "carriage-return", "leading-zero", "arabic-indic-two", "huge-K"],
+    )
+    def test_header_outside_grammar(self, header):
+        with pytest.raises(RunSetParseError, match="line 1: expected header"):
+            parse_runset(f"{header}\n1,2\n2,1\n")
+
+    def test_missing_final_newline(self):
+        with pytest.raises(RunSetParseError, match="line 3: no newline at the end of the file"):
+            parse_runset("#stabrank v1 kind=full t=2 k=2 K=2\n1,2\n2,1")
 
     def test_non_utf8_file(self, tmp_path):
         path = tmp_path / "latin1.csv"

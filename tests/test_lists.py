@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabrank import RunSet, row_violations
-from stabrank.lists import _scan
+from stabrank.lists import _int64, _scan
 from conftest import EXAMPLE_FULL, EXAMPLE_K, EXAMPLE_MASKS, EXAMPLE_PARTIAL
 
 
@@ -218,10 +218,11 @@ class TestNoCoercion:
             ([[1, 2], [2, float("inf")]], "run 1: entry inf is not an int64 integer"),
             ([[1, 2], [2, 1 + 0j]], r"run 0: entry \(1\+0j\) is not an int64 integer"),
             ([[1, 2], [2, 2**70]], f"run 1: entry {2**70} is not an int64 integer"),
+            ([[1, 2**63], [2, 1]], f"run 0: entry {2**63} is not an int64 integer"),
             (np.array([[1, 2**63], [2, 1]], dtype=np.uint64), f"run 0: entry {2**63} is not"),
         ],
         ids=["fraction", "fraction-run-1", "string", "nan", "inf", "complex",
-             "python-int-beyond-int64", "uint64-beyond-int64"],
+             "python-int-beyond-int64", "python-int-read-as-float", "uint64-beyond-int64"],
     )
     def test_rejects_non_integral_matrix(self, matrix, message):
         with warnings.catch_warnings():
@@ -236,6 +237,8 @@ class TestNoCoercion:
         for exact in (np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[1, 2.0], [2, 1]], dtype=object)):
             rs = RunSet("full", exact)
             assert rs.matrix.dtype == np.int64 and rs.matrix.tolist() == [[1, 2], [2, 1]]
+        # asarray reads this list as floats and rounds 2**63 - 1 up to 2**63
+        assert _int64([2**63 - 1, 1.0]).tolist() == [2**63 - 1, 1]
 
     @pytest.mark.parametrize("k", [1.5, 1.0, True], ids=["fraction", "float", "bool"])
     def test_run_set_k_must_be_an_integer(self, k):
