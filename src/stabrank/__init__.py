@@ -60,7 +60,7 @@ from .synth import (
     gen_subset_family,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.3.1"
 
 __all__ = [
     "DISTANCES",

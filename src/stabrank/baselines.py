@@ -10,7 +10,11 @@ and the Jaccard index apply to equal-size top-k masks. Values are computed
 exactly as defined: Spearman and Kuncheva go negative for strongly
 discordant inputs and are deliberately not clamped. Mean Spearman and
 Kuncheva are read from column sums (the frequency view of Nogueira,
-Sechidis & Brown, JMLR 2018); Jaccard needs the pairwise overlaps.
+Sechidis & Brown, JMLR 2018); Jaccard needs the pairwise overlaps, which
+come from the Gram matrix of the lists. For masks over fewer than 2**24
+features that Gram is multiplied in float32: every partial sum is then an
+integer below 2**24, which float32 holds exactly. Rankings, and masks
+with more features, multiply in float64.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ from .lists import RunSet, _int64, _scan
 class MetricMismatchError(ValueError):
     """The requested similarity metric does not apply to this list kind."""
 
+
+# masks over fewer features than this multiply their Gram exactly in float32
+_FLOAT32_EXACT = 2**24
 
 METRIC_KINDS = {
     "spearman": "full",
@@ -157,11 +164,12 @@ def similarity_matrix(run_set: RunSet, metric: str) -> np.ndarray:
     ``metric`` is one of ``spearman`` (full rankings only), ``kuncheva`` or
     ``jaccard`` (topk masks only); a kind mismatch raises
     ``MetricMismatchError``. Every entry is computed from the Gram matrix of
-    the lists and equals the scalar metric on that pair exactly.
+    the lists, multiplied in float32 for masks over fewer than 2**24
+    features (where it is exact) and in float64 otherwise, and equals the
+    scalar metric on that pair exactly.
     """
     _check_metric(run_set, metric)
-    m = run_set.matrix.astype(np.float64)
-    gram = m @ m.T
+    gram = _gram(run_set).astype(np.float64, copy=False)
     t, k = run_set.t, run_set.k
     if metric == "spearman":
         sq = np.diag(gram)
@@ -170,3 +178,15 @@ def similarity_matrix(run_set: RunSet, metric: str) -> np.ndarray:
     if metric == "kuncheva":
         return (gram * t - k * k) / (k * (t - k))
     return gram / (2.0 * k - gram)
+
+
+def _gram(run_set: RunSet) -> np.ndarray:
+    """The K x K products of the lists, exact: float32 for masks with t < 2**24.
+
+    A mask product counts shared features, so every partial sum is an
+    integer of at most t, and float32 holds it exactly below 2**24. Rank
+    products outgrow float32 and take float64.
+    """
+    exact32 = run_set.kind == "topk" and run_set.t < _FLOAT32_EXACT
+    m = run_set.matrix.astype(np.float32 if exact32 else np.float64)
+    return m @ m.T

@@ -109,6 +109,9 @@ def cmd_stability(args) -> int:
             f"unknown metric(s) {', '.join(unknown)}; "
             f"expected a subset of {','.join(STABILITY_METRICS)}"
         )
+    repeated = sorted({m for m in metrics if metrics.count(m) > 1}, key=metrics.index)
+    if repeated:
+        raise ValueError(f"metric(s) {', '.join(repeated)} requested more than once")
     if not metrics:
         raise ValueError("no metrics requested")
     run_set = load_runset(args.file)

@@ -7,8 +7,13 @@ the same shape would attain:
     s_js = 1 - d_js / d_star
 
 so identical lists score 1 and random lists score about 0. All divergences
-are reported in nats. ``js_multi`` reduces the K x t probabilities feature
-by feature, in two compensated passes and O(t) working memory.
+are reported in nats. A top-k mask is the uniform distribution 1/k on its
+selected features, so the divergence of K masks depends only on each
+feature's selection count c_f, and ``js_stability`` reads it from those
+counts without a probability matrix. Full and partial rankings go through
+``js_multi``, which reduces the K x t probabilities feature by feature, in
+two compensated passes and O(t) working memory; for masks it is the
+oracle the counts form is tested against.
 """
 
 from __future__ import annotations
@@ -104,16 +109,35 @@ class StabilityReport:
     s_js: float
 
 
+def _js_masks(run_set: RunSet) -> float:
+    """``js_multi`` of K top-k masks, from their selection counts alone.
+
+    Each selecting run puts 1/k on feature f and the mean puts c_f/(Kk), so
+    ``d_js = (1/K) sum_f (c_f/k) ln(K/c_f)`` over the features with
+    c_f > 0. Every term is >= 0 and exactly 0 when c_f = K; ``log1p`` of
+    the exact ratio (K - c_f)/c_f keeps nearly unanimous features accurate,
+    and ``math.fsum`` adds the terms.
+    """
+    counts = run_set.matrix.sum(axis=0)
+    c = counts[counts > 0].astype(np.float64)
+    return math.fsum(c * np.log1p((run_set.runs - c) / c)) / (run_set.runs * run_set.k)
+
+
 def js_stability(run_set: RunSet) -> StabilityReport:
     """Stability score of a run set in [0, 1].
 
-    Maps every list to its probability vector, measures their generalized
-    Jensen-Shannon divergence and normalises by the random baseline for
-    the run set's shape. Raises ``DegenerateNormalizerError`` when that
+    Measures the generalized Jensen-Shannon divergence of the run set's
+    lists and normalises it by the random baseline for the run set's
+    shape. Top-k masks reduce from their per-feature selection counts;
+    full and partial rankings are mapped to their probability vectors and
+    reduced by ``js_multi``. Raises ``DegenerateNormalizerError`` when the
     baseline is zero (e.g. topk masks with k = t).
     """
     d_star = normalizer(run_set.kind, run_set.t, run_set.k)
-    d_js = js_multi(run_probabilities(run_set))
+    if run_set.kind == "topk":
+        d_js = _js_masks(run_set)
+    else:
+        d_js = js_multi(run_probabilities(run_set))
     score = 1.0 - d_js / d_star
     # mathematically in [0, 1]; rounding may leave it an ulp outside
     score = min(1.0, max(0.0, score))

@@ -47,7 +47,8 @@ def row_violations(kind: str, matrix: np.ndarray, k: int) -> list[str | None]:
     if not 1 <= k <= t:
         bad = range(runs)
     elif kind == "topk":
-        bad = np.flatnonzero(~(np.all((m == 0) | (m == 1), axis=1) & (m.sum(axis=1) == k)))
+        # a negative entry reads as a huge unsigned value, so it fails too
+        bad = np.flatnonzero(~((m.view(np.uint64).max(axis=1) <= 1) & (m.sum(axis=1) == k)))
     else:
         expected = np.concatenate([np.zeros(t - k, dtype=np.int64), np.arange(1, k + 1)])
         bad = np.flatnonzero(~np.all(np.sort(m, axis=1) == expected, axis=1))
@@ -147,8 +148,15 @@ class RunSet:
     """K same-shaped lists from K runs of one algorithm.
 
     ``matrix`` holds one list per row (shape K x t): ranks for full/partial
-    kinds (0 = unranked), 0/1 flags for the topk kind. The matrix is frozen
-    after validation, so instances are safe to share between threads.
+    kinds (0 = unranked), 0/1 flags for the topk kind. The matrix is
+    C-contiguous and frozen after validation, so instances are safe to
+    share between threads.
+
+    A ``RunSet`` never takes over a caller's array. An input that the int64
+    cast returns as it is, or as a view of the caller's memory, is copied,
+    so the caller's array stays writable and independent. Only an array the
+    cast has just built (from a list, or from another dtype, such as the
+    boolean mask ``to_topk`` passes) is kept, and frozen, without a copy.
     """
 
     kind: str
@@ -158,7 +166,9 @@ class RunSet:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}, expected one of {KINDS}")
-        m = np.array(_int64(self.matrix))  # a copy, frozen below
+        m = _int64(self.matrix)
+        if m is self.matrix or not (m.flags.owndata and m.flags.c_contiguous):
+            m = m.copy(order="C")  # frozen below: never the caller's memory
         if m.ndim != 2:
             raise ValueError("matrix must be 2-dimensional (runs x features)")
         runs, t = m.shape
@@ -213,5 +223,5 @@ class RunSet:
                 raise ValueError("converting full rankings to masks requires k")
             if not 1 <= k <= self.t:
                 raise ValueError(f"k={k} out of range 1..{self.t}")
-            return RunSet("topk", (self.matrix <= k).astype(np.int64), k)
-        return RunSet("topk", (self.matrix != 0).astype(np.int64), self.k)
+            return RunSet("topk", self.matrix <= k, k)
+        return RunSet("topk", self.matrix != 0, self.k)

@@ -38,6 +38,7 @@ _DIGITS = "0123456789"
 _CELL_RE = re.compile(f"0|-?[{_DIGITS[1:]}][{_DIGITS}]*")
 _INT64 = np.iinfo(np.int64)
 _BULK_ALPHABET = (_DIGITS + ",\n").encode("ascii")
+_BLOCK_LINES = 1024  # data lines per ``read_cells`` call in ``read_columns``
 
 _HEADER_RE = re.compile(
     f"#stabrank v1 kind=(full|partial|topk) t=([{_DIGITS}]+) k=([{_DIGITS}]+) K=([{_DIGITS}]+)"
@@ -147,8 +148,11 @@ def _scan_cells(lines: list[str], first_line: int, runs: int) -> np.ndarray:
 def read_columns(text: str) -> tuple[RunSetFileHeader, np.ndarray]:
     """Parse header and body; returns the (K, t) matrix with runs as rows.
 
-    Raises ``RunSetParseError`` for structural problems; per-column
-    invariant checking is up to the caller (see ``column_violations``).
+    The body is tokenized ``_BLOCK_LINES`` lines at a time into one
+    preallocated matrix, so the tokenizer's copies stay the size of a block.
+    Raises ``RunSetParseError`` for structural problems, naming the first
+    bad line; per-column invariant checking is up to the caller (see
+    ``column_violations``).
     """
     lines = text.split("\n")
     ended = lines[-1] == ""
@@ -159,10 +163,17 @@ def read_columns(text: str) -> tuple[RunSetFileHeader, np.ndarray]:
     header = parse_header(lines[0])
     if not ended:
         raise RunSetParseError(f"line {len(lines)}: no newline at the end of the file")
-    body = lines[1:]
-    if len(body) != header.t:
-        raise RunSetParseError(f"expected {header.t} data rows, found {len(body)}")
-    return header, read_cells(body, 2, header.runs).T
+    if len(lines) - 1 != header.t:
+        raise RunSetParseError(f"expected {header.t} data rows, found {len(lines) - 1}")
+    matrix = None
+    for start in range(1, len(lines), _BLOCK_LINES):
+        block = read_cells(lines[start:start + _BLOCK_LINES], start + 1, header.runs)
+        if matrix is None:
+            # allocated only once a block has shown K columns, so a header that
+            # overstates K fails the column check instead of a huge allocation
+            matrix = np.empty((header.t, header.runs), dtype=np.int64)
+        matrix[start - 1:start - 1 + len(block)] = block
+    return header, matrix.T
 
 
 def column_violations(header: RunSetFileHeader, runs_matrix: np.ndarray) -> list[str | None]:

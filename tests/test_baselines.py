@@ -3,7 +3,8 @@
 Brute-force oracles: set arithmetic for the mask metrics (enumerated
 exhaustively at small t) and a literal term-by-term sum for Spearman. The
 column-sum means of ``pairwise_stability`` are held to the compensated mean
-of the ``similarity_matrix`` upper triangle.
+of the ``similarity_matrix`` upper triangle, and the float32 mask Gram to
+the float64 one.
 """
 
 import itertools
@@ -23,6 +24,7 @@ from stabrank import (
     similarity_matrix,
     spearman,
 )
+from stabrank import baselines
 from conftest import EXAMPLE_MASKS
 
 
@@ -279,3 +281,32 @@ class TestPairwiseStability:
         rows = np.array([rng.permutation(2000) + 1 for _ in range(100)])
         phi = pairwise_stability(RunSet("full", rows), "spearman").phi
         assert abs(phi) <= 0.05
+
+
+def random_masks(seed: int, t: int, k: int, runs: int) -> RunSet:
+    rng = np.random.default_rng(seed)
+    return RunSet("full", np.array([rng.permutation(t) + 1 for _ in range(runs)])).to_topk(k)
+
+
+class TestGram:
+    """Mask Grams multiply in float32 below 2**24 features, and exactly."""
+
+    @pytest.mark.parametrize("t, k, runs", [(300, 90, 40), (20000, 15000, 8)])
+    def test_float32_gram_equals_float64_gram(self, t, k, runs):
+        rs = random_masks(t, t, k, runs)
+        gram = baselines._gram(rs)
+        assert gram.dtype == np.float32
+        m = rs.matrix.astype(np.float64)
+        np.testing.assert_array_equal(gram, m @ m.T)
+
+    @pytest.mark.parametrize("limit, dtype", [(0, np.float64), (1, np.float32)])
+    def test_guard_on_either_side_of_the_limit(self, monkeypatch, limit, dtype):
+        rs = random_masks(5, 300, 90, 40)
+        expected = {m: similarity_matrix(rs, m) for m in ("kuncheva", "jaccard")}
+        monkeypatch.setattr(baselines, "_FLOAT32_EXACT", rs.t + limit)
+        assert baselines._gram(rs).dtype == dtype
+        for metric, want in expected.items():
+            np.testing.assert_array_equal(similarity_matrix(rs, metric), want)
+
+    def test_rankings_stay_float64(self, full_run_set):
+        assert baselines._gram(full_run_set).dtype == np.float64

@@ -6,7 +6,9 @@ stability score equals (ln t - H(mean)) / (ln t - H(row)) where H(row) is
 the entropy of any single mapped list. The implementation under test never
 takes that route; it evaluates the divergence sum directly. ``js_multi``
 is also held to the all-terms ``math.fsum`` form it replaced, and to an
-O(t) bound on its working memory.
+O(t) bound on its working memory. Top-k masks are scored from their
+selection counts; that form is held to ``js_multi`` and to an mpmath
+evaluation of the entropy identity.
 """
 
 import math
@@ -240,3 +242,95 @@ class TestJsStability:
         runs = int(rng.integers(2, 10))
         report = js_stability(random_run_set(rng, kind, t, k, runs))
         assert 0.0 <= report.s_js <= 1.0
+
+
+def masks_run_set(rows) -> RunSet:
+    rows = np.array(rows)
+    return RunSet("topk", rows, int(rows[0].sum()))
+
+
+@st.composite
+def mask_run_sets(draw):
+    t = draw(st.integers(2, 40))
+    k = draw(st.integers(1, t - 1))
+    runs = draw(st.integers(2, 12))
+    fixed = draw(st.integers(0, runs))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return with_fixed_rows(random_run_set(rng, "topk", t, k, runs), fixed)
+
+
+def mpmath_d_js(mpmath, run_set: RunSet):
+    """d_js of masks by the entropy identity H(mean) - ln k, in 50 digits
+    (so within about 1e-49 of the exact value, which may be 0)."""
+    with mpmath.workdps(50):
+        total = mpmath.mpf(run_set.runs * run_set.k)
+        h_mean = -mpmath.fsum(
+            c / total * mpmath.log(c / total)
+            for c in map(mpmath.mpf, run_set.matrix.sum(axis=0).tolist())
+            if c
+        )
+        return h_mean - mpmath.log(run_set.k)
+
+
+class TestJsMasks:
+    """``js_stability`` on masks reads d_js from the selection counts."""
+
+    @given(mask_run_sets())
+    @example(edge_run_set("topk", t=9, k=1, runs=2, fixed=0))
+    @example(edge_run_set("topk", t=9, k=8, runs=2, fixed=0))
+    @example(edge_run_set("topk", t=40, k=39, runs=12, fixed=3))
+    @example(masks_run_set([[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]]))
+    @settings(max_examples=200, deadline=None)
+    def test_counts_form_matches_js_multi(self, run_set):
+        got = js_stability(run_set).d_js
+        want = js_multi(run_probabilities(run_set))
+        # js_multi takes the log of ratios near 1 at k close to t, and is
+        # off by up to a few ulps of 1 there; the counts form is not (below)
+        assert abs(got - want) <= 4 * math.ulp(1.0)
+        assert got >= 0.0
+
+    @pytest.mark.parametrize("t, k, runs", [(9, 1, 2), (9, 8, 2), (30, 7, 10)])
+    def test_identical_rows_score_exactly_one(self, t, k, runs):
+        rs = edge_run_set("topk", t, k, runs, fixed=runs)
+        report = js_stability(rs)
+        assert report.d_js == 0.0
+        assert report.s_js == 1.0
+
+    def test_unanimous_feature_adds_nothing(self):
+        # feature 0 is selected by every run, so it adds no divergence: the
+        # score equals that of the same run set without it and with k - 1
+        with_it = masks_run_set([[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]])
+        without = masks_run_set([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert js_stability(with_it).d_js * 2 == pytest.approx(js_stability(without).d_js)
+        assert js_stability(without).d_js == pytest.approx(math.log(3), rel=1e-15)
+
+    def test_matches_mpmath_at_paper_shape(self):
+        mpmath = pytest.importorskip("mpmath")
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            rs = with_fixed_rows(random_run_set(rng, "topk", 2000, 600, 100), 20 * seed)
+            exact = mpmath_d_js(mpmath, rs)
+            got = js_stability(rs).d_js
+            assert abs(mpmath.mpf(got) - exact) <= 2 * math.ulp(float(exact)) + 1e-40
+
+    @given(mask_run_sets())
+    # nearly unanimous features: ln(K/c_f) is near 0 and needs the exact ratio
+    @example(edge_run_set("topk", t=50, k=10, runs=400, fixed=399))
+    @example(edge_run_set("topk", t=30, k=29, runs=1000, fixed=990))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_mpmath_within_two_ulps(self, run_set):
+        mpmath = pytest.importorskip("mpmath")
+        exact = mpmath_d_js(mpmath, run_set)
+        got = js_stability(run_set).d_js
+        assert abs(mpmath.mpf(got) - exact) <= 2 * math.ulp(float(exact)) + 1e-40
+
+    def test_working_memory_is_a_fifth_of_the_masks(self):
+        rng = np.random.default_rng(9)
+        rs = random_run_set(rng, "topk", t=5000, k=1500, runs=200)
+        tracemalloc.start()
+        try:
+            js_stability(rs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.2 * rs.matrix.nbytes

@@ -1,10 +1,12 @@
 """Fuzzed input contract: the bulk cell check against the per-cell reference,
-and the command line on arbitrary and near-valid file bytes."""
+blocked file reads against one-block reads, and the command line on
+arbitrary and near-valid file bytes."""
 
 import contextlib
 import io
 import traceback
 import warnings
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -12,7 +14,8 @@ from hypothesis import strategies as st
 
 from stabrank import RunSetParseError, RunSetValidationError, parse_runset, serialize_runset
 from stabrank.cli import main
-from stabrank.runset_io import _bulk_cells, _scan_cells, read_cells
+from stabrank import runset_io
+from stabrank.runset_io import _bulk_cells, _scan_cells, read_cells, read_columns
 
 # characters that break the cell grammar in one place, or nearly keep it
 TRICKY = "0123456789,\n-+ \t_\r١#."
@@ -149,3 +152,21 @@ def test_every_accepted_text_round_trips(drawn):
         assert not pristine
         return
     assert serialize_runset(run_set) == text
+
+
+def _columns_outcome(text):
+    try:
+        header, matrix = read_columns(text)
+    except RunSetParseError as exc:
+        return str(exc)
+    return header, matrix.tolist()
+
+
+@settings(max_examples=300)
+@given(run_set_texts(), st.integers(1, 3))
+def test_blocks_of_lines_read_like_one_block(drawn, block_lines):
+    # the drawn files have at most 6 data lines, all in one default block
+    text, _ = drawn
+    whole = _columns_outcome(text)
+    with mock.patch.object(runset_io, "_BLOCK_LINES", block_lines):
+        assert _columns_outcome(text) == whole

@@ -227,6 +227,14 @@ class TestStabilityCommand:
     def test_unknown_metric(self, full_file, capsys):
         assert main(["stability", full_file, "--metrics", "kendall"]) == 4
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_repeated_metric_refused(self, mask_file, capsys, flags):
+        argv = ["stability", mask_file, "--metrics", "sjs,kuncheva,sjs", *flags]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: metric(s) sjs requested more than once\n"
+
     def test_degenerate_normalizer(self, tmp_path, capsys):
         rows = [(1, 1, 1)] * 2
         path = tmp_path / "allones.csv"

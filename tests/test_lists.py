@@ -1,6 +1,7 @@
 """Run-set construction, validation and the ranking-to-mask conversion."""
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -196,6 +197,41 @@ class TestRunSet:
     def test_to_topk_requires_k_for_full(self, full_run_set):
         with pytest.raises(ValueError, match="requires k"):
             full_run_set.to_topk()
+
+    @pytest.mark.parametrize("parent", ["full_run_set", "partial_run_set"])
+    def test_to_topk_matrix_is_frozen_contiguous_and_its_own(self, parent, request):
+        parent = request.getfixturevalue(parent)
+        masks = parent.to_topk(EXAMPLE_K).matrix
+        assert masks.dtype == np.int64
+        assert masks.flags.c_contiguous
+        assert not masks.flags.writeable
+        assert not np.shares_memory(masks, parent.matrix)
+
+    @pytest.mark.parametrize(
+        "view", [lambda a: a, lambda a: a[:, ::-1], lambda a: np.asfortranarray(a)]
+    )
+    def test_callers_int64_array_stays_writable_and_independent(self, view):
+        given = view(np.array(EXAMPLE_FULL, dtype=np.int64))
+        expected = given.tolist()
+        rs = RunSet("full", given)
+        assert given.flags.writeable
+        assert not np.shares_memory(rs.matrix, given)
+        assert rs.matrix.flags.c_contiguous
+        given[0, 0] = 99
+        assert rs.matrix.tolist() == expected
+
+    def test_to_topk_peaks_near_one_int64_mask_matrix(self):
+        m = np.tile(np.arange(1, 5001), (200, 1))
+        np.random.default_rng(4).permuted(m, axis=1, out=m)
+        full = RunSet("full", m)
+        del m
+        tracemalloc.start()
+        try:
+            full.to_topk(1500)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * full.matrix.nbytes
 
     def test_example_partial_matches_conversion(self):
         assert truncate(EXAMPLE_FULL, EXAMPLE_K).tolist() == [list(r) for r in EXAMPLE_PARTIAL]
