@@ -10,7 +10,7 @@ full-scale versions (t=2000, k=600, 100 runs). Run with:
     python demos/03_experiment_curves.py
 """
 
-from stabrank import overlap_curve, ranking_curve, rank_shuffle_curve, subset_curve
+from stabrank import run_experiment
 
 SIZES = dict(t=300, runs=40)
 
@@ -25,25 +25,25 @@ def show(title, points, x_key):
 
 show(
     "fig4: fixed-output count vs stability of full rankings",
-    ranking_curve(seed=1, points=6, **SIZES),
+    run_experiment("fig4", 1, **SIZES),
     "i",
 )
 
 show(
     "fig5: the same sweep on top-60 masks",
-    subset_curve(seed=1, k=60, points=6, **SIZES),
+    run_experiment("fig5", 1, k=60, **SIZES),
     "i",
 )
 
 show(
     "fig6: where the disagreement sits (0 = bottom of list, 1 = top)",
-    overlap_curve(seed=1, k=60, overlap=35, lams=(0.0, 0.25, 0.5, 0.75, 1.0), **SIZES),
+    run_experiment("fig6", 1, k=60, overlap=35, **SIZES),
     "lambda",
 )
 
 show(
     "fig7: rank randomness inside one agreed top-60 set",
-    rank_shuffle_curve(seed=1, k=60, qs=(0.0, 0.25, 0.5, 0.75, 1.0), **SIZES),
+    run_experiment("fig7", 1, k=60, **SIZES),
     "q",
 )
 

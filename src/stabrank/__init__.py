@@ -20,11 +20,7 @@ from .divergence import (
 )
 from .experiments import (
     EXPERIMENT_NAMES,
-    overlap_curve,
-    ranking_curve,
-    rank_shuffle_curve,
     run_experiment,
-    subset_curve,
 )
 from .lists import (
     KINDS,
@@ -60,7 +56,7 @@ from .synth import (
     gen_subset_family,
 )
 
-__version__ = "0.3.1"
+__version__ = "0.4.0"
 
 __all__ = [
     "DISTANCES",
@@ -93,11 +89,8 @@ __all__ = [
     "kuncheva",
     "load_runset",
     "normalizer",
-    "overlap_curve",
     "pairwise_stability",
     "parse_runset",
-    "ranking_curve",
-    "rank_shuffle_curve",
     "row_violations",
     "run_experiment",
     "run_probabilities",
@@ -105,5 +98,4 @@ __all__ = [
     "serialize_runset",
     "similarity_matrix",
     "spearman",
-    "subset_curve",
 ]

@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .baselines import pairwise_stability
+from .baselines import METRIC_KINDS, pairwise_stability
 from .divergence import js_stability
 from .experiments import EXPERIMENT_NAMES, run_experiment
 from .mds import DISTANCES, MdsConvergenceError, classical_mds, distance_matrix
@@ -49,7 +49,7 @@ FAILURES = (
     ((ValueError,), EXIT_MISMATCH, "error"),
 )
 
-STABILITY_METRICS = ("sjs", "spearman", "kuncheva", "jaccard")
+STABILITY_METRICS = ("sjs", *METRIC_KINDS)
 
 
 def _fmt(value: float) -> str:
@@ -137,8 +137,6 @@ def cmd_experiment(args) -> int:
         for name in ("t", "k", "runs", "overlap")
         if getattr(args, name) is not None
     }
-    if "overlap" in overrides and args.experiment != "fig6":
-        raise ValueError("--overlap only applies to fig6")
     curve = run_experiment(args.experiment, args.seed, **overrides)
     names = list(curve[0])
     document = {"schema": 1, "experiment": args.experiment, "seed": args.seed, "points": curve}

@@ -1,8 +1,9 @@
-"""Curve runners for the canned experiments behind the CLI presets.
+"""The one sweep behind the canned experiment presets fig4..fig7.
 
-Each runner sweeps one scenario knob and reports the stability score next
-to the matching pairwise baseline, as ordered (x, metrics) points. The
-presets fig4..fig7 bundle the default parameter grids.
+Each preset sweeps one scenario knob and reports the stability score next
+to the matching pairwise baseline, as ordered (x, metrics) points: fig4
+and fig5 sweep the number of fixed outputs over 11 points of ``0..runs``,
+fig6 and fig7 sweep ``lam`` and ``q`` over ``0, 0.1, ..., 1``.
 """
 
 from __future__ import annotations
@@ -22,15 +23,7 @@ from .synth import (
     gen_subset_family,
 )
 
-
-# The curve runners keep each run set bound until the next one is built. Freed
-# first, its pages sat at the top of the heap and went back to the OS, to be
-# faulted in again by the next run set (57% more minor page faults over the
-# four presets at the paper shape, with glibc malloc).
-
-
-def _fixed_grid(runs: int, points: int = 11) -> list[int]:
-    return sorted({int(round(x)) for x in np.linspace(0, runs, points)})
+EXPERIMENT_NAMES = ("fig4", "fig5", "fig6", "fig7")
 
 
 def _scores(rs: RunSet, metric: str) -> dict:
@@ -49,84 +42,51 @@ def _scores(rs: RunSet, metric: str) -> dict:
     }
 
 
-def ranking_curve(
-    seed: int, t: int = 2000, runs: int = 100, points: int = 11
-) -> list[dict]:
-    """Stability vs. number of fixed outputs, for full rankings.
-
-    One point per ``fixed`` value: the stability score and the mean
-    pairwise Spearman correlation of the same run set.
-    """
-    base = ExperimentConfig(t=t, k=t, runs=runs, seed=seed)
-    curve = []
-    for fixed in _fixed_grid(runs, points):
-        rs = gen_ranking_family(replace(base, fixed=fixed))
-        curve.append({"i": fixed, **_scores(rs, "spearman")})
-    return curve
-
-
-def subset_curve(
-    seed: int, t: int = 2000, k: int = 600, runs: int = 100, points: int = 11
-) -> list[dict]:
-    """Stability vs. number of fixed outputs, for top-k masks."""
-    base = ExperimentConfig(t=t, k=k, runs=runs, seed=seed)
-    curve = []
-    for fixed in _fixed_grid(runs, points):
-        rs = gen_subset_family(replace(base, fixed=fixed))
-        curve.append({"i": fixed, **_scores(rs, "kuncheva")})
-    return curve
-
-
-def overlap_curve(
+def run_experiment(
+    name: str,
     seed: int,
+    *,
     t: int = 2000,
     k: int = 600,
     runs: int = 100,
-    overlap: int = 350,
-    lams: tuple[float, ...] = tuple(np.round(np.linspace(0, 1, 11), 10)),
+    overlap: int | None = None,
 ) -> list[dict]:
-    """Stability vs. disagreement placement, at fixed set overlap.
+    """Run one of the presets fig4..fig7; one point per value of its knob.
 
-    Partial-level stability reacts to where the run-specific features sit
-    in the ranking; the mask-level score and the Kuncheva baseline see only
-    the (identical) selected sets.
+    fig4: full rankings (k is ignored) against mean Spearman, over
+    ``fixed``. fig5: top-k masks against Kuncheva, over ``fixed``. fig6:
+    partial lists sharing an ``overlap``-feature core (default 350), over
+    the disagreement placement ``lam``. fig7: one agreed top-k set, over the
+    rank randomness ``q``. Partial run sets also report the score of their
+    masks, and their Kuncheva baseline is taken on the masks.
     """
-    base = ExperimentConfig(t=t, k=k, runs=runs, seed=seed, overlap=overlap)
-    curve = []
-    for lam in map(float, lams):
-        rs = gen_overlap_family(replace(base, lam=lam))
-        curve.append({"lambda": lam, **_scores(rs, "kuncheva")})
-    return curve
-
-
-def rank_shuffle_curve(
-    seed: int,
-    t: int = 2000,
-    k: int = 600,
-    runs: int = 100,
-    qs: tuple[float, ...] = tuple(np.round(np.linspace(0, 1, 11), 10)),
-) -> list[dict]:
-    """Stability vs. rank randomness inside one fixed top-k set."""
-    base = ExperimentConfig(t=t, k=k, runs=runs, seed=seed)
-    curve = []
-    for q in map(float, qs):
-        rs = gen_rank_shuffle_family(replace(base, q=q))
-        curve.append({"q": q, **_scores(rs, "kuncheva")})
-    return curve
-
-
-def run_experiment(name: str, seed: int, **overrides) -> list[dict]:
-    """Run one of the presets fig4..fig7 with optional t/k/runs overrides."""
+    if name not in EXPERIMENT_NAMES:
+        raise ValueError(f"unknown experiment {name!r}, expected fig4..fig7")
+    if overlap is not None and name != "fig6":
+        raise ValueError("--overlap only applies to fig6")
+    # the generators are looked up here, at call time, so that a rebinding
+    # of this module's names (a tracer, a test double) reaches the sweep
     if name == "fig4":
-        overrides.pop("k", None)
-        return ranking_curve(seed, **overrides)
-    if name == "fig5":
-        return subset_curve(seed, **overrides)
-    if name == "fig6":
-        return overlap_curve(seed, **overrides)
-    if name == "fig7":
-        return rank_shuffle_curve(seed, **overrides)
-    raise ValueError(f"unknown experiment {name!r}, expected fig4..fig7")
-
-
-EXPERIMENT_NAMES = ("fig4", "fig5", "fig6", "fig7")
+        generate, field, column, metric = gen_ranking_family, "fixed", "i", "spearman"
+        k = t
+    elif name == "fig5":
+        generate, field, column, metric = gen_subset_family, "fixed", "i", "kuncheva"
+    elif name == "fig6":
+        generate, field, column, metric = gen_overlap_family, "lam", "lambda", "kuncheva"
+        overlap = 350 if overlap is None else overlap
+    else:
+        generate, field, column, metric = gen_rank_shuffle_family, "q", "q", "kuncheva"
+    base = ExperimentConfig(t=t, k=k, runs=runs, seed=seed, overlap=overlap)
+    if field == "fixed":
+        grid = sorted({int(round(x)) for x in np.linspace(0, runs, 11)})
+    else:
+        grid = [i / 10 for i in range(11)]
+    # Each run set stays bound until the next one is built. Freed first, its
+    # pages sat at the top of the heap and went back to the OS, to be faulted
+    # in again by the next run set (57% more minor page faults over the four
+    # presets at the paper shape, with glibc malloc).
+    curve = []
+    for x in grid:
+        rs = generate(replace(base, **{field: x}))
+        curve.append({column: x, **_scores(rs, metric)})
+    return curve

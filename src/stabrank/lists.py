@@ -133,14 +133,15 @@ def _is_int64(v) -> bool:
     return -(2**63) <= v < 2**63 and v == int(v)  # NaN and inf fail the range
 
 
-def _exact_k(k) -> int:
-    """``k`` as an int; bools, floats and other non-integers raise ``TypeError``."""
-    if not isinstance(k, (bool, np.bool_)):
+def _exact_int(value, name: str) -> int:
+    """``value`` as an int; bools, floats and other non-integers raise a
+    ``TypeError`` that names the argument."""
+    if not isinstance(value, (bool, np.bool_)):
         try:
-            return operator.index(k)
+            return operator.index(value)
         except TypeError:
             pass
-    raise TypeError(f"k must be an integer, got {k!r}")
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -177,7 +178,7 @@ class RunSet:
         if t < 1:
             raise ValueError("lists must contain at least one feature")
         if self.k is not None:
-            k = _exact_k(self.k)
+            k = _exact_int(self.k, "k")
         elif self.kind == "full":
             k = t
         elif self.kind == "topk":
@@ -213,7 +214,7 @@ class RunSet:
         ``k`` other than their own raises ``ValueError``.
         """
         if k is not None:
-            k = _exact_k(k)
+            k = _exact_int(k, "k")
             if self.kind != "full" and k != self.k:
                 raise ValueError(f"{self.kind} run sets keep their own k={self.k}, got k={k}")
         if self.kind == "topk":

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .baselines import similarity_matrix
+from .baselines import METRIC_KINDS, similarity_matrix
 from .divergence import js_pair
 from .lists import RunSet
 from .probability import run_probabilities
@@ -32,7 +32,7 @@ class MdsConvergenceError(RuntimeError):
     """The embedding is undefined: a non-finite centred matrix or a failed eigensolve."""
 
 
-DISTANCES = ("sqrt-js", "one-minus-spearman", "one-minus-kuncheva", "one-minus-jaccard")
+DISTANCES = ("sqrt-js", *(f"one-minus-{m}" for m in METRIC_KINDS))
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class DistanceMatrix:
             raise ValueError("distance matrix must be square")
         if d.shape[0] != len(self.labels):
             raise ValueError("one label per point required")
-        if not np.allclose(d, d.T, atol=1e-12):
+        if not np.allclose(d, d.T, rtol=0, atol=1e-12):
             raise ValueError("distance matrix must be symmetric")
         if np.any(np.diag(d) != 0):
             raise ValueError("distance matrix diagonal must be zero")

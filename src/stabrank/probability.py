@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lists import RunSet
+from .lists import RunSet, _exact_int
 
 
 class DegenerateNormalizerError(ValueError):
@@ -59,8 +59,11 @@ def normalizer(kind: str, t: int, k: int | None = None) -> float:
 
     Raises ``DegenerateNormalizerError`` when the value is zero (topk with
     k = t, or a single-feature ranking), since the stability score divides
-    by it.
+    by it. A ``t`` or ``k`` that is not an integer raises ``TypeError``.
     """
+    t = _exact_int(t, "t")
+    if k is not None:
+        k = _exact_int(k, "k")
     if kind == "full":
         if k is None:
             k = t

@@ -81,6 +81,14 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError, match="non-negative"):
             DistanceMatrix(np.array([[0, -1.0], [-1.0, 0]]), (("a", 0), ("a", 1)))
 
+    def test_asymmetry_beyond_absolute_tolerance_rejected(self):
+        # a relative tolerance would let 1.0 vs 1.00001 through, and
+        # classical_mds reads only one triangle of the matrix
+        labels = (("a", 0), ("a", 1))
+        with pytest.raises(ValueError, match="symmetric"):
+            DistanceMatrix(np.array([[0, 1.0], [1.00001, 0]]), labels)
+        DistanceMatrix(np.array([[0, 1.0], [1.0 + 1e-13, 0]]), labels)
+
 
 def equilateral_dm():
     d = np.ones((3, 3)) - np.eye(3)

@@ -187,3 +187,22 @@ class TestNormalizer:
             normalizer("topk", 5, 6)
         with pytest.raises(ValueError):
             normalizer("banana", 5, 3)
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (("topk", 10, 2.5), "k"),
+            (("topk", 10, 2.0), "k"),
+            (("partial", 10, True), "k"),
+            (("topk", 10.5, 2), "t"),
+            (("full", 10.0), "t"),
+            (("full", "10"), "t"),
+        ],
+        ids=["k=2.5", "k=2.0", "k=True", "t=10.5", "full-t=10.0", "t='10'"],
+    )
+    def test_non_integer_shape_raises_type_error(self, args, name):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            normalizer(*args)
+
+    def test_integer_types_accepted(self):
+        assert normalizer("topk", np.int64(10), np.int32(2)) == normalizer("topk", 10, 2)

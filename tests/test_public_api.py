@@ -1,7 +1,7 @@
-"""The public surface: every exported name resolves, and none removed in 0.2.0 is left.
+"""The public surface: every exported name resolves, and none removed in 0.2.0 or 0.4.0 is left.
 
 The removed names are read from the first column of the README's 0.2.0
-table, so the migration note and the package cannot drift apart.
+and 0.4.0 tables, so the migration notes and the package cannot drift apart.
 """
 
 import re
@@ -14,18 +14,20 @@ import stabrank
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def removed_names() -> list[str]:
+def removed_names(version: str) -> list[str]:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## 0.2.0", 1)[1].split("\n## ", 1)[0]
+    section = readme.split(f"## {version}", 1)[1].split("\n## ", 1)[0]
     rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
     return [name for cell in rows for name in re.findall(r"`([^`]+)`", cell)]
 
 
-REMOVED = removed_names()
+REMOVED = removed_names("0.2.0")
+REMOVED_0_4 = removed_names("0.4.0")
 
 
 def test_readme_lists_the_removed_names():
     assert len(REMOVED) == 13
+    assert len(REMOVED_0_4) == 4
 
 
 @pytest.mark.parametrize("name", stabrank.__all__)
@@ -40,6 +42,13 @@ def test_removed_name_is_gone(name):
         return
     assert name not in stabrank.__all__
     for namespace in (stabrank, stabrank.lists, stabrank.probability, stabrank.baselines):
+        assert not hasattr(namespace, name)
+
+
+@pytest.mark.parametrize("name", REMOVED_0_4)
+def test_removed_curve_function_is_gone(name):
+    assert name not in stabrank.__all__
+    for namespace in (stabrank, stabrank.experiments):
         assert not hasattr(namespace, name)
 
 
