@@ -14,7 +14,8 @@ Sechidis & Brown, JMLR 2018); Jaccard needs the pairwise overlaps, which
 come from the Gram matrix of the lists. For masks over fewer than 2**24
 features that Gram is multiplied in float32: every partial sum is then an
 integer below 2**24, which float32 holds exactly. Rankings, and masks
-with more features, multiply in float64.
+with more features, multiply in float64. The Gram is accumulated over
+blocks of features, so its float copy of the lists stays one block.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ class MetricMismatchError(ValueError):
 
 # masks over fewer features than this multiply their Gram exactly in float32
 _FLOAT32_EXACT = 2**24
+# elements of the float copy that _gram casts and multiplies at a time
+_GRAM_BLOCK = 1 << 22
 
 METRIC_KINDS = {
     "spearman": "full",
@@ -185,8 +188,18 @@ def _gram(run_set: RunSet) -> np.ndarray:
 
     A mask product counts shared features, so every partial sum is an
     integer of at most t, and float32 holds it exactly below 2**24. Rank
-    products outgrow float32 and take float64.
+    products outgrow float32 and take float64, exact while they stay below
+    2**53. The lists are cast and multiplied in blocks of whole features of
+    at most ``_GRAM_BLOCK`` elements (one feature when K is larger), so the
+    float copy holds one block at a time; the block products add up to the
+    same exact integers.
     """
-    exact32 = run_set.kind == "topk" and run_set.t < _FLOAT32_EXACT
-    m = run_set.matrix.astype(np.float32 if exact32 else np.float64)
-    return m @ m.T
+    dtype = np.float32 if run_set.kind == "topk" and run_set.t < _FLOAT32_EXACT else np.float64
+    m = run_set.matrix
+    step = max(1, _GRAM_BLOCK // m.shape[0])
+    gram = np.zeros((m.shape[0], m.shape[0]), dtype)
+    for start in range(0, m.shape[1], step):
+        block = m[:, start : start + step].astype(dtype)
+        gram += block @ block.T
+        del block  # free it before the next block is cast
+    return gram

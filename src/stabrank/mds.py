@@ -4,9 +4,11 @@ Every list is a point in feature space; plotting the points of several
 algorithms in 2D makes stability visible (tight cluster = stable, scatter
 = random). The default distance is the square root of the pairwise
 Jensen-Shannon divergence between the lists' probability vectors, which is
-a true metric and keeps the embedding well-posed. ``1 - similarity`` of
-any pairwise baseline is available as an alternative, flagged as possibly
-non-metric.
+a true metric and keeps the embedding well-posed. Top-k masks read it in
+closed form from the overlaps in the Gram matrix of all lists; rankings
+take one ``js_pair`` call per pair. ``1 - similarity`` of any pairwise
+baseline is available as an alternative, flagged as possibly non-metric,
+and reads the same Gram matrix.
 
 The projection is classical (Torgerson) MDS: double-center the squared
 distances and take the top-2 eigenpairs from ``numpy.linalg.eigh``.
@@ -22,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .baselines import METRIC_KINDS, similarity_matrix
+from .baselines import METRIC_KINDS, _gram, similarity_matrix
 from .divergence import js_pair
 from .lists import RunSet
 from .probability import run_probabilities
@@ -79,6 +81,10 @@ def distance_matrix(
 
     All run sets must share kind, t and k. With the default ``sqrt-js``
     distance, identical lists sit at 0 and disjoint masks at sqrt(ln 2).
+    Two masks that share o of their k features are at
+    ``sqrt((k - o) * (1/k) * ln 2)``, with o read from the Gram matrix of
+    all the lists; this equals the ``js_pair`` value bit for bit. Full and
+    partial rankings call ``js_pair`` on each pair of probability vectors.
     A ``one-minus-*`` distance is ``1 - similarity_matrix`` of all the lists
     stacked into one run set, clamped at 0; its metric must apply to their
     kind (``MetricMismatchError`` otherwise).
@@ -93,12 +99,17 @@ def distance_matrix(
         raise ValueError(f"mixed run set kinds: {sorted(kinds)}")
     if len(shapes) != 1:
         raise ValueError(f"mixed run set shapes (t, k): {sorted(shapes)}")
-    kind = kinds.pop()
+    kind, k = kinds.pop(), shapes.pop()[1]
     labels = tuple((label, run) for label, rs in labeled_run_sets for run in range(rs.runs))
-    if distance != "sqrt-js":
-        rows = RunSet(kind, np.vstack([rs.matrix for _, rs in labeled_run_sets]), shapes.pop()[1])
-        similarity = similarity_matrix(rows, distance.removeprefix("one-minus-"))
-        return DistanceMatrix(np.maximum(0.0, 1.0 - similarity), labels)
+    if distance != "sqrt-js" or kind == "topk":
+        rows = RunSet(kind, np.vstack([rs.matrix for _, rs in labeled_run_sets]), k)
+        if distance != "sqrt-js":
+            similarity = similarity_matrix(rows, distance.removeprefix("one-minus-"))
+            return DistanceMatrix(np.maximum(0.0, 1.0 - similarity), labels)
+        # js_pair fsums k - o equal terms fl(1/k) * fl(ln 2), which is their
+        # correctly rounded product, so this order of operations matches it
+        overlaps = _gram(rows).astype(np.float64, copy=False)
+        return DistanceMatrix(np.sqrt((k - overlaps) * ((1.0 / k) * math.log(2.0))), labels)
     n = len(labels)
     d = np.zeros((n, n))
     points = np.vstack([run_probabilities(rs) for _, rs in labeled_run_sets])

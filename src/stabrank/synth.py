@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lists import RunSet
+from .lists import RunSet, _exact_int
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,9 @@ class ExperimentConfig:
     q: fraction of rank positions re-drawn per run (rank-shuffle family).
     overlap: size of the common core shared by every run (overlap family
              only; leave None for the other scenarios).
+
+    t, k, runs, seed, fixed and a non-None overlap must be integers; a
+    float, a bool or None among them raises ``TypeError`` naming the field.
     """
 
     t: int = 2000
@@ -53,6 +56,10 @@ class ExperimentConfig:
     overlap: int | None = None
 
     def __post_init__(self):
+        for name in ("t", "k", "runs", "seed", "fixed", "overlap"):
+            value = getattr(self, name)
+            if name != "overlap" or value is not None:
+                object.__setattr__(self, name, _exact_int(value, name))
         if self.t < 1:
             raise ValueError(f"t must be >= 1, got {self.t}")
         if not 1 <= self.k <= self.t:

@@ -9,6 +9,7 @@ the float64 one.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,13 +284,18 @@ class TestPairwiseStability:
         assert abs(phi) <= 0.05
 
 
-def random_masks(seed: int, t: int, k: int, runs: int) -> RunSet:
+def random_rankings(seed: int, t: int, runs: int) -> RunSet:
     rng = np.random.default_rng(seed)
-    return RunSet("full", np.array([rng.permutation(t) + 1 for _ in range(runs)])).to_topk(k)
+    return RunSet("full", np.array([rng.permutation(t) + 1 for _ in range(runs)]))
+
+
+def random_masks(seed: int, t: int, k: int, runs: int) -> RunSet:
+    return random_rankings(seed, t, runs).to_topk(k)
 
 
 class TestGram:
-    """Mask Grams multiply in float32 below 2**24 features, and exactly."""
+    """Mask Grams multiply in float32 below 2**24 features, and exactly, in
+    feature blocks that change no entry."""
 
     @pytest.mark.parametrize("t, k, runs", [(300, 90, 40), (20000, 15000, 8)])
     def test_float32_gram_equals_float64_gram(self, t, k, runs):
@@ -310,3 +316,30 @@ class TestGram:
 
     def test_rankings_stay_float64(self, full_run_set):
         assert baselines._gram(full_run_set).dtype == np.float64
+
+    @pytest.mark.parametrize("kind", ["topk", "full"])
+    @pytest.mark.parametrize("block", ["one", "runs", "7 runs"])
+    def test_feature_blocks_leave_the_gram_unchanged(self, monkeypatch, kind, block):
+        rs = random_masks(6, 300, 90, 40) if kind == "topk" else random_rankings(6, 300, 40)
+        want = baselines._gram(rs)
+        monkeypatch.setattr(baselines, "_GRAM_BLOCK", {"one": 1, "runs": 40, "7 runs": 280}[block])
+        got = baselines._gram(rs)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("block", [None, 200 * 500])
+    def test_float_copy_is_bounded_by_the_block(self, monkeypatch, block):
+        # K=200, t=5000 fits in one default block; the smaller block shows the
+        # bound below the 4 MB float32 copy of the whole matrix
+        if block is not None:
+            monkeypatch.setattr(baselines, "_GRAM_BLOCK", block)
+        rs = random_masks(7, 5000, 1000, 200)
+        runs, t = rs.matrix.shape
+        tracemalloc.start()
+        try:
+            baselines._gram(rs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        copy = 4 * min(runs * t, max(baselines._GRAM_BLOCK, runs))
+        assert peak <= copy + 2 * 4 * runs * runs + 64 * 1024

@@ -74,3 +74,17 @@ def test_generator_is_read_at_call_time(name, monkeypatch):
     overlap = dict(overlap=4) if name == "fig6" else {}
     curve = run_experiment(name, 0, t=40, k=8, runs=20, **overlap)
     assert len(calls) == len(curve) == 11
+
+
+@pytest.mark.parametrize(
+    "name, seed, shape, field",
+    [
+        ("fig5", None, dict(t=30, k=8, runs=4), "seed"),
+        ("fig5", 0, dict(t=30.5, k=8, runs=4), "t"),
+        ("fig5", 0, dict(t=30, k=8, runs=4.0), "runs"),
+        ("fig6", 0, dict(t=30, k=8, runs=4, overlap=3.5), "overlap"),
+    ],
+)
+def test_non_integer_shape_is_refused(name, seed, shape, field):
+    with pytest.raises(TypeError, match=rf"^{field} must be an integer, got "):
+        run_experiment(name, seed, **shape)

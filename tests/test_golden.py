@@ -5,10 +5,12 @@ the output are relative) and compares its stdout, byte for byte, with
 ``tests/golden/<case>.out``. The validate inputs hold one valid column plus
 one column per validation message of their kind; the ``mds`` inputs are
 small generated run sets (two runs of each ``a`` file identical, the ``b``
-files random), one case per distance. ``experiment_fig4_paper`` runs the
-default (paper) shape, where the 12th printed digit of s_js depends on how
-accurately the divergence is reduced. A change to these bytes
-must be deliberate and recorded in CHANGES.md.
+files random), one case per distance. ``mds_topk200_sqrt_js_json`` is a
+larger mask case from ``gen_subset_family`` (t=200, k=40, two files of 50
+runs with 40 identical each), where sqrt-JS meets many distinct overlaps.
+``experiment_fig4_paper`` runs the default (paper) shape, where the 12th
+printed digit of s_js depends on how accurately the divergence is reduced.
+A change to these bytes must be deliberate and recorded in CHANGES.md.
 """
 
 from pathlib import Path
@@ -59,6 +61,7 @@ CASES = {
         ["mds", "mds_topk_a.csv", "mds_topk_b.csv", "--distance", "one-minus-jaccard", "--json"],
         0,
     ),
+    "mds_topk200_sqrt_js_json": (["mds", "mds_topk200_a.csv", "mds_topk200_b.csv", "--json"], 0),
     "mds_full_sqrt_js_json": (["mds", "mds_full_a.csv", "mds_full_b.csv", "--json"], 0),
     "mds_full_spearman": (
         ["mds", "mds_full_a.csv", "mds_full_b.csv", "--distance", "one-minus-spearman"],

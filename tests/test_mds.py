@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import stabrank.mds
 from stabrank import (
     DistanceMatrix,
     ExperimentConfig,
@@ -15,6 +18,8 @@ from stabrank import (
     distance_matrix,
     gen_ranking_family,
     gen_subset_family,
+    js_pair,
+    run_probabilities,
 )
 
 SQRT_LN2 = math.sqrt(math.log(2.0))
@@ -29,6 +34,75 @@ def stable_and_random(seed=0, t=40, k=8, runs=5):
     stable = gen_subset_family(ExperimentConfig(t=t, k=k, runs=runs, seed=seed, fixed=runs))
     random_ = gen_subset_family(ExperimentConfig(t=t, k=k, runs=runs, seed=seed + 1, fixed=0))
     return stable, random_
+
+
+def js_pair_loop(labeled_run_sets) -> np.ndarray:
+    """sqrt-JS between every two lists, one scalar ``js_pair`` call per pair."""
+    points = np.vstack([run_probabilities(rs) for _, rs in labeled_run_sets])
+    d = np.zeros((len(points), len(points)))
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            d[i, j] = d[j, i] = math.sqrt(max(0.0, js_pair(points[i], points[j])))
+    return d
+
+
+def mask_sets(k, *sets):
+    """Labeled topk run sets, one per list of 0/1 rows."""
+    return [(f"s{n}", RunSet("topk", np.array(rows), k)) for n, rows in enumerate(sets)]
+
+
+@st.composite
+def labeled_mask_run_sets(draw):
+    """1-3 topk run sets of one shape, 2-6 runs each, rows drawn from a small
+    pool of masks so that identical rows are common."""
+    t = draw(st.integers(1, 30))
+    k = draw(st.integers(1, t))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.zeros((draw(st.integers(1, 8)), t), dtype=np.int64)
+    for row in pool:
+        row[rng.permutation(t)[:k]] = 1
+    sizes = draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))
+    return mask_sets(k, *(pool[rng.integers(0, len(pool), size)] for size in sizes))
+
+
+class TestSqrtJsOnMasks:
+    """Masks read sqrt-JS from the Gram overlaps, bit for bit the ``js_pair`` loop."""
+
+    @given(labeled_mask_run_sets())
+    @example(mask_sets(1, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]], [[1, 0, 0, 0, 0], [0, 0, 0, 0, 1]]))
+    @example(mask_sets(5, [[1, 1, 1, 1, 1, 0], [0, 1, 1, 1, 1, 1], [1, 1, 0, 1, 1, 1]]))
+    @example(mask_sets(4, [[1, 1, 1, 1], [1, 1, 1, 1]], [[1, 1, 1, 1], [1, 1, 1, 1]]))
+    @example(mask_sets(2, [[0, 1, 1, 0], [0, 1, 1, 0], [0, 1, 1, 0]]))
+    @example(mask_sets(2, [[1, 1, 0, 0], [0, 0, 1, 1]]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_js_pair_loop(self, labeled):
+        np.testing.assert_array_equal(distance_matrix(labeled).d, js_pair_loop(labeled))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("k", [1, 40, 199])
+    def test_matches_js_pair_loop_at_t200(self, seed, k):
+        rng = np.random.default_rng(seed)
+        labeled = []
+        for label, fixed in (("a", 20), ("b", 0)):
+            ranks = np.array([rng.permutation(200) + 1 for _ in range(30)])
+            ranks[:fixed] = ranks[0]
+            labeled.append((label, RunSet("full", ranks).to_topk(k)))
+        np.testing.assert_array_equal(distance_matrix(labeled).d, js_pair_loop(labeled))
+
+    def test_no_js_pair_calls_on_masks(self, monkeypatch):
+        calls = []
+
+        def counting(p, q):
+            calls.append(1)
+            return js_pair(p, q)
+
+        monkeypatch.setattr(stabrank.mds, "js_pair", counting)
+        stable, random_ = stable_and_random()
+        distance_matrix([("s", stable), ("r", random_)])
+        assert calls == []
+        full = gen_ranking_family(ExperimentConfig(t=20, k=20, runs=6, seed=1))
+        distance_matrix([("f", full)])
+        assert len(calls) == 6 * 5 // 2
 
 
 class TestDistanceMatrix:

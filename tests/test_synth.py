@@ -1,5 +1,7 @@
 """Generator determinism, validity and scenario-shape tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,18 @@ class TestExperimentConfig:
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
             cfg(**bad)
+
+    @pytest.mark.parametrize(
+        "field, value", [("k", 10.5), ("runs", True), ("seed", np.float64(3.0)), ("fixed", 1.0)]
+    )
+    def test_rejects_non_integers(self, field, value):
+        message = f"{field} must be an integer, got {value!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            cfg(**{field: value})
+
+    def test_numpy_integers_become_ints(self):
+        config = cfg(t=np.int64(40), fixed=np.int32(2), overlap=np.uint8(5))
+        assert (type(config.t), type(config.fixed), type(config.overlap)) == (int, int, int)
 
     def test_defaults_are_valid(self):
         ExperimentConfig()
