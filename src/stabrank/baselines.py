@@ -172,7 +172,7 @@ def similarity_matrix(run_set: RunSet, metric: str) -> np.ndarray:
     scalar metric on that pair exactly.
     """
     _check_metric(run_set, metric)
-    gram = _gram(run_set).astype(np.float64, copy=False)
+    gram = _gram(run_set.kind, run_set.matrix).astype(np.float64, copy=False)
     t, k = run_set.t, run_set.k
     if metric == "spearman":
         sq = np.diag(gram)
@@ -183,19 +183,18 @@ def similarity_matrix(run_set: RunSet, metric: str) -> np.ndarray:
     return gram / (2.0 * k - gram)
 
 
-def _gram(run_set: RunSet) -> np.ndarray:
-    """The K x K products of the lists, exact: float32 for masks with t < 2**24.
+def _gram(kind: str, m: np.ndarray) -> np.ndarray:
+    """The K x K products of the ``kind`` lists in the rows of ``m``, exact.
 
-    A mask product counts shared features, so every partial sum is an
-    integer of at most t, and float32 holds it exactly below 2**24. Rank
-    products outgrow float32 and take float64, exact while they stay below
-    2**53. The lists are cast and multiplied in blocks of whole features of
+    The rows must be valid lists. A mask product counts shared features, so
+    every partial sum is an integer of at most t, and float32 holds it
+    exactly below 2**24 features. Rank products outgrow float32 and take
+    float64, exact while they stay below 2**53. The lists are cast and multiplied in blocks of whole features of
     at most ``_GRAM_BLOCK`` elements (one feature when K is larger), so the
     float copy holds one block at a time; the block products add up to the
     same exact integers.
     """
-    dtype = np.float32 if run_set.kind == "topk" and run_set.t < _FLOAT32_EXACT else np.float64
-    m = run_set.matrix
+    dtype = np.float32 if kind == "topk" and m.shape[1] < _FLOAT32_EXACT else np.float64
     step = max(1, _GRAM_BLOCK // m.shape[0])
     gram = np.zeros((m.shape[0], m.shape[0]), dtype)
     for start in range(0, m.shape[1], step):

@@ -4,11 +4,14 @@ Each preset sweeps one scenario knob and reports the stability score next
 to the matching pairwise baseline, as ordered (x, metrics) points: fig4
 and fig5 sweep the number of fixed outputs over 11 points of ``0..runs``,
 fig6 and fig7 sweep ``lam`` and ``q`` over ``0, 0.1, ..., 1``.
+
+fig4, fig5 and fig6 compose their 11 run sets from anchor run sets, two
+generator calls for fig4 and fig5 and one for fig6 (``synth._curve``); fig7
+calls its generator at every point. Each point equals the generator's own
+run set at that knob, so the curves are those of one call per point.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 
@@ -17,6 +20,7 @@ from .divergence import js_stability
 from .lists import RunSet
 from .synth import (
     ExperimentConfig,
+    _curve,
     gen_overlap_family,
     gen_ranking_family,
     gen_rank_shuffle_family,
@@ -86,7 +90,6 @@ def run_experiment(
     # in again by the next run set (57% more minor page faults over the four
     # presets at the paper shape, with glibc malloc).
     curve = []
-    for x in grid:
-        rs = generate(replace(base, **{field: x}))
+    for x, rs in zip(grid, _curve(generate, base, field, grid)):
         curve.append({column: x, **_scores(rs, metric)})
     return curve

@@ -83,7 +83,8 @@ def distance_matrix(
     distance, identical lists sit at 0 and disjoint masks at sqrt(ln 2).
     Two masks that share o of their k features are at
     ``sqrt((k - o) * (1/k) * ln 2)``, with o read from the Gram matrix of
-    all the lists; this equals the ``js_pair`` value bit for bit. Full and
+    all the lists, stacked with no second check; this equals the
+    ``js_pair`` value bit for bit. Full and
     partial rankings call ``js_pair`` on each pair of probability vectors.
     A ``one-minus-*`` distance is ``1 - similarity_matrix`` of all the lists
     stacked into one run set, clamped at 0; its metric must apply to their
@@ -102,13 +103,14 @@ def distance_matrix(
     kind, k = kinds.pop(), shapes.pop()[1]
     labels = tuple((label, run) for label, rs in labeled_run_sets for run in range(rs.runs))
     if distance != "sqrt-js" or kind == "topk":
-        rows = RunSet(kind, np.vstack([rs.matrix for _, rs in labeled_run_sets]), k)
+        stacked = np.vstack([rs.matrix for _, rs in labeled_run_sets])
         if distance != "sqrt-js":
+            rows = RunSet(kind, stacked, k)
             similarity = similarity_matrix(rows, distance.removeprefix("one-minus-"))
             return DistanceMatrix(np.maximum(0.0, 1.0 - similarity), labels)
         # js_pair fsums k - o equal terms fl(1/k) * fl(ln 2), which is their
         # correctly rounded product, so this order of operations matches it
-        overlaps = _gram(rows).astype(np.float64, copy=False)
+        overlaps = _gram(kind, stacked).astype(np.float64, copy=False)
         return DistanceMatrix(np.sqrt((k - overlaps) * ((1.0 / k) * math.log(2.0))), labels)
     n = len(labels)
     d = np.zeros((n, n))

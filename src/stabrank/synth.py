@@ -18,11 +18,25 @@ Randomness comes from numpy's PCG64 generator. Per-run streams are derived
 by ``SeedSequence(seed).spawn``: child 0 drives the shared arrangement,
 child j+1 drives run j. Identical configs therefore reproduce bit-identical
 run sets, and the stream layout is part of the golden-file contract.
+
+No per-run draw reads ``fixed`` or ``lam``, which gives two exact identities
+that ``_curve`` uses to build a sweep from one or two generator calls:
+
+* the ranking and subset families at ``fixed=x`` are the first x rows of
+  the run set at ``fixed=runs`` stacked on rows x.. of the one at
+  ``fixed=0``;
+* the overlap family at ``lam`` relabels the ranks of the one at ``lam=0``:
+  the i-th core slot becomes the i-th core slot at ``lam``, the i-th
+  block slot the i-th block slot, and 0 stays 0.
+
+The rank-shuffle family shares no draws across ``q``: ``round(q * k)`` sets
+how many positions each run draws, so every ``q`` reads its streams anew.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -125,11 +139,7 @@ def gen_overlap_family(cfg: ExperimentConfig) -> RunSet:
     arrangement = shared.permutation(cfg.t)
     core = arrangement[: cfg.overlap]
     pool = arrangement[cfg.k :]
-
-    slots = np.arange(cfg.k)
-    start = round((1.0 - cfg.lam) * cfg.overlap)
-    block = slots[start : start + extra]
-    core_slots = np.concatenate([slots[:start], slots[start + extra :]])
+    core_slots, block = _slots(cfg.k, cfg.overlap, cfg.lam)
 
     rows = np.zeros((cfg.runs, cfg.t), dtype=np.int64)
     for j, rng in enumerate(per_run):
@@ -137,6 +147,14 @@ def gen_overlap_family(cfg: ExperimentConfig) -> RunSet:
         rows[j, rng.permutation(core)] = core_slots + 1
         rows[j, rng.permutation(drawn)] = block + 1
     return RunSet("partial", rows, cfg.k)
+
+
+def _slots(k: int, overlap: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """The 0-based rank slots of the core and of the run-specific block at lam."""
+    slots = np.arange(k)
+    start = round((1.0 - lam) * overlap)
+    end = start + k - overlap
+    return np.concatenate([slots[:start], slots[end:]]), slots[start:end]
 
 
 def gen_rank_shuffle_family(cfg: ExperimentConfig) -> RunSet:
@@ -153,3 +171,35 @@ def gen_rank_shuffle_family(cfg: ExperimentConfig) -> RunSet:
             ranks[positions] = ranks[positions][rng.permutation(redraw)]
         rows[j, features] = ranks
     return RunSet("partial", rows, cfg.k)
+
+
+def _curve(
+    generate: Callable[[ExperimentConfig], RunSet], base: ExperimentConfig, field: str, grid: Iterable
+) -> Iterator[RunSet]:
+    """``generate(replace(base, field=x))`` for each x of ``grid``, in order.
+
+    Over ``fixed`` (ranking and subset families), ``generate`` runs at
+    ``fixed=0`` and ``fixed=runs`` and every point stacks rows of the two;
+    over ``lam`` (overlap family) it runs at ``lam=0`` and every point
+    relabels that run set's ranks. Any other field calls ``generate`` at
+    every point. Each point is a new, fully checked ``RunSet``.
+    """
+    if field == "fixed":
+        random = generate(replace(base, fixed=0))
+        # a copy: a view of one row would keep the whole fixed=runs run set alive
+        stable_row = generate(replace(base, fixed=base.runs)).matrix[0].copy()
+        for x in grid:
+            stable = np.broadcast_to(stable_row, (x, base.t))
+            # passed unbound, so no second matrix stays alive between points
+            yield RunSet(random.kind, np.concatenate([stable, random.matrix[x:]]), random.k)
+    elif field == "lam":
+        anchor = generate(replace(base, lam=0.0))
+        core0, block0 = _slots(base.k, base.overlap, 0.0)
+        for x in grid:
+            core, block = _slots(base.k, base.overlap, x)
+            table = np.zeros(base.k + 1, dtype=np.int64)  # 0 (unranked) stays 0
+            table[core0 + 1], table[block0 + 1] = core + 1, block + 1
+            yield RunSet(anchor.kind, table[anchor.matrix], anchor.k)
+    else:
+        for x in grid:
+            yield generate(replace(base, **{field: x}))

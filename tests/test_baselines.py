@@ -300,7 +300,7 @@ class TestGram:
     @pytest.mark.parametrize("t, k, runs", [(300, 90, 40), (20000, 15000, 8)])
     def test_float32_gram_equals_float64_gram(self, t, k, runs):
         rs = random_masks(t, t, k, runs)
-        gram = baselines._gram(rs)
+        gram = baselines._gram(rs.kind, rs.matrix)
         assert gram.dtype == np.float32
         m = rs.matrix.astype(np.float64)
         np.testing.assert_array_equal(gram, m @ m.T)
@@ -310,20 +310,20 @@ class TestGram:
         rs = random_masks(5, 300, 90, 40)
         expected = {m: similarity_matrix(rs, m) for m in ("kuncheva", "jaccard")}
         monkeypatch.setattr(baselines, "_FLOAT32_EXACT", rs.t + limit)
-        assert baselines._gram(rs).dtype == dtype
+        assert baselines._gram(rs.kind, rs.matrix).dtype == dtype
         for metric, want in expected.items():
             np.testing.assert_array_equal(similarity_matrix(rs, metric), want)
 
     def test_rankings_stay_float64(self, full_run_set):
-        assert baselines._gram(full_run_set).dtype == np.float64
+        assert baselines._gram(full_run_set.kind, full_run_set.matrix).dtype == np.float64
 
     @pytest.mark.parametrize("kind", ["topk", "full"])
     @pytest.mark.parametrize("block", ["one", "runs", "7 runs"])
     def test_feature_blocks_leave_the_gram_unchanged(self, monkeypatch, kind, block):
         rs = random_masks(6, 300, 90, 40) if kind == "topk" else random_rankings(6, 300, 40)
-        want = baselines._gram(rs)
+        want = baselines._gram(rs.kind, rs.matrix)
         monkeypatch.setattr(baselines, "_GRAM_BLOCK", {"one": 1, "runs": 40, "7 runs": 280}[block])
-        got = baselines._gram(rs)
+        got = baselines._gram(rs.kind, rs.matrix)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
 
@@ -337,7 +337,7 @@ class TestGram:
         runs, t = rs.matrix.shape
         tracemalloc.start()
         try:
-            baselines._gram(rs)
+            baselines._gram(rs.kind, rs.matrix)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
