@@ -8,7 +8,9 @@ fig6 and fig7 sweep ``lam`` and ``q`` over ``0, 0.1, ..., 1``.
 fig4, fig5 and fig6 compose their 11 run sets from anchor run sets, two
 generator calls for fig4 and fig5 and one for fig6 (``synth._curve``); fig7
 calls its generator at every point. Each point equals the generator's own
-run set at that knob, so the curves are those of one call per point.
+run set at that knob, so the curves are those of one call per point. fig6
+and fig7 score the masks of their first point only: the selected sets do
+not move with ``lam`` or ``q``.
 """
 
 from __future__ import annotations
@@ -31,19 +33,11 @@ EXPERIMENT_NAMES = ("fig4", "fig5", "fig6", "fig7")
 
 
 def _scores(rs: RunSet, metric: str) -> dict:
-    """The stability score next to the mean pairwise ``metric`` of one run set.
-
-    A partial run set is scored twice, as partial rankings and as the masks
-    of its selected sets, and its baseline is taken on the masks.
-    """
-    if rs.kind != "partial":
-        return {"s_js": js_stability(rs).s_js, f"phi_{metric}": pairwise_stability(rs, metric).phi}
-    masks = rs.to_topk()
-    return {
-        "s_js_partial": js_stability(rs).s_js,
-        "s_js_topk": js_stability(masks).s_js,
-        f"phi_{metric}": pairwise_stability(masks, metric).phi,
-    }
+    """The stability score next to the mean pairwise ``metric`` of one run set;
+    a partial run set gets only its score as partial rankings."""
+    if rs.kind == "partial":
+        return {"s_js_partial": js_stability(rs).s_js}
+    return {"s_js": js_stability(rs).s_js, f"phi_{metric}": pairwise_stability(rs, metric).phi}
 
 
 def run_experiment(
@@ -89,7 +83,12 @@ def run_experiment(
     # pages sat at the top of the heap and went back to the OS, to be faulted
     # in again by the next run set (57% more minor page faults over the four
     # presets at the paper shape, with glibc malloc).
-    curve = []
+    curve, masks = [], {}
     for x, rs in zip(grid, _curve(generate, base, field, grid)):
-        curve.append({column: x, **_scores(rs, metric)})
+        if rs.kind == "partial" and not masks:  # the same selected sets at every point
+            topk = rs.to_topk()
+            masks = {"s_js_topk": js_stability(topk).s_js}
+            masks[f"phi_{metric}"] = pairwise_stability(topk, metric).phi
+            del topk  # not held for the rest of the curve
+        curve.append({column: x, **_scores(rs, metric), **masks})
     return curve

@@ -9,7 +9,9 @@ K x t matrix, in one of three kinds:
 * ``topk``    -- a 0/1 mask marking the k selected features.
 
 ``RunSet.to_topk`` turns rankings into masks, and ``row_violations`` is the
-one validator: it names the first violated invariant of every row.
+one validator: it names the first violated invariant of every row. The
+public ``RunSet(...)`` runs it on every row and keeps its own copy; run sets
+that stabrank builds itself skip both through ``RunSet._trusted``.
 
 Feature identity is positional (index 0..t-1). Ties are not representable:
 rankings must be strict permutations.
@@ -150,14 +152,10 @@ class RunSet:
 
     ``matrix`` holds one list per row (shape K x t): ranks for full/partial
     kinds (0 = unranked), 0/1 flags for the topk kind. The matrix is
-    C-contiguous and frozen after validation, so instances are safe to
-    share between threads.
+    C-contiguous and frozen, so instances are safe to share between threads.
 
-    A ``RunSet`` never takes over a caller's array. An input that the int64
-    cast returns as it is, or as a view of the caller's memory, is copied,
-    so the caller's array stays writable and independent. Only an array the
-    cast has just built (from a list, or from another dtype, such as the
-    boolean mask ``to_topk`` passes) is kept, and frozen, without a copy.
+    ``RunSet(...)`` checks every row and keeps its own int64 copy, so the
+    caller's array stays writable and independent.
     """
 
     kind: str
@@ -167,9 +165,7 @@ class RunSet:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}, expected one of {KINDS}")
-        m = _int64(self.matrix)
-        if m is self.matrix or not (m.flags.owndata and m.flags.c_contiguous):
-            m = m.copy(order="C")  # frozen below: never the caller's memory
+        m = _int64(self.matrix).copy(order="C")  # frozen below: never the caller's memory
         if m.ndim != 2:
             raise ValueError("matrix must be 2-dimensional (runs x features)")
         runs, t = m.shape
@@ -195,6 +191,14 @@ class RunSet:
                 raise ValueError(f"run {j}: {problem}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _trusted(cls, kind: str, matrix: np.ndarray, k: int) -> "RunSet":
+        """Adopt a fresh, valid, C-contiguous int64 matrix and an int ``k`` as is; freeze it."""
+        matrix.setflags(write=False)
+        run_set = object.__new__(cls)
+        vars(run_set).update(kind=kind, matrix=matrix, k=k)
+        return run_set
 
     @property
     def runs(self) -> int:
@@ -224,5 +228,5 @@ class RunSet:
                 raise ValueError("converting full rankings to masks requires k")
             if not 1 <= k <= self.t:
                 raise ValueError(f"k={k} out of range 1..{self.t}")
-            return RunSet("topk", self.matrix <= k, k)
-        return RunSet("topk", self.matrix != 0, self.k)
+            return RunSet._trusted("topk", (self.matrix <= k).astype(np.int64), k)
+        return RunSet._trusted("topk", (self.matrix != 0).astype(np.int64), self.k)

@@ -83,12 +83,11 @@ def distance_matrix(
     distance, identical lists sit at 0 and disjoint masks at sqrt(ln 2).
     Two masks that share o of their k features are at
     ``sqrt((k - o) * (1/k) * ln 2)``, with o read from the Gram matrix of
-    all the lists, stacked with no second check; this equals the
-    ``js_pair`` value bit for bit. Full and
+    all the lists; this equals the ``js_pair`` value bit for bit. Full and
     partial rankings call ``js_pair`` on each pair of probability vectors.
-    A ``one-minus-*`` distance is ``1 - similarity_matrix`` of all the lists
-    stacked into one run set, clamped at 0; its metric must apply to their
-    kind (``MetricMismatchError`` otherwise).
+    A ``one-minus-*`` distance is ``1 - similarity_matrix`` of all the lists,
+    clamped at 0; its metric must apply to their kind (``MetricMismatchError``
+    otherwise). The stacked lists are not checked a second time.
     """
     if distance not in DISTANCES:
         raise ValueError(f"unknown distance {distance!r}, expected one of {DISTANCES}")
@@ -105,7 +104,7 @@ def distance_matrix(
     if distance != "sqrt-js" or kind == "topk":
         stacked = np.vstack([rs.matrix for _, rs in labeled_run_sets])
         if distance != "sqrt-js":
-            rows = RunSet(kind, stacked, k)
+            rows = RunSet._trusted(kind, stacked, k)
             similarity = similarity_matrix(rows, distance.removeprefix("one-minus-"))
             return DistanceMatrix(np.maximum(0.0, 1.0 - similarity), labels)
         # js_pair fsums k - o equal terms fl(1/k) * fl(ln 2), which is their

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lists import KINDS, RunSet, row_violations
+from .lists import RunSet, row_violations
 
 
 class RunSetParseError(ValueError):
@@ -213,8 +213,6 @@ def load_runset(path) -> RunSet:
 
 def serialize_runset(run_set: RunSet) -> str:
     """Canonical text form of a run set (inverse of ``parse_runset``)."""
-    if run_set.kind not in KINDS:
-        raise ValueError(f"unknown kind {run_set.kind!r}")
     lines = [
         f"#stabrank v1 kind={run_set.kind} t={run_set.t} k={run_set.k} K={run_set.runs}"
     ]

@@ -105,7 +105,7 @@ def gen_ranking_family(cfg: ExperimentConfig) -> RunSet:
     rows[: cfg.fixed] = fixed_row
     for j in range(cfg.fixed, cfg.runs):
         rows[j] = per_run[j].permutation(cfg.t) + 1
-    return RunSet("full", rows)
+    return RunSet._trusted("full", rows, cfg.t)
 
 
 def gen_subset_family(cfg: ExperimentConfig) -> RunSet:
@@ -146,7 +146,7 @@ def gen_overlap_family(cfg: ExperimentConfig) -> RunSet:
         drawn = rng.choice(pool, size=extra, replace=False)
         rows[j, rng.permutation(core)] = core_slots + 1
         rows[j, rng.permutation(drawn)] = block + 1
-    return RunSet("partial", rows, cfg.k)
+    return RunSet._trusted("partial", rows, cfg.k)
 
 
 def _slots(k: int, overlap: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -170,7 +170,7 @@ def gen_rank_shuffle_family(cfg: ExperimentConfig) -> RunSet:
             positions = rng.choice(cfg.k, size=redraw, replace=False)
             ranks[positions] = ranks[positions][rng.permutation(redraw)]
         rows[j, features] = ranks
-    return RunSet("partial", rows, cfg.k)
+    return RunSet._trusted("partial", rows, cfg.k)
 
 
 def _curve(
@@ -182,16 +182,16 @@ def _curve(
     ``fixed=0`` and ``fixed=runs`` and every point stacks rows of the two;
     over ``lam`` (overlap family) it runs at ``lam=0`` and every point
     relabels that run set's ranks. Any other field calls ``generate`` at
-    every point. Each point is a new, fully checked ``RunSet``.
+    every point. Each point owns a new matrix, adopted unchecked.
     """
     if field == "fixed":
         random = generate(replace(base, fixed=0))
         # a copy: a view of one row would keep the whole fixed=runs run set alive
         stable_row = generate(replace(base, fixed=base.runs)).matrix[0].copy()
         for x in grid:
-            stable = np.broadcast_to(stable_row, (x, base.t))
-            # passed unbound, so no second matrix stays alive between points
-            yield RunSet(random.kind, np.concatenate([stable, random.matrix[x:]]), random.k)
+            matrix = random.matrix.copy()  # C order, as the generators' own
+            matrix[:x] = stable_row
+            yield RunSet._trusted(random.kind, matrix, random.k)
     elif field == "lam":
         anchor = generate(replace(base, lam=0.0))
         core0, block0 = _slots(base.k, base.overlap, 0.0)
@@ -199,7 +199,7 @@ def _curve(
             core, block = _slots(base.k, base.overlap, x)
             table = np.zeros(base.k + 1, dtype=np.int64)  # 0 (unranked) stays 0
             table[core0 + 1], table[block0 + 1] = core + 1, block + 1
-            yield RunSet(anchor.kind, table[anchor.matrix], anchor.k)
+            yield RunSet._trusted(anchor.kind, table[anchor.matrix], anchor.k)
     else:
         for x in grid:
             yield generate(replace(base, **{field: x}))

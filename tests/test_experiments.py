@@ -109,10 +109,10 @@ def swept_run_sets(name, seed, shape):
 
 
 @st.composite
-def sweeps(draw):
-    """A preset, a seed and a small shape valid for it; fig6 keeps
+def sweeps(draw, names=EXPERIMENT_NAMES):
+    """One of ``names``, a seed and a small shape valid for it; fig6 keeps
     ``t - k >= k - overlap`` so that its pool is not exhausted."""
-    name = draw(st.sampled_from(EXPERIMENT_NAMES))
+    name = draw(st.sampled_from(names))
     seed = draw(st.integers(0, 2**32))
     runs = draw(st.integers(2, 14))
     k = draw(st.integers(2, 12))
@@ -152,6 +152,18 @@ def assert_points_are_generator_calls(name, seed, shape):
         want = generate(replace(base, **{field: x}))
         assert (rs.kind, rs.k) == (want.kind, want.k)
         np.testing.assert_array_equal(rs.matrix, want.matrix)
+
+
+@settings(max_examples=40)
+@given(sweeps(names=("fig6", "fig7")))
+@example(("fig6", 5, dict(t=20, k=12, runs=4, overlap=4)))
+@example(("fig7", 6, dict(t=20, k=1, runs=3)))
+def test_selected_sets_do_not_move_along_a_partial_curve(case):
+    """What lets fig6 and fig7 score the masks of their first point only."""
+    _, run_sets = swept_run_sets(*case)
+    first = run_sets[0].to_topk().matrix
+    for rs in run_sets[1:]:
+        np.testing.assert_array_equal(rs.to_topk().matrix, first)
 
 
 @pytest.mark.parametrize(
