@@ -11,7 +11,7 @@ K x t matrix, in one of three kinds:
 ``RunSet.to_topk`` turns rankings into masks, and ``row_violations`` is the
 one validator: it names the first violated invariant of every row. The
 public ``RunSet(...)`` runs it on every row and keeps its own copy; run sets
-that stabrank builds itself skip both through ``RunSet._trusted``.
+that stabrank builds, or has just parsed, skip both via ``RunSet._trusted``.
 
 Feature identity is positional (index 0..t-1). Ties are not representable:
 rankings must be strict permutations.
@@ -94,19 +94,20 @@ def _validate_permutation(values: Sequence[int], n: int) -> str | None:
     return None
 
 
-def _int64(values) -> np.ndarray:
+def _int64(values, copy: bool = False) -> np.ndarray:
     """``values`` as an int64 array, refusing any entry the cast would change.
 
-    An int64 array is returned as it is; other integer and bool arrays that
-    fit int64 are cast with no extra pass. Otherwise every entry must be an
-    integer, or an integral finite float, within the int64 range: strings,
-    complex numbers, NaN, fractions and Python ints beyond int64 are
-    refused. The first refused entry raises a ``ValueError`` that names it
-    and, in a 2-D matrix, its run (row).
+    An int64 array is returned as it is, or with ``copy`` as a new C-ordered
+    one; anything else is cast, or read, into a new array in one step. Every
+    entry must be an integer, or an integral finite float, within the int64
+    range: strings, complex numbers, NaN, fractions and Python ints beyond
+    int64 are refused. The first refused entry raises a ``ValueError`` that
+    names it and, in a 2-D matrix, its run (row).
     """
-    m = np.asarray(values)
+    given = isinstance(values, np.ndarray)
+    m = np.asarray(values) if given or not copy else np.array(values)  # np.array copies buffers
     if np.can_cast(m.dtype, np.int64):
-        return m.astype(np.int64, copy=False)
+        return m.astype(np.int64, order="C" if copy else "K", copy=copy and given)
     if m.dtype.kind == "u":
         exact = m <= np.iinfo(np.int64).max
     elif m.dtype.kind == "f":
@@ -116,8 +117,8 @@ def _int64(values) -> np.ndarray:
     else:
         exact = np.zeros(m.shape, dtype=bool)
     if exact.all():
-        return m.astype(np.int64)
-    if m.dtype.kind == "f" and not isinstance(values, np.ndarray):
+        return m.astype(np.int64, order="C")
+    if m.dtype.kind == "f" and not given:
         # asarray may have rounded Python ints to floats: recheck every entry
         # as given, so an int is judged, and named, as itself
         return _int64(np.asarray(values, dtype=object))
@@ -136,8 +137,7 @@ def _is_int64(v) -> bool:
 
 
 def _exact_int(value, name: str) -> int:
-    """``value`` as an int; bools, floats and other non-integers raise a
-    ``TypeError`` that names the argument."""
+    """``value`` as an int; a bool, float or other non-integer raises a ``TypeError`` naming it."""
     if not isinstance(value, (bool, np.bool_)):
         try:
             return operator.index(value)
@@ -151,11 +151,10 @@ class RunSet:
     """K same-shaped lists from K runs of one algorithm.
 
     ``matrix`` holds one list per row (shape K x t): ranks for full/partial
-    kinds (0 = unranked), 0/1 flags for the topk kind. The matrix is
-    C-contiguous and frozen, so instances are safe to share between threads.
-
-    ``RunSet(...)`` checks every row and keeps its own int64 copy, so the
-    caller's array stays writable and independent.
+    kinds (0 = unranked), 0/1 flags for the topk kind. ``RunSet(...)``
+    checks every row and keeps its own C-contiguous int64 copy, frozen, so
+    instances are safe to share between threads and the caller's array
+    stays writable and independent.
     """
 
     kind: str
@@ -165,7 +164,7 @@ class RunSet:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}, expected one of {KINDS}")
-        m = _int64(self.matrix).copy(order="C")  # frozen below: never the caller's memory
+        m = _int64(self.matrix, copy=True)  # frozen below: never the caller's memory
         if m.ndim != 2:
             raise ValueError("matrix must be 2-dimensional (runs x features)")
         runs, t = m.shape
@@ -223,10 +222,11 @@ class RunSet:
                 raise ValueError(f"{self.kind} run sets keep their own k={self.k}, got k={k}")
         if self.kind == "topk":
             return self
+        mask = np.empty_like(self.matrix)
         if self.kind == "full":
             if k is None:
                 raise ValueError("converting full rankings to masks requires k")
             if not 1 <= k <= self.t:
                 raise ValueError(f"k={k} out of range 1..{self.t}")
-            return RunSet._trusted("topk", (self.matrix <= k).astype(np.int64), k)
-        return RunSet._trusted("topk", (self.matrix != 0).astype(np.int64), self.k)
+            return RunSet._trusted("topk", np.less_equal(self.matrix, k, out=mask), k)
+        return RunSet._trusted("topk", np.not_equal(self.matrix, 0, out=mask), self.k)

@@ -148,8 +148,9 @@ def _scan_cells(lines: list[str], first_line: int, runs: int) -> np.ndarray:
 def read_columns(text: str) -> tuple[RunSetFileHeader, np.ndarray]:
     """Parse header and body; returns the (K, t) matrix with runs as rows.
 
-    The body is tokenized ``_BLOCK_LINES`` lines at a time into one
-    preallocated matrix, so the tokenizer's copies stay the size of a block.
+    The body is tokenized ``_BLOCK_LINES`` lines at a time, each block
+    written transposed into one preallocated C-ordered int64 matrix (the
+    layout ``RunSet`` keeps), so the tokenizer's copies stay block-sized.
     Raises ``RunSetParseError`` for structural problems, naming the first
     bad line; per-column invariant checking is up to the caller (see
     ``column_violations``).
@@ -171,9 +172,9 @@ def read_columns(text: str) -> tuple[RunSetFileHeader, np.ndarray]:
         if matrix is None:
             # allocated only once a block has shown K columns, so a header that
             # overstates K fails the column check instead of a huge allocation
-            matrix = np.empty((header.t, header.runs), dtype=np.int64)
-        matrix[start - 1:start - 1 + len(block)] = block
-    return header, matrix.T
+            matrix = np.empty((header.runs, header.t), dtype=np.int64)
+        matrix[:, start - 1:start - 1 + len(block)] = block.T
+    return header, matrix
 
 
 def column_violations(header: RunSetFileHeader, runs_matrix: np.ndarray) -> list[str | None]:
@@ -186,16 +187,15 @@ def parse_runset(text: str) -> RunSet:
 
     Structural problems raise ``RunSetParseError``; invariant violations
     and a single run raise ``RunSetValidationError`` (the first offending
-    column is named).
+    column is named). No row is checked twice, and the matrix is not copied.
     """
     header, matrix = read_columns(text)
-    problems = column_violations(header, matrix)
-    for col, problem in enumerate(problems):
+    for col, problem in enumerate(column_violations(header, matrix)):
         if problem is not None:
             raise RunSetValidationError(f"column {col + 1}: {problem}")
     if header.runs < 2:
         raise RunSetValidationError(f"a run set needs at least 2 lists, got {header.runs}")
-    return RunSet(header.kind, matrix, header.k)
+    return RunSet._trusted(header.kind, matrix, header.k)
 
 
 def read_text(path) -> str:

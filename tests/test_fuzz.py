@@ -1,9 +1,11 @@
 """Fuzzed input contract: the bulk cell check against the per-cell reference,
 blocked file reads against one-block reads, and the command line on
-arbitrary and near-valid file bytes."""
+arbitrary and near-valid file bytes, where ``validate`` and ``stability``
+reach one verdict."""
 
 import contextlib
 import io
+import re
 import traceback
 import warnings
 from unittest import mock
@@ -12,7 +14,14 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stabrank import RunSetParseError, RunSetValidationError, parse_runset, serialize_runset
+from stabrank import (
+    DegenerateNormalizerError,
+    RunSetParseError,
+    RunSetValidationError,
+    normalizer,
+    parse_runset,
+    serialize_runset,
+)
 from stabrank.cli import main
 from stabrank import runset_io
 from stabrank.runset_io import _bulk_cells, _scan_cells, read_cells, read_columns
@@ -114,6 +123,21 @@ def run_set_texts(draw):
     return text, pristine
 
 
+@st.composite
+def near_valid_texts(draw):
+    """A ``run_set_texts`` text, or a pristine one with one data cell set to a
+    small integer, which may break that column's invariant but not the grammar."""
+    text, pristine = draw(run_set_texts())
+    if pristine and draw(st.booleans()):
+        lines = text.split("\n")
+        row = draw(st.integers(1, len(lines) - 2))  # a data line: not the header or the end
+        cells = lines[row].split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = str(draw(st.integers(-1, 7)))
+        lines[row] = ",".join(cells)
+        text = "\n".join(lines)
+    return text
+
+
 file_bytes = st.binary(max_size=80) | run_set_texts().map(lambda drawn: drawn[0].encode())
 
 
@@ -170,3 +194,45 @@ def test_blocks_of_lines_read_like_one_block(drawn, block_lines):
     whole = _columns_outcome(text)
     with mock.patch.object(runset_io, "_BLOCK_LINES", block_lines):
         assert _columns_outcome(text) == whole
+
+
+def _command(argv):
+    """(exit code, stdout, stderr) of one ``stabrank`` command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=near_valid_texts())
+def test_validate_and_stability_reach_one_verdict(text, tmp_path, monkeypatch):
+    """The two commands that read a file through ``read_columns`` agree: the
+    same parse error, the same first bad column, the same run count check,
+    and VALID exactly when ``stability`` scores the file. The one valid file
+    it cannot score is a shape whose random baseline is zero (exit 5)."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.csv").write_bytes(text.encode())
+    code, out, err = _command(["validate", "in.csv"])
+    scored = _command(["stability", "in.csv"])
+    if code == 2:
+        assert scored == (2, "", err)
+        return
+    valid = re.fullmatch(r"in\.csv: VALID kind=(\w+) t=(\d+) k=(\d+) K=\d+", out.splitlines()[-1])
+    if valid:
+        try:
+            normalizer(valid[1], int(valid[2]), int(valid[3]))
+        except DegenerateNormalizerError:
+            assert scored[0] == 5 and scored[2].startswith("error: random-baseline divergence is 0")
+        else:
+            assert scored[0] == 0 and scored[2] == ""
+        return
+    assert code == 3
+    columns = [re.fullmatch(r"column (\d+): (.*)", line) for line in out.splitlines()[:-1]]
+    first_bad = next((c for c in columns if c[2] != "ok"), None)
+    if first_bad is None:
+        assert out.endswith("in.csv: INVALID (a run set needs at least 2 lists)\n")
+        message = "a run set needs at least 2 lists, got 1"
+    else:
+        message = f"column {first_bad[1]}: {first_bad[2]}"
+    assert scored == (3, "", f"validation error: {message}\n")

@@ -220,6 +220,58 @@ class TestRunSet:
         given[0, 0] = 99
         assert rs.matrix.tolist() == expected
 
+    @pytest.mark.parametrize(
+        "given",
+        [
+            lambda a: a.astype(bool),
+            lambda a: a.astype(np.int32),
+            lambda a: a.tolist(),
+            lambda a: memoryview(a),  # np.asarray of a buffer shares its memory
+        ],
+        ids=["bool", "int32", "list", "memoryview"],
+    )
+    def test_callers_input_of_any_type_stays_independent(self, given):
+        data = given(np.array(EXAMPLE_MASKS, dtype=np.int64))
+        rs = RunSet("topk", data, EXAMPLE_K)
+        assert rs.matrix.flags.c_contiguous and not rs.matrix.flags.writeable
+        if isinstance(data, list):
+            data[0][0] ^= 1
+        else:
+            np.asarray(data)[0, 0] ^= 1  # raises if the caller's memory was frozen
+        assert rs.matrix.tolist() == [list(row) for row in EXAMPLE_MASKS]
+
+    @pytest.mark.parametrize("given", [np.bool_, np.int32, list], ids=["bool", "int32", "list"])
+    def test_public_constructor_casts_and_copies_in_one_step(self, given):
+        """Peak memory of ``RunSet(...)`` on a mask that is not int64 yet:
+        the cast is the copy, so about one int64 matrix."""
+        mask = np.tile(np.arange(5000) < 1500, (200, 1))
+        np.random.default_rng(6).permuted(mask, axis=1, out=mask)
+        data = mask.astype(int).tolist() if given is list else mask.astype(given)
+        tracemalloc.start()
+        try:
+            RunSet("topk", data, 1500)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * mask.size * 8
+
+    @settings(max_examples=100)
+    @given(st.integers(1, 12).flatmap(lambda t: st.tuples(
+        st.lists(st.permutations(range(1, t + 1)), min_size=2, max_size=4),
+        st.integers(1, t),
+    )))
+    def test_to_topk_equals_the_two_pass_mask(self, drawn):
+        ranks, k = drawn
+        full = RunSet("full", ranks)
+        partial = RunSet("partial", truncate(ranks, k), k)
+        for masks, expected in [
+            (full.to_topk(k).matrix, (full.matrix <= k).astype(np.int64)),
+            (partial.to_topk().matrix, (partial.matrix != 0).astype(np.int64)),
+        ]:
+            np.testing.assert_array_equal(masks, expected)
+            assert masks.dtype == np.int64 and masks.flags.c_contiguous
+            assert not masks.flags.writeable
+
     def test_to_topk_peaks_near_one_int64_mask_matrix(self):
         m = np.tile(np.arange(1, 5001), (200, 1))
         np.random.default_rng(4).permuted(m, axis=1, out=m)

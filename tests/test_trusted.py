@@ -1,11 +1,16 @@
 """Rows are checked once, where they enter.
 
-Outside input (the public ``RunSet(...)`` and ``parse_runset``) is checked and
-copied; the run sets stabrank builds itself come through ``RunSet._trusted``
-with no check. The property below holds every such builder to the check it
-skips, and the other tests pin where the boundary lies.
+Outside input is checked and copied: an array by the public ``RunSet(...)``,
+a file by ``parse_runset``, which checks its columns once and adopts the
+matrix it parsed through ``RunSet._trusted``. The run sets stabrank builds
+itself come through ``RunSet._trusted`` with no check. The properties below
+hold every such builder, and the parser, to the public constructor, and the
+other tests pin where the boundary lies.
 """
 
+import ast
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +24,8 @@ from stabrank import (
     EXPERIMENT_NAMES,
     ExperimentConfig,
     RunSet,
+    RunSetParseError,
+    RunSetValidationError,
     gen_overlap_family,
     gen_ranking_family,
     gen_rank_shuffle_family,
@@ -28,6 +35,9 @@ from stabrank import (
     run_experiment,
     serialize_runset,
 )
+from stabrank import runset_io
+from stabrank.runset_io import read_columns
+from test_fuzz import near_valid_texts
 
 FAMILIES = (gen_ranking_family, gen_subset_family, gen_overlap_family, gen_rank_shuffle_family)
 SOURCE = Path(stabrank.__file__).resolve().parent
@@ -122,9 +132,56 @@ def test_every_run_set_stabrank_builds_passes_the_public_check(case):
             assert_passes_the_public_check(rs.to_topk(k if rs.kind == "full" else None))
 
 
+# (module, function) of every call of ``RunSet._trusted`` under src/
+TRUSTED_CALLERS = {
+    ("lists.py", "to_topk"),
+    ("synth.py", "gen_ranking_family"),
+    ("synth.py", "gen_overlap_family"),
+    ("synth.py", "gen_rank_shuffle_family"),
+    ("synth.py", "_curve"),
+    ("mds.py", "distance_matrix"),
+    ("runset_io.py", "parse_runset"),
+}
+
+
+def calls_by_function(module: str, name: str) -> dict[str, list[tuple[int, int]]]:
+    """Where ``module`` calls ``name`` (as ``name(...)`` or ``x.name(...)``):
+    (line, column) of each call, keyed by the innermost enclosing function."""
+    found: dict[str, list[tuple[int, int]]] = {}
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                called = child.func
+                if getattr(called, "attr", getattr(called, "id", None)) == name:
+                    found.setdefault(function, []).append((child.lineno, child.col_offset))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else function)
+
+    visit(ast.parse((SOURCE / module).read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_only_stabrank_s_own_builders_adopt_a_matrix_unchecked():
+    found = {
+        (path.name, function)
+        for path in SOURCE.glob("*.py")
+        for function in calls_by_function(path.name, "_trusted")
+    }
+    assert found == TRUSTED_CALLERS
+
+
 @pytest.mark.parametrize("module", ["runset_io.py", "cli.py"])
 def test_file_and_cli_input_never_skips_the_check(module):
-    assert "_trusted" not in (SOURCE / module).read_text(encoding="utf-8")
+    """File input reaches ``RunSet._trusted`` only in ``parse_runset``, after
+    its column check; the command layer never names it."""
+    if module == "cli.py":
+        assert "_trusted" not in (SOURCE / module).read_text(encoding="utf-8")
+        return
+    trusted = calls_by_function(module, "_trusted")
+    assert set(trusted) == {"parse_runset"}
+    checks = calls_by_function(module, "column_violations")["parse_runset"]
+    assert min(checks) < min(trusted["parse_runset"])
 
 
 @pytest.fixture
@@ -152,10 +209,82 @@ def test_a_sweep_makes_no_public_construction(name, public_constructions):
     "family, knobs",
     [(gen_ranking_family, {}), (gen_subset_family, {}), (gen_overlap_family, dict(overlap=4))],
 )
-def test_a_parsed_file_is_constructed_once(family, knobs, public_constructions):
+def test_a_parsed_file_is_constructed_once(family, knobs, public_constructions, monkeypatch):
+    """One column check per file, and no public construction to check it again."""
+    checks = []
+    column_violations = runset_io.column_violations
+
+    def counting(header, matrix):
+        checks.append(header.kind)
+        return column_violations(header, matrix)
+
+    monkeypatch.setattr(runset_io, "column_violations", counting)
     rs = family(config(t=30, k=8, runs=5, **knobs))
-    text = serialize_runset(rs)
+    parsed = parse_runset(serialize_runset(rs))
     assert public_constructions == []
-    parsed = parse_runset(text)
-    assert public_constructions == [rs.kind]
+    assert checks == [rs.kind]
     np.testing.assert_array_equal(parsed.matrix, rs.matrix)
+
+
+def _verdict(build):
+    """What ``build()`` returns, or the ``ValueError`` it raises."""
+    try:
+        return build()
+    except ValueError as exc:
+        return exc
+
+
+@settings(max_examples=300)
+@given(near_valid_texts())
+@example("#stabrank v1 kind=full t=3 k=3 K=2\n1,2\n2,2\n3,1\n")  # column 2: duplicate rank 2
+@example("#stabrank v1 kind=topk t=3 k=1 K=1\n1\n1\n0\n")  # K=1 and a bad column
+@example("#stabrank v1 kind=partial t=3 k=2 K=1\n1\n0\n2\n")  # K=1, a valid column
+def test_parse_runset_agrees_with_the_public_constructor(text):
+    """``parse_runset(text)`` is ``RunSet(kind, read_columns(text)[1], k)``:
+    the same run set, or the same message with ``column j+1`` for ``run j``."""
+    parsed = _verdict(lambda: parse_runset(text))
+    try:
+        header, matrix = read_columns(text)
+    except RunSetParseError as exc:
+        assert type(parsed) is RunSetParseError and str(parsed) == str(exc)
+        return
+    public = _verdict(lambda: RunSet(header.kind, matrix, header.k))
+    if isinstance(public, RunSet):
+        assert isinstance(parsed, RunSet)
+        assert (parsed.kind, parsed.k) == (public.kind, public.k)
+        np.testing.assert_array_equal(parsed.matrix, public.matrix)
+        assert parsed.matrix.flags.c_contiguous and not parsed.matrix.flags.writeable
+        return
+    assert type(parsed) is RunSetValidationError
+    bad_run = re.fullmatch(r"run (\d+): (.*)", str(public))
+    if bad_run:
+        assert str(parsed) == f"column {int(bad_run[1]) + 1}: {bad_run[2]}"
+        return
+    # the one ordering difference: with K=1 the constructor names the run
+    # count first, the parser the bad column; doubling the column shows it
+    assert header.runs == 1 and str(public) == "a run set needs at least 2 lists, got 1"
+    doubled = _verdict(lambda: RunSet(header.kind, np.repeat(matrix, 2, axis=0), header.k))
+    if isinstance(doubled, RunSet):
+        assert str(parsed) == str(public)
+    else:
+        assert str(doubled).startswith("run 0: ")
+        assert str(parsed) == "column 1: " + str(doubled).removeprefix("run 0: ")
+
+
+@pytest.mark.parametrize("kind, bound", [("full", 2.5), ("partial", 2.5), ("topk", 1.9)])
+def test_parse_runset_peaks_below_its_bound(kind, bound):
+    """Peak memory of one parse, in int64 K x t matrices: the line list, one
+    matrix and one column check, with no second check and no copy."""
+    runs, t, k = 200, 5000, 1500
+    ranks = np.tile(np.arange(1, t + 1), (runs, 1))
+    np.random.default_rng(5).permuted(ranks, axis=1, out=ranks)
+    matrix = {"full": ranks, "partial": np.where(ranks <= k, ranks, 0), "topk": ranks <= k}[kind]
+    text = serialize_runset(RunSet(kind, matrix, t if kind == "full" else k))
+    del ranks, matrix
+    tracemalloc.start()
+    try:
+        parse_runset(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * runs * t * 8
