@@ -9,8 +9,9 @@ K x t matrix, in one of three kinds:
 * ``topk``    -- a 0/1 mask marking the k selected features.
 
 ``RunSet.to_topk`` turns rankings into masks, and ``row_violations`` is the
-one validator: it names the first violated invariant of every row. The
-public ``RunSet(...)`` runs it on every row and keeps its own copy; run sets
+one validator: it names the first violated invariant of every row, and
+``_shape_problem`` states the shape rules (kind, t, k, K) for every entry
+point. The public ``RunSet(...)`` runs both and keeps its own copy; run sets
 that stabrank builds, or has just parsed, skip both via ``RunSet._trusted``.
 
 Feature identity is positional (index 0..t-1). Ties are not representable:
@@ -33,22 +34,21 @@ def row_violations(kind: str, matrix: np.ndarray, k: int) -> list[str | None]:
 
     Returns one entry per row: ``None`` where the row is valid, otherwise
     its first violated invariant in reading order (e.g. ``"duplicate rank
-    1"``). A ranking row is valid exactly when it sorts to ``t - k`` zeros
+    1"``); a shape that ``_shape_problem`` refuses gives every row its
+    message. A ranking row is valid exactly when it sorts to ``t - k`` zeros
     followed by ``1..k``, and a mask row when it holds only 0/1 with ``k``
     ones; these vectorised checks find the bad rows, and only those are
     scanned for their message by ``_scan``. ``k`` is ignored for full
-    rankings. An entry that is not an exact integer raises ``ValueError``,
-    as it does in ``RunSet``.
+    rankings; for the other kinds a non-integer ``k`` raises ``TypeError``.
+    A matrix that is not 2-D, or an entry that is not an exact integer,
+    raises ``ValueError``, as in ``RunSet``.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}, expected one of {KINDS}")
-    m = _int64(matrix)
+    m = _int64_matrix(matrix)
     runs, t = m.shape
-    if kind == "full":
-        k = t
-    if not 1 <= k <= t:
-        bad = range(runs)
-    elif kind == "topk":
+    k = t if kind == "full" else _exact_int(k, "k")
+    if problem := _shape_problem(kind, t, k):
+        return [problem] * runs
+    if kind == "topk":
         # a negative entry reads as a huge unsigned value, so it fails too
         bad = np.flatnonzero(~((m.view(np.uint64).max(axis=1) <= 1) & (m.sum(axis=1) == k)))
     else:
@@ -60,15 +60,25 @@ def row_violations(kind: str, matrix: np.ndarray, k: int) -> list[str | None]:
     return problems
 
 
-def _scan(kind: str, values: Sequence[int], k: int) -> str | None:
-    """First violated invariant of one list, in reading order, or ``None``."""
-    t = len(values)
+def _shape_problem(kind: str, t: int, k: int, runs: int | None = None) -> str | None:
+    """The first rule that (kind, t, k) and, when given, K = ``runs`` break, or ``None``."""
+    if kind not in KINDS:
+        return f"unknown kind {kind!r}, expected one of {KINDS}"
     if t < 1:
-        return "empty mask" if kind == "topk" else "empty ranking"
-    if kind == "full":
-        return _validate_permutation(values, t)
+        return "lists must contain at least one feature"
+    if kind == "full" and k != t:
+        return f"kind=full requires k == t, got k={k}, t={t}"
     if not 1 <= k <= t:
         return f"k={k} out of range 1..{t}"
+    if runs is not None and runs < 2:
+        return f"a run set needs at least 2 lists, got {runs}"
+    return None
+
+
+def _scan(kind: str, values: Sequence[int], k: int) -> str | None:
+    """First violated invariant of one list of a valid shape, in reading order, or ``None``."""
+    if kind == "full":
+        return _validate_permutation(values, len(values))
     if kind == "topk":
         for v in values:
             if v not in (0, 1):
@@ -129,6 +139,14 @@ def _int64(values, copy: bool = False) -> np.ndarray:
     raise ValueError(f"{run}entry {value!r} is not an int64 integer")
 
 
+def _int64_matrix(values, copy: bool = False) -> np.ndarray:
+    """``_int64`` of a (runs x features) matrix; any other ``ndim`` raises ``ValueError``."""
+    m = _int64(values, copy)
+    if m.ndim != 2:
+        raise ValueError("matrix must be 2-dimensional (runs x features)")
+    return m
+
+
 def _is_int64(v) -> bool:
     """Whether one entry of an object array is an integral number within int64."""
     if not isinstance(v, (int, float, np.integer, np.floating)):
@@ -146,15 +164,18 @@ def _exact_int(value, name: str) -> int:
     raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunSet:
     """K same-shaped lists from K runs of one algorithm.
 
     ``matrix`` holds one list per row (shape K x t): ranks for full/partial
-    kinds (0 = unranked), 0/1 flags for the topk kind. ``RunSet(...)``
-    checks every row and keeps its own C-contiguous int64 copy, frozen, so
-    instances are safe to share between threads and the caller's array
-    stays writable and independent.
+    kinds (0 = unranked), 0/1 flags for the topk kind; an omitted ``k`` is
+    t for full rankings and the nonzero count of row 0 otherwise.
+    ``RunSet(...)`` checks the shape (``_shape_problem``) and every row, and
+    keeps its own C-contiguous int64 copy, frozen, so instances are safe to
+    share between threads and the caller's array stays writable and
+    independent. Instances compare and hash by identity; compare contents
+    with ``a.kind == b.kind and a.k == b.k and np.array_equal(a.matrix, b.matrix)``.
     """
 
     kind: str
@@ -162,29 +183,15 @@ class RunSet:
     k: int = None  # type: ignore[assignment]  # inferred when omitted
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}, expected one of {KINDS}")
-        m = _int64(self.matrix, copy=True)  # frozen below: never the caller's memory
-        if m.ndim != 2:
-            raise ValueError("matrix must be 2-dimensional (runs x features)")
+        m = _int64_matrix(self.matrix, copy=True)  # frozen below: never the caller's memory
         runs, t = m.shape
-        if runs < 2:
-            raise ValueError(f"a run set needs at least 2 lists, got {runs}")
-        if t < 1:
-            raise ValueError("lists must contain at least one feature")
         if self.k is not None:
             k = _exact_int(self.k, "k")
-        elif self.kind == "full":
-            k = t
-        elif self.kind == "topk":
-            k = int(np.sum(m[0] == 1))
-        else:
-            k = int(np.count_nonzero(m[0]))
+        else:  # with no rows there is no k to read: the shape check names the fault
+            k = t if self.kind == "full" or not runs else int(np.count_nonzero(m[0]))
         object.__setattr__(self, "k", k)
-        if self.kind == "full" and k != t:
-            raise ValueError(f"full run sets require k == t, got k={k}, t={t}")
-        if not 1 <= k <= t:
-            raise ValueError(f"k={k} out of range 1..{t}")
+        if problem := _shape_problem(self.kind, t, k, runs):
+            raise ValueError(problem)
         for j, problem in enumerate(row_violations(self.kind, m, k)):
             if problem is not None:
                 raise ValueError(f"run {j}: {problem}")
@@ -226,7 +233,7 @@ class RunSet:
         if self.kind == "full":
             if k is None:
                 raise ValueError("converting full rankings to masks requires k")
-            if not 1 <= k <= self.t:
-                raise ValueError(f"k={k} out of range 1..{self.t}")
+            if problem := _shape_problem("topk", self.t, k):
+                raise ValueError(problem)
             return RunSet._trusted("topk", np.less_equal(self.matrix, k, out=mask), k)
         return RunSet._trusted("topk", np.not_equal(self.matrix, 0, out=mask), self.k)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .baselines import METRIC_KINDS, _gram, similarity_matrix
 from .divergence import js_pair
-from .lists import RunSet
+from .lists import RunSet, _exact_int
 from .probability import run_probabilities
 
 
@@ -37,19 +37,28 @@ class MdsConvergenceError(RuntimeError):
 DISTANCES = ("sqrt-js", *(f"one-minus-{m}" for m in METRIC_KINDS))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """Symmetric non-negative distances with per-point (label, run) tags."""
+    """Symmetric non-negative distances with per-point (label, run) tags.
+
+    The distances must be integers or floats, and no NaN; ``inf`` is kept
+    (``classical_mds`` reports it). Each run tag must be an exact integer.
+    """
 
     d: np.ndarray
     labels: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        d = np.array(self.d, dtype=np.float64)
+        d = np.array(self.d)
+        if d.dtype.kind not in "iuf":
+            raise ValueError(f"distances must be integers or floats, got dtype {d.dtype}")
+        d = d.astype(np.float64, copy=False)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("distance matrix must be square")
         if d.shape[0] != len(self.labels):
             raise ValueError("one label per point required")
+        if np.isnan(d).any():
+            raise ValueError("distance matrix must not contain NaN")
         if not np.allclose(d, d.T, rtol=0, atol=1e-12):
             raise ValueError("distance matrix must be symmetric")
         if np.any(np.diag(d) != 0):
@@ -58,14 +67,15 @@ class DistanceMatrix:
             raise ValueError("distances must be non-negative")
         d.setflags(write=False)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "labels", tuple((str(a), int(b)) for a, b in self.labels))
+        labels = tuple((str(a), _exact_int(b, "run")) for a, b in self.labels)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n(self) -> int:
         return self.d.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Embedding:
     """2D coordinates, the retained (clamped) eigenvalues and the stress."""
 

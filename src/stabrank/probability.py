@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lists import RunSet, _exact_int
+from .lists import RunSet, _exact_int, _shape_problem
 
 
 class DegenerateNormalizerError(ValueError):
@@ -59,23 +59,15 @@ def normalizer(kind: str, t: int, k: int | None = None) -> float:
 
     Raises ``DegenerateNormalizerError`` when the value is zero (topk with
     k = t, or a single-feature ranking), since the stability score divides
-    by it. A ``t`` or ``k`` that is not an integer raises ``TypeError``.
+    by it. A ``t`` or ``k`` that is not an integer raises ``TypeError``, a
+    shape that ``lists._shape_problem`` refuses ``ValueError``.
     """
     t = _exact_int(t, "t")
-    if k is not None:
-        k = _exact_int(k, "k")
-    if kind == "full":
-        if k is None:
-            k = t
-        if k != t:
-            raise ValueError(f"full kind requires k == t, got k={k}, t={t}")
-    elif kind in ("partial", "topk"):
-        if k is None:
-            raise ValueError(f"{kind} kind requires k")
-        if not 1 <= k <= t:
-            raise ValueError(f"k={k} out of range 1..{t}")
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    if k is None and kind in ("partial", "topk"):
+        raise ValueError(f"{kind} kind requires k")
+    k = t if k is None else _exact_int(k, "k")
+    if problem := _shape_problem(kind, t, k):
+        raise ValueError(problem)
 
     if kind == "topk":
         value = math.log(t) - math.log(k)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lists import RunSet, row_violations
+from .lists import RunSet, _shape_problem, row_violations
 
 
 class RunSetParseError(ValueError):
@@ -63,6 +63,8 @@ def _cell_value(cell: str) -> int | None:
 
 
 def parse_header(line: str) -> RunSetFileHeader:
+    """The header's fields. A malformed line, a shape that ``lists._shape_problem``
+    refuses (its message after ``line 1: ``) or K < 1 raises ``RunSetParseError``."""
     match = _HEADER_RE.fullmatch(line)
     t, k, runs = (_cell_value(group) for group in match.groups()[1:]) if match else (None,) * 3
     if None in (t, k, runs):
@@ -70,14 +72,11 @@ def parse_header(line: str) -> RunSetFileHeader:
             "line 1: expected header "
             "'#stabrank v1 kind=<full|partial|topk> t=<int> k=<int> K=<int>'"
         )
-    kind = match.group(1)
-    if t < 1 or k < 1 or runs < 1:
-        raise RunSetParseError("line 1: t, k and K must be positive")
-    if k > t:
-        raise RunSetParseError(f"line 1: k={k} exceeds t={t}")
-    if kind == "full" and k != t:
-        raise RunSetParseError(f"line 1: kind=full requires k == t, got k={k}, t={t}")
-    return RunSetFileHeader(kind, t, k, runs)
+    if problem := _shape_problem(match.group(1), t, k):
+        raise RunSetParseError(f"line 1: {problem}")
+    if runs < 1:
+        raise RunSetParseError("line 1: K must be positive")
+    return RunSetFileHeader(match.group(1), t, k, runs)
 
 
 def read_cells(lines: list[str], first_line: int, runs: int) -> np.ndarray:
@@ -193,8 +192,8 @@ def parse_runset(text: str) -> RunSet:
     for col, problem in enumerate(column_violations(header, matrix)):
         if problem is not None:
             raise RunSetValidationError(f"column {col + 1}: {problem}")
-    if header.runs < 2:
-        raise RunSetValidationError(f"a run set needs at least 2 lists, got {header.runs}")
+    if problem := _shape_problem(header.kind, header.t, header.k, header.runs):
+        raise RunSetValidationError(problem)
     return RunSet._trusted(header.kind, matrix, header.k)
 
 

@@ -35,6 +35,7 @@ how many positions each run draws, so every ``q`` reads its streams anew.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator
 
@@ -58,6 +59,8 @@ class ExperimentConfig:
 
     t, k, runs, seed, fixed and a non-None overlap must be integers; a
     float, a bool or None among them raises ``TypeError`` naming the field.
+    lam and q must be real numbers; a bool, a string or None raises
+    ``TypeError`` the same way.
     """
 
     t: int = 2000
@@ -74,6 +77,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if name != "overlap" or value is not None:
                 object.__setattr__(self, name, _exact_int(value, name))
+        for name in ("lam", "q"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
         if self.t < 1:
             raise ValueError(f"t must be >= 1, got {self.t}")
         if not 1 <= self.k <= self.t:

@@ -9,8 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabrank import RunSet, row_violations
+from stabrank import (
+    KINDS,
+    DegenerateNormalizerError,
+    RunSet,
+    normalizer,
+    parse_runset,
+    row_violations,
+)
 from stabrank.lists import _int64, _scan
+from stabrank.runset_io import parse_header
 from conftest import EXAMPLE_FULL, EXAMPLE_K, EXAMPLE_MASKS, EXAMPLE_PARTIAL
 
 
@@ -76,9 +84,10 @@ class TestValidate:
     )
     @settings(max_examples=300, deadline=None)
     def test_row_violations_match_per_row_scan(self, kind, t, seed, value, data):
-        # valid rows of one kind with one entry overwritten, k one beyond its
-        # range on either side included: the vectorised check flags a row
-        # exactly when the per-row scan finds a problem, with its message
+        # valid rows of one kind with one entry overwritten: the vectorised
+        # check flags a row exactly when the per-row scan finds a problem,
+        # with its message; a k one beyond its range on either side is a
+        # shape problem, named on every row
         k = t if kind == "full" else data.draw(st.integers(0, t + 1))
         rng = np.random.default_rng(seed)
         m = np.array([rng.permutation(t) + 1 for _ in range(3)])
@@ -87,7 +96,87 @@ class TestValidate:
         elif kind == "topk":
             m = (m <= k).astype(np.int64)
         m[data.draw(st.integers(0, 2)), data.draw(st.integers(0, t - 1))] = value
-        assert row_violations(kind, m, k) == [_scan(kind, row.tolist(), k) for row in m]
+        if 1 <= k <= t:
+            assert row_violations(kind, m, k) == [_scan(kind, row.tolist(), k) for row in m]
+        else:
+            assert row_violations(kind, m, k) == [f"k={k} out of range 1..{t}"] * 3
+
+
+def shaped_rows(kind, t, k, runs):
+    """``runs`` copies of one list over t features, valid where (kind, t, k) is a valid shape."""
+    ranks = np.tile(np.arange(1, t + 1), (runs, 1))
+    if kind == "partial":
+        return truncate(ranks, k)
+    return (ranks <= k).astype(np.int64) if kind == "topk" else ranks
+
+
+def message_of(call):
+    """The ``ValueError`` message ``call()`` raises, or ``None`` when it accepts."""
+    try:
+        call()
+    except DegenerateNormalizerError:
+        return None  # a valid shape whose random baseline is 0
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestShapeContract:
+    """Every entry point that checks a shape gives the same verdict, in the same words."""
+
+    @given(
+        st.sampled_from([*KINDS, "ranked"]),
+        st.integers(0, 5),
+        st.integers(0, 6),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_entry_points_agree(self, kind, t, k, runs):
+        # unknown kind, t=0, k=0, k>t, full with k != t and K < 2 all drawn
+        verdicts = {message_of(lambda: normalizer(kind, t, k))}
+        if kind in KINDS:  # the header grammar spells only the three kinds
+            header = message_of(lambda: parse_header(f"#stabrank v1 kind={kind} t={t} k={k} K=2"))
+            verdicts.add(header and header.removeprefix("line 1: "))
+        assert len(verdicts) == 1, verdicts
+        (shape,) = verdicts
+        assert (shape is None) == (kind in KINDS and 1 <= k <= t and (kind != "full" or k == t))
+        # row_violations ignores k for full rankings: it judges the shape (full, t, t)
+        row_k = t if kind == "full" else k
+        row_shape = message_of(lambda: normalizer(kind, t, row_k))
+        assert row_violations(kind, shaped_rows(kind, t, k, 3), k) == [row_shape] * 3
+        # K is known to RunSet and the file parser only, and checked after the shape
+        expected = shape or (f"a run set needs at least 2 lists, got {runs}" if runs < 2 else None)
+        rows = shaped_rows(kind, t, k, runs)
+        assert message_of(lambda: RunSet(kind, rows, k)) == expected
+        if kind in KINDS and runs >= 1:
+            body = "".join(",".join(map(str, column)) + "\n" for column in rows.T.tolist())
+            text = f"#stabrank v1 kind={kind} t={t} k={k} K={runs}\n{body}"
+            in_file = f"line 1: {shape}" if shape else expected
+            assert message_of(lambda: parse_runset(text)) == in_file
+
+    @given(
+        st.sampled_from(["partial", "topk"]),
+        st.one_of(st.booleans(), st.floats(allow_nan=True), st.just(np.float64(2.0))),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_non_integer_k_refused_alike(self, kind, k):
+        rows = shaped_rows(kind, 3, 2, 2)
+        with pytest.raises(TypeError) as by_run_set:
+            RunSet(kind, rows, k)
+        with pytest.raises(TypeError) as by_rows:
+            row_violations(kind, rows, k)
+        assert str(by_rows.value) == str(by_run_set.value) == f"k must be an integer, got {k!r}"
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize(
+        "matrix", [[1, 2, 3], [[[1, 2, 3]], [[3, 2, 1]]], 1], ids=["1d", "3d", "0d"]
+    )
+    def test_non_matrix_refused_alike(self, kind, matrix):
+        message = "matrix must be 2-dimensional (runs x features)"
+        for call in (lambda: RunSet(kind, matrix, 3), lambda: row_violations(kind, matrix, 3)):
+            with pytest.raises(ValueError) as refused:
+                call()
+            assert str(refused.value) == message
 
 
 class TestConversions:

@@ -155,6 +155,22 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError, match="non-negative"):
             DistanceMatrix(np.array([[0, -1.0], [-1.0, 0]]), (("a", 0), ("a", 1)))
 
+    def test_run_tag_must_be_an_integer(self):
+        # int() would have made run 0.7 into run 0
+        with pytest.raises(TypeError, match=r"^run must be an integer, got 0\.7$"):
+            DistanceMatrix(np.zeros((2, 2)), (("a", 0.7), ("a", 1)))
+
+    def test_non_numeric_distances_rejected(self):
+        # a float cast would have read the strings '1' as 1.0
+        with pytest.raises(ValueError, match="must be integers or floats, got dtype <U1"):
+            DistanceMatrix(np.array([["0", "1"], ["1", "0"]]), (("a", 0), ("a", 1)))
+
+    @pytest.mark.parametrize("other", [math.nan, 1.0])
+    def test_nan_named_before_symmetry(self, other):
+        d = np.array([[0, math.nan], [other, 0]])
+        with pytest.raises(ValueError, match="must not contain NaN"):
+            DistanceMatrix(d, (("a", 0), ("a", 1)))
+
     def test_asymmetry_beyond_absolute_tolerance_rejected(self):
         # a relative tolerance would let 1.0 vs 1.00001 through, and
         # classical_mds reads only one triangle of the matrix

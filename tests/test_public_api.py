@@ -7,6 +7,7 @@ and 0.4.0 tables, so the migration notes and the package cannot drift apart.
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stabrank
@@ -59,3 +60,18 @@ def test_no_duplicate_exports():
 def test_version_matches_pyproject():
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert f'version = "{stabrank.__version__}"' in pyproject
+
+
+VALUE_CLASSES = {
+    "RunSet": lambda: stabrank.RunSet("full", [[1, 2, 3], [3, 2, 1]]),
+    "DistanceMatrix": lambda: stabrank.DistanceMatrix(np.zeros((2, 2)), (("a", 0), ("a", 1))),
+    "Embedding": lambda: stabrank.Embedding(np.zeros((3, 2)), (0.0, 0.0), 0.0),
+}
+
+
+@pytest.mark.parametrize("make", VALUE_CLASSES.values(), ids=VALUE_CLASSES.keys())
+def test_array_holders_compare_and_hash_by_identity(make):
+    # a generated __eq__ would compare the arrays and raise on their truth value
+    a, b = make(), make()
+    assert (a == a) is True and (a == b) is False and (a != b) is True
+    assert hash(a) == hash(a) and len({a, b}) == 2

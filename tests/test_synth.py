@@ -51,6 +51,20 @@ class TestExperimentConfig:
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             cfg(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("lam", True), ("q", True), ("q", "0.5"), ("lam", None), ("q", np.bool_(False)),
+         ("lam", 0.5j)],
+    )
+    def test_rejects_non_real_knobs(self, field, value):
+        message = f"{field} must be a real number, got {value!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            cfg(**{field: value})
+
+    def test_real_knobs_accepted(self):
+        config = cfg(lam=1, q=np.float64(0.25))
+        assert (config.lam, config.q) == (1, 0.25)
+
     def test_numpy_integers_become_ints(self):
         config = cfg(t=np.int64(40), fixed=np.int32(2), overlap=np.uint8(5))
         assert (type(config.t), type(config.fixed), type(config.overlap)) == (int, int, int)
