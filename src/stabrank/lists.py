@@ -38,14 +38,14 @@ def row_violations(kind: str, matrix: np.ndarray, k: int) -> list[str | None]:
     message. A ranking row is valid exactly when it sorts to ``t - k`` zeros
     followed by ``1..k``, and a mask row when it holds only 0/1 with ``k``
     ones; these vectorised checks find the bad rows, and only those are
-    scanned for their message by ``_scan``. ``k`` is ignored for full
-    rankings; for the other kinds a non-integer ``k`` raises ``TypeError``.
-    A matrix that is not 2-D, or an entry that is not an exact integer,
-    raises ``ValueError``, as in ``RunSet``.
+    scanned for their message by ``_scan``. ``k`` is judged for every kind,
+    so full rankings need k == t, and a non-integer ``k`` raises
+    ``TypeError``. A matrix that is not 2-D, or an entry that is not an
+    exact integer, raises ``ValueError``, as in ``RunSet``.
     """
     m = _int64_matrix(matrix)
     runs, t = m.shape
-    k = t if kind == "full" else _exact_int(k, "k")
+    k = _exact_int(k, "k")
     if problem := _shape_problem(kind, t, k):
         return [problem] * runs
     if kind == "topk":

@@ -42,7 +42,8 @@ class DistanceMatrix:
     """Symmetric non-negative distances with per-point (label, run) tags.
 
     The distances must be integers or floats, and no NaN; ``inf`` is kept
-    (``classical_mds`` reports it). Each run tag must be an exact integer.
+    (``classical_mds`` reports it). Each label must be a ``str`` and each run
+    tag an exact integer; neither is coerced.
     """
 
     d: np.ndarray
@@ -67,7 +68,10 @@ class DistanceMatrix:
             raise ValueError("distances must be non-negative")
         d.setflags(write=False)
         object.__setattr__(self, "d", d)
-        labels = tuple((str(a), _exact_int(b, "run")) for a, b in self.labels)
+        for label, _ in self.labels:
+            if not isinstance(label, str):
+                raise TypeError(f"label must be a str, got {label!r}")
+        labels = tuple((label, _exact_int(run, "run")) for label, run in self.labels)
         object.__setattr__(self, "labels", labels)
 
     @property

@@ -10,6 +10,10 @@ the usual one-column-per-run matrix layout. Ranks for full/partial kinds (0 =
 unranked), 0/1 flags for topk. Cells and header numbers follow one strict
 grammar (see ``_CELL_RE``), so every accepted text is canonical:
 ``serialize(parse(text)) == text``.
+
+Both directions work ``_BLOCK_LINES`` feature lines at a time: the reader
+tokenizes a block in bulk, and the writer looks its cells up in a text
+table of the values ``0..t``, the only values a valid ``RunSet`` holds.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ _DIGITS = "0123456789"
 _CELL_RE = re.compile(f"0|-?[{_DIGITS[1:]}][{_DIGITS}]*")
 _INT64 = np.iinfo(np.int64)
 _BULK_ALPHABET = (_DIGITS + ",\n").encode("ascii")
-_BLOCK_LINES = 1024  # data lines per ``read_cells`` call in ``read_columns``
+_BLOCK_LINES = 1024  # data lines per block in ``read_columns`` and ``serialize_runset``
 
 _HEADER_RE = re.compile(
     f"#stabrank v1 kind=(full|partial|topk) t=([{_DIGITS}]+) k=([{_DIGITS}]+) K=([{_DIGITS}]+)"
@@ -211,13 +215,38 @@ def load_runset(path) -> RunSet:
 
 
 def serialize_runset(run_set: RunSet) -> str:
-    """Canonical text form of a run set (inverse of ``parse_runset``)."""
-    lines = [
-        f"#stabrank v1 kind={run_set.kind} t={run_set.t} k={run_set.k} K={run_set.runs}"
-    ]
-    for feature_row in run_set.matrix.T:
-        lines.append(",".join(map(str, feature_row.tolist())))
-    return "\n".join(lines) + "\n"
+    """Canonical text form of a run set (inverse of ``parse_runset``).
+
+    Every value ``0..max`` of the matrix has one row in a small text table:
+    its digits right-aligned in front of a ``,`` (plane 0) or, for the last
+    run, a ``\\n`` (plane 1), NUL-padded on the left. The body is written
+    ``_BLOCK_LINES`` feature lines at a time: a block gathers the table rows
+    of its cells, drops the NULs and decodes once, so no Python code runs
+    per cell. The table has at most t + 1 rows because a valid ``RunSet``
+    holds only values in ``0..t``; the writer relies on that.
+    """
+    m = run_set.matrix
+    table = _text_table(int(m.max()))
+    planes = np.zeros(run_set.runs, dtype=np.intp)
+    planes[-1] = 1
+    blocks = [f"#stabrank v1 kind={run_set.kind} t={run_set.t} k={run_set.k} K={run_set.runs}\n"]
+    for start in range(0, run_set.t, _BLOCK_LINES):
+        cells = m[:, start:start + _BLOCK_LINES].T  # a view: only one block is gathered at a time
+        blocks.append(table[cells, planes].tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(blocks)
+
+
+def _text_table(top: int) -> np.ndarray:
+    """The text of ``0..top`` for ``serialize_runset``: a ``(top + 1, 2)`` array
+    of fixed-width byte strings, each value's digits and then ``,`` or ``\\n``."""
+    scale = 10 ** np.arange(len(str(top)) - 1, -1, -1)  # place values, highest first
+    values = np.arange(top + 1)[:, np.newaxis]
+    digits = np.where((values >= scale) | (scale == 1), values // scale % 10 + ord("0"), 0)
+    table = np.empty((top + 1, 2, len(scale) + 1), dtype=np.uint8)
+    table[:, :, :-1] = digits[:, np.newaxis, :]
+    table[:, :, -1] = (ord(","), ord("\n"))
+    # one fixed-width element per entry: a gather then copies whole entries
+    return table.view(np.dtype((np.void, table.shape[2])))[:, :, 0]
 
 
 def save_runset(run_set: RunSet, path) -> None:

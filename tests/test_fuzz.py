@@ -1,7 +1,7 @@
 """Fuzzed input contract: the bulk cell check against the per-cell reference,
-blocked file reads against one-block reads, and the command line on
-arbitrary and near-valid file bytes, where ``validate`` and ``stability``
-reach one verdict."""
+blocked file reads against one-block reads, the table writer against the
+per-cell formatter, and the command line on arbitrary and near-valid file
+bytes, where ``validate`` and ``stability`` reach one verdict."""
 
 import contextlib
 import io
@@ -11,11 +11,13 @@ import warnings
 from unittest import mock
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from stabrank import (
+    KINDS,
     DegenerateNormalizerError,
+    RunSet,
     RunSetParseError,
     RunSetValidationError,
     normalizer,
@@ -194,6 +196,45 @@ def test_blocks_of_lines_read_like_one_block(drawn, block_lines):
     whole = _columns_outcome(text)
     with mock.patch.object(runset_io, "_BLOCK_LINES", block_lines):
         assert _columns_outcome(text) == whole
+
+
+def _per_cell_text(run_set):
+    """The run set's file text formatted cell by cell with ``str``: the oracle."""
+    lines = [f"#stabrank v1 kind={run_set.kind} t={run_set.t} k={run_set.k} K={run_set.runs}"]
+    for feature_row in run_set.matrix.T:
+        lines.append(",".join(map(str, feature_row.tolist())))
+    return "\n".join(lines) + "\n"
+
+
+# t and k on both sides of a change in digit count
+WIDTH_EDGES = [1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001]
+
+
+@st.composite
+def writable_run_sets(draw):
+    """A valid run set of any kind, whose largest value is often on a digit-width edge."""
+    kind = draw(st.sampled_from(KINDS))
+    t = draw(st.sampled_from(WIDTH_EDGES) | st.integers(1, 40))
+    k = t if kind == "full" else draw(st.sampled_from([e for e in WIDTH_EDGES if e <= t] + [t])
+                                      | st.integers(1, t))
+    runs = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ranks = np.array([rng.permutation(t) + 1 for _ in range(runs)])
+    matrix = {"full": ranks, "partial": np.where(ranks <= k, ranks, 0), "topk": ranks <= k}[kind]
+    return RunSet(kind, matrix, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(writable_run_sets(), st.integers(1, 64))
+@example(RunSet("full", [[1, 2], [2, 1]]), 1)  # K=2, one line a block
+@example(RunSet("partial", np.tile(np.r_[np.arange(1, 11), [0] * 90], (2, 1)), 10), 7)
+@example(RunSet("topk", [[1] + [0] * 999, [0] * 999 + [1]], 1), 3)
+def test_table_writer_matches_the_per_cell_formatter(run_set, block_lines):
+    # the drawn files span up to 1001 lines, so small blocks give many
+    expected = _per_cell_text(run_set)
+    with mock.patch.object(runset_io, "_BLOCK_LINES", block_lines):
+        assert serialize_runset(run_set) == expected
+    assert serialize_runset(run_set) == expected
 
 
 def _command(argv):

@@ -2,6 +2,7 @@
 
 import json
 import traceback
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,26 @@ class TestGoldenFiles:
             "#stabrank v1 kind=partial t=8 k=3 K=3\n"
             "0,0,0\n3,3,3\n1,0,0\n0,0,0\n0,0,1\n0,0,0\n2,2,2\n0,1,0\n"
         )
+
+
+@pytest.mark.parametrize("kind", ["full", "partial", "topk"])
+def test_serialize_runset_peaks_below_its_bound(kind):
+    """Peak memory of one write, in multiples of the text: the blocks and the
+    joined text, with only one block's gathered table rows on top."""
+    runs, t, k = 200, 5000, 1500  # five blocks of lines
+    ranks = np.tile(np.arange(1, t + 1), (runs, 1))
+    np.random.default_rng(6).permuted(ranks, axis=1, out=ranks)
+    matrix = {"full": ranks, "partial": np.where(ranks <= k, ranks, 0), "topk": ranks <= k}[kind]
+    run_set = RunSet(kind, matrix, t if kind == "full" else k)
+    del ranks, matrix
+    size = len(serialize_runset(run_set))
+    tracemalloc.start()
+    try:
+        serialize_runset(run_set)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * size
 
 
 @pytest.fixture

@@ -69,6 +69,13 @@ class TestValidate:
     def test_k_out_of_range(self):
         assert row_violations("topk", [[0, 0, 0]], 0) == ["k=0 out of range 1..3"]
 
+    def test_full_rankings_judged_at_the_given_k(self):
+        # a k other than t is the shape problem RunSet names, on every row
+        message = "kind=full requires k == t, got k=99, t=3"
+        assert row_violations("full", [[1, 2, 3], [3, 2, 1]], 99) == [message, message]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RunSet("full", [[1, 2, 3], [3, 2, 1]], 99)
+
     def test_fractional_row_is_refused(self):
         with pytest.raises(ValueError, match="run 0: entry 1.5 is not an int64 integer"):
             row_violations("full", [[1.5, 2]], 2)
@@ -122,7 +129,9 @@ def message_of(call):
 
 
 class TestShapeContract:
-    """Every entry point that checks a shape gives the same verdict, in the same words."""
+    """Every entry point that checks a shape gives the same verdict, in the same
+    words; ``row_violations`` judges full rankings at the k it is given, as
+    ``RunSet`` does, with no exemption."""
 
     @given(
         st.sampled_from([*KINDS, "ranked"]),
@@ -140,10 +149,8 @@ class TestShapeContract:
         assert len(verdicts) == 1, verdicts
         (shape,) = verdicts
         assert (shape is None) == (kind in KINDS and 1 <= k <= t and (kind != "full" or k == t))
-        # row_violations ignores k for full rankings: it judges the shape (full, t, t)
-        row_k = t if kind == "full" else k
-        row_shape = message_of(lambda: normalizer(kind, t, row_k))
-        assert row_violations(kind, shaped_rows(kind, t, k, 3), k) == [row_shape] * 3
+        # row_violations judges the shape (kind, t, k) as given, full included
+        assert row_violations(kind, shaped_rows(kind, t, k, 3), k) == [shape] * 3
         # K is known to RunSet and the file parser only, and checked after the shape
         expected = shape or (f"a run set needs at least 2 lists, got {runs}" if runs < 2 else None)
         rows = shaped_rows(kind, t, k, runs)
@@ -155,7 +162,7 @@ class TestShapeContract:
             assert message_of(lambda: parse_runset(text)) == in_file
 
     @given(
-        st.sampled_from(["partial", "topk"]),
+        st.sampled_from(KINDS),
         st.one_of(st.booleans(), st.floats(allow_nan=True), st.just(np.float64(2.0))),
     )
     @settings(max_examples=100, deadline=None)

@@ -1,6 +1,7 @@
 """Distance-matrix construction and classical-MDS projection tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,12 @@ class TestDistanceMatrix:
         # int() would have made run 0.7 into run 0
         with pytest.raises(TypeError, match=r"^run must be an integer, got 0\.7$"):
             DistanceMatrix(np.zeros((2, 2)), (("a", 0.7), ("a", 1)))
+
+    @pytest.mark.parametrize("label", [None, b"x", 0])
+    def test_label_must_be_a_str(self, label):
+        # str() would have printed None as 'None' and b'x' as "b'x'"
+        with pytest.raises(TypeError, match=rf"^label must be a str, got {re.escape(repr(label))}$"):
+            DistanceMatrix(np.zeros((2, 2)), (("a", 0), (label, 1)))
 
     def test_non_numeric_distances_rejected(self):
         # a float cast would have read the strings '1' as 1.0
