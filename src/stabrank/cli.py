@@ -51,9 +51,12 @@ FAILURES = (
 
 STABILITY_METRICS = ("sjs", *METRIC_KINDS)
 
+SCHEMA = 1  # the version of every JSON document; docs/schema.md lists their fields
 
-def _fmt(value: float) -> str:
-    return format(value, ".12g")
+
+def _fmt(value) -> str:
+    """A float in 12 significant digits; any other value as ``str``."""
+    return format(value, ".12g") if isinstance(value, float) else str(value)
 
 
 def _rounded(value):
@@ -67,21 +70,38 @@ def _rounded(value):
     return value
 
 
-def _emit(args, document: dict, rows) -> None:
-    """Write ``document`` as JSON (``--json`` or a ``.json`` ``--out``) or
-    ``rows`` as comma-joined lines, to ``--out`` or stdout."""
+def _pairs(fields: dict) -> str:
+    """``name=value`` for each field, space-separated."""
+    return " ".join(f"{name}={_fmt(value)}" for name, value in fields.items())
+
+
+def _stability_text(document: dict) -> str:
+    """The shape line, then one line per metric in the order requested."""
+    lines = [_pairs({name: document[name] for name in ("kind", "t", "k", "K")})]
+    lines += [f"{metric}: {_pairs(values)}" for metric, values in document["metrics"].items()]
+    return "".join(line + "\n" for line in lines)
+
+
+def _csv(document: dict) -> str:
+    """The document's ``points`` as CSV, under a header of the first one's keys."""
+    points = document["points"]
+    rows = [list(points[0])] + [[_fmt(v) for v in point.values()] for point in points]
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def _emit(args, document: dict, text) -> None:
+    """Write ``document`` as JSON (``--json`` or a ``.json`` ``--out``), with its ``schema``
+    added, or else as ``text(document)``, to ``--out`` or stdout; only one form is built."""
     if args.json or (args.out or "").endswith(".json"):
-        text = json.dumps(_rounded(document), indent=2, sort_keys=True) + "\n"
+        document = {"schema": SCHEMA, **document}
+        out = json.dumps(_rounded(document), indent=2, sort_keys=True) + "\n"
     else:
-        text = "".join(
-            ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
-            for row in rows
-        )
+        out = text(document)
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(out)
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.write(out)
 
 
 def cmd_validate(args) -> int:
@@ -95,9 +115,7 @@ def cmd_validate(args) -> int:
     if header.runs < 2:
         print(f"{args.file}: INVALID (a run set needs at least 2 lists)")
         return EXIT_VALIDATION
-    print(
-        f"{args.file}: VALID kind={header.kind} t={header.t} k={header.k} K={header.runs}"
-    )
+    print(f"{args.file}: VALID kind={header.kind} t={header.t} k={header.k} K={header.runs}")
     return EXIT_OK
 
 
@@ -105,10 +123,8 @@ def cmd_stability(args) -> int:
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     unknown = [m for m in metrics if m not in STABILITY_METRICS]
     if unknown:
-        raise ValueError(
-            f"unknown metric(s) {', '.join(unknown)}; "
-            f"expected a subset of {','.join(STABILITY_METRICS)}"
-        )
+        raise ValueError(f"unknown metric(s) {', '.join(unknown)}; "
+                         f"expected a subset of {','.join(STABILITY_METRICS)}")
     repeated = sorted({m for m in metrics if metrics.count(m) > 1}, key=metrics.index)
     if repeated:
         raise ValueError(f"metric(s) {', '.join(repeated)} requested more than once")
@@ -123,24 +139,15 @@ def cmd_stability(args) -> int:
         else:
             scores[metric] = {"phi": pairwise_stability(run_set, metric).phi}
     shape = {"kind": run_set.kind, "t": run_set.t, "k": run_set.k, "K": run_set.runs}
-    rows = [[" ".join(f"{name}={value}" for name, value in shape.items())]]
-    for metric in metrics:
-        rendered = " ".join(f"{name}={_fmt(value)}" for name, value in scores[metric].items())
-        rows.append([f"{metric}: {rendered}"])
-    _emit(args, {"schema": 1, **shape, "metrics": scores}, rows)
+    _emit(args, {**shape, "metrics": scores}, _stability_text)
     return EXIT_OK
 
 
 def cmd_experiment(args) -> int:
-    overrides = {
-        name: getattr(args, name)
-        for name in ("t", "k", "runs", "overlap")
-        if getattr(args, name) is not None
-    }
+    names = ("t", "k", "runs", "overlap")
+    overrides = {name: value for name in names if (value := getattr(args, name)) is not None}
     curve = run_experiment(args.experiment, args.seed, **overrides)
-    names = list(curve[0])
-    document = {"schema": 1, "experiment": args.experiment, "seed": args.seed, "points": curve}
-    _emit(args, document, [names] + [[point[n] for n in names] for point in curve])
+    _emit(args, {"experiment": args.experiment, "seed": args.seed, "points": curve}, _csv)
     return EXIT_OK
 
 
@@ -157,19 +164,10 @@ def cmd_mds(args) -> int:
     labeled = [(label, load_runset(path)) for label, path in zip(_labels(args.files), args.files)]
     dm = distance_matrix(labeled, distance=args.distance)
     embedding = classical_mds(dm)
-    points = [
-        {"label": label, "run": run, "x": float(x), "y": float(y)}
-        for (label, run), (x, y) in zip(dm.labels, embedding.coords)
-    ]
-    document = {
-        "schema": 1,
-        "distance": args.distance,
-        "eigvals": embedding.eigvals,
-        "stress": embedding.stress,
-        "points": points,
-    }
-    rows = [["label", "run", "x", "y"]] + [list(point.values()) for point in points]
-    _emit(args, document, rows)
+    points = [{"label": label, "run": run, "x": float(x), "y": float(y)}
+              for (label, run), (x, y) in zip(dm.labels, embedding.coords)]
+    _emit(args, {"distance": args.distance, "eigvals": embedding.eigvals,
+                 "stress": embedding.stress, "points": points}, _csv)
     return EXIT_OK
 
 

@@ -19,6 +19,7 @@ making the largest-magnitude entry of its eigenvector positive.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -79,13 +80,47 @@ class DistanceMatrix:
         return self.d.shape[0]
 
 
+def _non_negative(value) -> bool:
+    """Whether ``value`` is a finite, non-negative real number (not a bool)."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and math.isfinite(value) and value >= 0
+
+
 @dataclass(frozen=True, eq=False)
 class Embedding:
-    """2D coordinates, the retained (clamped) eigenvalues and the stress."""
+    """2D coordinates, the retained (clamped) eigenvalues and the stress.
+
+    ``coords`` must be an (n, 2) array of finite integers or floats; it is
+    kept as a read-only float64 array. ``eigvals`` must be two finite,
+    non-negative numbers and ``stress`` one; both are kept as floats.
+    Anything else raises ``ValueError`` naming the field.
+    """
 
     coords: np.ndarray
     eigvals: tuple[float, float]
     stress: float
+
+    def __post_init__(self):
+        try:
+            coords = np.array(self.coords)
+        except ValueError as exc:  # ragged nesting
+            raise ValueError(f"coords must be an (n, 2) array of numbers: {exc}") from None
+        if coords.dtype.kind not in "iuf" or coords.ndim != 2 or coords.shape[1] != 2:
+            raise ValueError(f"coords must be an (n, 2) array of numbers, got shape "
+                             f"{coords.shape} and dtype {coords.dtype}")
+        coords = coords.astype(np.float64, copy=False)
+        if not np.isfinite(coords).all():
+            raise ValueError("coords must be finite")
+        coords.setflags(write=False)
+        object.__setattr__(self, "coords", coords)
+        eigvals = self.eigvals
+        if not (isinstance(eigvals, (tuple, list, np.ndarray)) and len(eigvals) == 2
+                and all(map(_non_negative, eigvals))):
+            raise ValueError(f"eigvals must be two finite, non-negative numbers, got {eigvals!r}")
+        object.__setattr__(self, "eigvals", (float(eigvals[0]), float(eigvals[1])))
+        if not _non_negative(self.stress):
+            raise ValueError(f"stress must be a finite, non-negative number, got {self.stress!r}")
+        object.__setattr__(self, "stress", float(self.stress))
 
 
 def distance_matrix(

@@ -49,7 +49,7 @@ class ExperimentConfig:
     """Shape and knobs of one synthetic scenario.
 
     t, k, runs: feature count, sublist length and number of lists.
-    seed: 64-bit PRNG seed.
+    seed: PRNG seed, a non-negative integer.
     fixed: how many of the runs repeat one fixed output (ranking family).
     lam: where run-specific features sit in the ranking, 0 = bottom,
          1 = top (overlap family).
@@ -87,6 +87,8 @@ class ExperimentConfig:
             raise ValueError(f"k={self.k} out of range 1..{self.t}")
         if self.runs < 2:
             raise ValueError(f"runs must be >= 2, got {self.runs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.fixed <= self.runs:
             raise ValueError(f"fixed={self.fixed} out of range 0..{self.runs}")
         if not 0.0 <= self.lam <= 1.0:

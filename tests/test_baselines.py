@@ -317,6 +317,16 @@ class TestGram:
     def test_rankings_stay_float64(self, full_run_set):
         assert baselines._gram(full_run_set.kind, full_run_set.matrix).dtype == np.float64
 
+    @pytest.mark.parametrize("t, tolerance", [(300_000, 0.0), (1_000_000, 1e-13)])
+    def test_ranking_gram_exact_up_to_its_stated_bound(self, t, tolerance):
+        # the sum of squared ranks is just below 2**53 at t = 3e5 and past it at 1e6
+        assert (t * (t + 1) * (2 * t + 1) // 6 < 2**53) == (tolerance == 0.0)
+        rs = random_rankings(8, t, 3)
+        got = similarity_matrix(rs, "spearman")
+        for i, j in itertools.combinations(range(3), 2):
+            want = spearman(rs.matrix[i], rs.matrix[j])
+            assert abs(got[i, j] - want) <= tolerance, (i, j, got[i, j] - want)
+
     @pytest.mark.parametrize("kind", ["topk", "full"])
     @pytest.mark.parametrize("block", ["one", "runs", "7 runs"])
     def test_feature_blocks_leave_the_gram_unchanged(self, monkeypatch, kind, block):

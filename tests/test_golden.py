@@ -11,10 +11,21 @@ runs with 40 identical each), where sqrt-JS meets many distinct overlaps.
 ``experiment_fig4_paper`` runs the default (paper) shape, where the 12th
 printed digit of s_js depends on how accurately the divergence is reduced.
 A change to these bytes must be deliberate and recorded in CHANGES.md.
+
+The same bytes must come out of a second CPU code path. One subprocess per
+variant runs all the cases: once with numpy's runtime dispatch limited to
+its baseline (every dispatched feature this machine has is named in
+``NPY_DISABLE_CPU_FEATURES``), and once with OpenBLAS forced to its
+Sandybridge kernels (``OPENBLAS_CORETYPE``).
 """
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stabrank.cli import main
@@ -77,3 +88,73 @@ def test_cli_bytes(case, monkeypatch, capsys):
     assert main(argv) == code
     expected = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+# runs every case given on stdin, then prints {"cases": {case: [code, stdout]},
+# "probe": ...}: the state of the dispatched numpy features and the OpenBLAS
+# core in use, so that the caller can see its variant took effect
+RUNNER = r"""
+import contextlib, ctypes, glob, io, json, os, sys
+import numpy as np
+from stabrank.cli import main
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:
+    from numpy.core import _multiarray_umath as umath
+cases = {}
+for case, argv in json.load(sys.stdin).items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    cases[case] = [code, out.getvalue()]
+core = None
+libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "lib*openblas*")
+for path in glob.glob(libs):
+    lib = ctypes.CDLL(path)
+    for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                 "openblas_get_corename"):
+        if hasattr(lib, name):
+            corename = getattr(lib, name)
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            core = corename().decode()
+features = {name: bool(umath.__cpu_features__.get(name)) for name in umath.__cpu_dispatch__}
+json.dump({"cases": cases, "probe": {"features": features, "core": core}}, sys.stdout)
+"""
+
+
+def dispatched_features() -> list[str]:
+    """numpy's dispatched CPU features that this machine has (names differ
+    between numpy versions, so they are read, never listed)."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+
+
+@pytest.mark.parametrize("variant", ["numpy-baseline", "openblas-sandybridge"])
+def test_cli_bytes_on_a_second_cpu_path(variant):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    features = dispatched_features()
+    if variant == "numpy-baseline":
+        if not features:
+            pytest.skip(f"numpy {np.__version__} dispatches no CPU feature on this machine")
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(features)
+    else:
+        env["OPENBLAS_CORETYPE"] = "Sandybridge"
+    cases = {case: argv for case, (argv, _) in CASES.items()}
+    result = subprocess.run(
+        [sys.executable, "-c", RUNNER], input=json.dumps(cases), env=env, cwd=GOLDEN,
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    if variant == "numpy-baseline":
+        assert not any(report["probe"]["features"][name] for name in features)
+    elif report["probe"]["core"] is not None:  # found only in numpy's bundled OpenBLAS
+        assert report["probe"]["core"] == "Sandybridge"
+    for case, (_, code) in CASES.items():
+        expected = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+        assert report["cases"][case] == [code, expected], case

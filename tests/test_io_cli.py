@@ -419,12 +419,16 @@ FAILURE_TABLE = [
     ("mds-invalid-column", ["mds", "masks.csv", "duplicate.csv"], 3, "validation error"),
     ("stability-kind-mismatch", ["stability", "full.csv", "--metrics", "kuncheva"], 4, "error"),
     ("stability-unknown-metric", ["stability", "full.csv", "--metrics", "kendall"], 4, "error"),
+    ("stability-unknown-metric-before-read",
+     ["stability", "missing/x.csv", "--metrics", "kendall"], 4, "error"),
     ("stability-kuncheva-k-equals-t",
      ["stability", "all_selected.csv", "--metrics", "kuncheva"], 4, "error"),
     ("mds-kuncheva-k-equals-t",
      ["mds", "all_selected.csv", "masks.csv", "--distance", "one-minus-kuncheva"], 4, "error"),
     ("mds-mixed-kinds", ["mds", "full.csv", "masks.csv"], 4, "error"),
     ("experiment-overlap-outside-fig6", ["experiment", "fig4", "--overlap", "10"], 4, "error"),
+    ("experiment-negative-seed",
+     ["experiment", "fig4", "--seed", "-1", "--t", "20", "--runs", "4"], 4, "error"),
     ("stability-zero-baseline", ["stability", "all_selected.csv"], 5, "error"),
     ("experiment-zero-baseline",
      ["experiment", "fig5", "--t", "10", "--k", "10", "--runs", "4"], 5, "error"),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import stabrank.mds
 from stabrank import (
     DistanceMatrix,
+    Embedding,
     ExperimentConfig,
     MdsConvergenceError,
     MetricMismatchError,
@@ -185,6 +186,44 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError, match="symmetric"):
             DistanceMatrix(np.array([[0, 1.0], [1.00001, 0]]), labels)
         DistanceMatrix(np.array([[0, 1.0], [1.0 + 1e-13, 0]]), labels)
+
+
+class TestEmbedding:
+    @pytest.mark.parametrize(
+        "coords, eigvals, stress, field",
+        [
+            (np.zeros(3), (1.0, 2.0), 0.0, "coords"),
+            (np.zeros((3, 3)), (1.0, 2.0), 0.0, "coords"),
+            (np.array([["0", "1"]]), (1.0, 2.0), 0.0, "coords"),
+            ([[0.0, 1.0], [2.0]], (1.0, 2.0), 0.0, "coords"),
+            (np.array([[0.0, math.nan]]), (1.0, 2.0), 0.0, "coords"),
+            (np.array([[0.0, math.inf]]), (1.0, 2.0), 0.0, "coords"),
+            (np.zeros((3, 2)), (1.0,), 0.0, "eigvals"),
+            (np.zeros((3, 2)), (1.0, 2.0, 3.0), 0.0, "eigvals"),
+            (np.zeros((3, 2)), 1.0, 0.0, "eigvals"),
+            (np.zeros((3, 2)), (1.0, -2.0), 0.0, "eigvals"),
+            (np.zeros((3, 2)), (math.nan, 2.0), 0.0, "eigvals"),
+            (np.zeros((3, 2)), (math.inf, 2.0), 0.0, "eigvals"),
+            (np.zeros((3, 2)), ("1", 2.0), 0.0, "eigvals"),
+            (np.zeros((3, 2)), (1.0, 2.0), -1.0, "stress"),
+            (np.zeros((3, 2)), (1.0, 2.0), math.nan, "stress"),
+            (np.zeros((3, 2)), (1.0, 2.0), math.inf, "stress"),
+            (np.zeros((3, 2)), (1.0, 2.0), True, "stress"),
+            (np.zeros((3, 2)), (1.0, 2.0), None, "stress"),
+        ],
+    )
+    def test_refuses_malformed_fields(self, coords, eigvals, stress, field):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            Embedding(coords, eigvals, stress)
+
+    def test_coords_cast_and_frozen_like_distance_matrix(self):
+        source = np.array([[1, 2], [3, 4], [5, 6]])
+        emb = Embedding(source, np.array([2, 1]), 0)
+        assert emb.coords.dtype == np.float64 and not emb.coords.flags.writeable
+        assert emb.eigvals == (2.0, 1.0) and type(emb.eigvals[0]) is float
+        assert type(emb.stress) is float
+        source[0, 0] = 9
+        assert emb.coords[0, 0] == 1.0
 
 
 def equilateral_dm():

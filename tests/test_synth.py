@@ -61,6 +61,11 @@ class TestExperimentConfig:
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             cfg(**{field: value})
 
+    def test_negative_seed_named(self):
+        # numpy's SeedSequence would refuse it later without naming the field
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            cfg(seed=-1)
+
     def test_real_knobs_accepted(self):
         config = cfg(lam=1, q=np.float64(0.25))
         assert (config.lam, config.q) == (1, 0.25)
