@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lists import RunSet, _int64, _scan
+from .lists import RunSet, _int64, row_violations
 
 
 class MetricMismatchError(ValueError):
@@ -48,14 +48,15 @@ def _plain(x, kind: str) -> np.ndarray:
     """One list as an int64 vector, checked against its kind.
 
     ``full`` needs a permutation of 1..t and ``topk`` only 0/1 entries;
-    anything else raises ``ValueError``. An empty list or an all-zero mask
-    passes, so that each metric raises its own degenerate-shape error.
+    anything else raises ``ValueError`` with ``row_violations``' message,
+    checked in bulk. An empty list or an all-zero mask passes, so that each
+    metric raises its own degenerate-shape error.
     """
     a = _int64(x)
     if a.ndim != 1:
         raise ValueError(f"expected a 1-dimensional list, got shape {a.shape}")
     n = a.shape[0] if kind == "full" else int(np.count_nonzero(a))
-    problem = _scan(kind, a.tolist(), n) if n else None
+    problem = row_violations(kind, a[np.newaxis], n)[0] if n else None
     if problem is not None:
         raise ValueError(f"not a {'full ranking' if kind == 'full' else '0/1 mask'}: {problem}")
     return a
@@ -150,9 +151,11 @@ def pairwise_stability(run_set: RunSet, metric: str) -> PairwiseStability:
         values = similarity_matrix(run_set, metric)[np.triu_indices(runs, 1)]
         return PairwiseStability(metric_name=metric, phi=math.fsum(values) / len(values))
     pairs = runs * (runs - 1) // 2
-    s1 = run_set.matrix.sum(axis=0)
+    # int64 sums: the stored dtype may be as narrow as int8, and Σr² reaches
+    # K·t², which einsum would otherwise accumulate in that dtype
+    s1 = run_set.matrix.sum(axis=0, dtype=np.int64)
     if metric == "spearman":
-        s2 = np.einsum("ij,ij->j", run_set.matrix, run_set.matrix)
+        s2 = np.einsum("ij,ij->j", run_set.matrix, run_set.matrix, dtype=np.int64)
         scale = pairs * t * (t * t - 1)
         phi = (scale - 6 * sum((runs * s2 - s1 * s1).tolist())) / scale
     else:

@@ -118,7 +118,7 @@ def _js_masks(run_set: RunSet) -> float:
     the exact ratio (K - c_f)/c_f keeps nearly unanimous features accurate,
     and ``math.fsum`` adds the terms.
     """
-    counts = run_set.matrix.sum(axis=0)
+    counts = run_set.matrix.sum(axis=0, dtype=np.int64)
     c = counts[counts > 0].astype(np.float64)
     return math.fsum(c * np.log1p((run_set.runs - c) / c)) / (run_set.runs * run_set.k)
 

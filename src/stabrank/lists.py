@@ -27,6 +27,19 @@ from typing import Sequence
 import numpy as np
 
 KINDS = ("full", "partial", "topk")
+_SORT_ROWS = 64  # ranking rows that ``row_violations`` sorts at a time
+
+
+def _storage_dtype(kind: str, t: int) -> np.dtype:
+    """The dtype a run set of ``kind`` over ``t`` features is stored in.
+
+    Masks are int8. Ranks take the narrowest signed dtype that holds
+    ``t * t``: signed, so the difference of two rows cannot wrap, and
+    holding t², so the product of two ranks cannot either. That is int8 up
+    to t = 11, int16 up to 181, int32 up to 46340 and int64 above. This is
+    the one rule that chooses a storage width.
+    """
+    return np.dtype(np.int8) if kind == "topk" else np.min_scalar_type(-t * t)
 
 
 def row_violations(kind: str, matrix: np.ndarray, k: int) -> list[str | None]:
@@ -53,7 +66,16 @@ def row_violations(kind: str, matrix: np.ndarray, k: int) -> list[str | None]:
         bad = np.flatnonzero(~((m.view(np.uint64).max(axis=1) <= 1) & (m.sum(axis=1) == k)))
     else:
         expected = np.concatenate([np.zeros(t - k, dtype=np.int64), np.arange(1, k + 1)])
-        bad = np.flatnonzero(~np.all(np.sort(m, axis=1) == expected, axis=1))
+        valid = np.empty(runs, dtype=bool)
+        # one block of rows is copied and sorted at a time, in one buffer: a
+        # single allocation, which the allocator hands back to the system
+        buffer = np.empty((min(runs, _SORT_ROWS), t), dtype=np.int64)
+        for start in range(0, runs, _SORT_ROWS):
+            block = buffer[: min(_SORT_ROWS, runs - start)]
+            np.copyto(block, m[start:start + len(block)])
+            block.sort(axis=1)
+            valid[start:start + len(block)] = np.all(block == expected, axis=1)
+        bad = np.flatnonzero(~valid)
     problems: list[str | None] = [None] * runs
     for j in bad:
         problems[j] = _scan(kind, m[j].tolist(), k)
@@ -104,20 +126,20 @@ def _validate_permutation(values: Sequence[int], n: int) -> str | None:
     return None
 
 
-def _int64(values, copy: bool = False) -> np.ndarray:
+def _int64(values) -> np.ndarray:
     """``values`` as an int64 array, refusing any entry the cast would change.
 
-    An int64 array is returned as it is, or with ``copy`` as a new C-ordered
-    one; anything else is cast, or read, into a new array in one step. Every
-    entry must be an integer, or an integral finite float, within the int64
-    range: strings, complex numbers, NaN, fractions and Python ints beyond
-    int64 are refused. The first refused entry raises a ``ValueError`` that
-    names it and, in a 2-D matrix, its run (row).
+    An int64 array is returned as it is; anything else is cast, or read,
+    into a new array in one step. Every entry must be an integer, or an
+    integral finite float, within the int64 range: strings, complex
+    numbers, NaN, fractions and Python ints beyond int64 are refused. The
+    first refused entry raises a ``ValueError`` that names it and, in a 2-D
+    matrix, its run (row).
     """
     given = isinstance(values, np.ndarray)
-    m = np.asarray(values) if given or not copy else np.array(values)  # np.array copies buffers
+    m = np.asarray(values)
     if np.can_cast(m.dtype, np.int64):
-        return m.astype(np.int64, order="C" if copy else "K", copy=copy and given)
+        return m.astype(np.int64, copy=False)
     if m.dtype.kind == "u":
         exact = m <= np.iinfo(np.int64).max
     elif m.dtype.kind == "f":
@@ -139,9 +161,9 @@ def _int64(values, copy: bool = False) -> np.ndarray:
     raise ValueError(f"{run}entry {value!r} is not an int64 integer")
 
 
-def _int64_matrix(values, copy: bool = False) -> np.ndarray:
+def _int64_matrix(values) -> np.ndarray:
     """``_int64`` of a (runs x features) matrix; any other ``ndim`` raises ``ValueError``."""
-    m = _int64(values, copy)
+    m = _int64(values)
     if m.ndim != 2:
         raise ValueError("matrix must be 2-dimensional (runs x features)")
     return m
@@ -171,11 +193,19 @@ class RunSet:
     ``matrix`` holds one list per row (shape K x t): ranks for full/partial
     kinds (0 = unranked), 0/1 flags for the topk kind; an omitted ``k`` is
     t for full rankings and the nonzero count of row 0 otherwise.
-    ``RunSet(...)`` checks the shape (``_shape_problem``) and every row, and
-    keeps its own C-contiguous int64 copy, frozen, so instances are safe to
-    share between threads and the caller's array stays writable and
-    independent. Instances compare and hash by identity; compare contents
-    with ``a.kind == b.kind and a.k == b.k and np.array_equal(a.matrix, b.matrix)``.
+    ``RunSet(...)`` checks the shape (``_shape_problem``) and every row of
+    an int64 view of the input (no copy when it is int64 already), so a
+    cell is judged, and named, as itself before any narrowing. It then keeps
+    its own C-contiguous copy, frozen, so instances are safe to share
+    between threads and the caller's array stays writable and independent.
+
+    The copy is stored at ``_storage_dtype(kind, t)``: int8 for masks, and
+    for ranks the narrowest signed dtype that holds t² (int16 up to t = 181,
+    int32 up to 46340, int64 above). Signed, so that the difference of two
+    rows cannot wrap; holding t², so that a rank times a rank cannot either.
+    ``matrix`` is therefore not always int64. Instances compare and hash by
+    identity; compare contents with
+    ``a.kind == b.kind and a.k == b.k and np.array_equal(a.matrix, b.matrix)``.
     """
 
     kind: str
@@ -183,7 +213,7 @@ class RunSet:
     k: int = None  # type: ignore[assignment]  # inferred when omitted
 
     def __post_init__(self):
-        m = _int64_matrix(self.matrix, copy=True)  # frozen below: never the caller's memory
+        m = _int64_matrix(self.matrix)  # checked as given: no cell has wrapped yet
         runs, t = m.shape
         if self.k is not None:
             k = _exact_int(self.k, "k")
@@ -195,12 +225,23 @@ class RunSet:
         for j, problem in enumerate(row_violations(self.kind, m, k)):
             if problem is not None:
                 raise ValueError(f"run {j}: {problem}")
+        # a new array, frozen below: never the caller's memory
+        m = m.astype(_storage_dtype(self.kind, t), order="C")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @classmethod
     def _trusted(cls, kind: str, matrix: np.ndarray, k: int) -> "RunSet":
-        """Adopt a fresh, valid, C-contiguous int64 matrix and an int ``k`` as is; freeze it."""
+        """Adopt a fresh, valid, C-contiguous integer matrix and an int ``k`` unchecked; freeze it.
+
+        The run set is stored at ``_storage_dtype(kind, t)``: int8 for masks,
+        and for ranks the narrowest signed dtype that holds t², so that no
+        row difference or rank product wraps. A matrix in that dtype, as the
+        generators and ``to_topk`` allocate it, is adopted as is; any other,
+        such as a parsed int64 matrix, is narrowed here in one cast, so its
+        values must already be checked: a cell beyond the range would wrap.
+        """
+        matrix = matrix.astype(_storage_dtype(kind, matrix.shape[1]), copy=False)
         matrix.setflags(write=False)
         run_set = object.__new__(cls)
         vars(run_set).update(kind=kind, matrix=matrix, k=k)
@@ -229,7 +270,7 @@ class RunSet:
                 raise ValueError(f"{self.kind} run sets keep their own k={self.k}, got k={k}")
         if self.kind == "topk":
             return self
-        mask = np.empty_like(self.matrix)
+        mask = np.empty(self.matrix.shape, _storage_dtype("topk", self.t))
         if self.kind == "full":
             if k is None:
                 raise ValueError("converting full rankings to masks requires k")

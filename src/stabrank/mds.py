@@ -51,7 +51,10 @@ class DistanceMatrix:
     labels: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        d = np.array(self.d)
+        try:
+            d = np.array(self.d)
+        except ValueError as exc:  # ragged nesting
+            raise ValueError(f"d must be a square array of numbers: {exc}") from None
         if d.dtype.kind not in "iuf":
             raise ValueError(f"distances must be integers or floats, got dtype {d.dtype}")
         d = d.astype(np.float64, copy=False)

@@ -152,10 +152,14 @@ def read_columns(text: str) -> tuple[RunSetFileHeader, np.ndarray]:
     """Parse header and body; returns the (K, t) matrix with runs as rows.
 
     The body is tokenized ``_BLOCK_LINES`` lines at a time, each block
-    written transposed into one preallocated C-ordered int64 matrix (the
-    layout ``RunSet`` keeps), so the tokenizer's copies stay block-sized.
-    Raises ``RunSetParseError`` for structural problems, naming the first
-    bad line; per-column invariant checking is up to the caller (see
+    written transposed into one preallocated C-ordered matrix (the layout
+    ``RunSet`` keeps), so the tokenizer's copies stay block-sized. The
+    matrix is int64, the width of the cell grammar, so that every cell is
+    checked as written: a ``RunSet`` stores ranks in the narrowest signed
+    dtype that holds t² (int8 for masks; see ``lists._storage_dtype``), and
+    a cell narrowed before its check could wrap into range. Raises
+    ``RunSetParseError`` for structural problems, naming the first bad line;
+    per-column invariant checking is up to the caller (see
     ``column_violations``).
     """
     lines = text.split("\n")
@@ -190,7 +194,8 @@ def parse_runset(text: str) -> RunSet:
 
     Structural problems raise ``RunSetParseError``; invariant violations
     and a single run raise ``RunSetValidationError`` (the first offending
-    column is named). No row is checked twice, and the matrix is not copied.
+    column is named). No row is checked twice; once checked, the matrix is
+    adopted in its storage dtype, the one copy.
     """
     header, matrix = read_columns(text)
     for col, problem in enumerate(column_violations(header, matrix)):

@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .lists import RunSet, _exact_int
+from .lists import RunSet, _exact_int, _storage_dtype
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ def gen_ranking_family(cfg: ExperimentConfig) -> RunSet:
     """``fixed`` copies of one seeded permutation + independent uniform rest."""
     shared, per_run = _rngs(cfg)
     fixed_row = shared.permutation(cfg.t) + 1
-    rows = np.empty((cfg.runs, cfg.t), dtype=np.int64)
+    rows = np.empty((cfg.runs, cfg.t), dtype=_storage_dtype("full", cfg.t))
     rows[: cfg.fixed] = fixed_row
     for j in range(cfg.fixed, cfg.runs):
         rows[j] = per_run[j].permutation(cfg.t) + 1
@@ -150,7 +150,7 @@ def gen_overlap_family(cfg: ExperimentConfig) -> RunSet:
     pool = arrangement[cfg.k :]
     core_slots, block = _slots(cfg.k, cfg.overlap, cfg.lam)
 
-    rows = np.zeros((cfg.runs, cfg.t), dtype=np.int64)
+    rows = np.zeros((cfg.runs, cfg.t), dtype=_storage_dtype("partial", cfg.t))
     for j, rng in enumerate(per_run):
         drawn = rng.choice(pool, size=extra, replace=False)
         rows[j, rng.permutation(core)] = core_slots + 1
@@ -172,7 +172,7 @@ def gen_rank_shuffle_family(cfg: ExperimentConfig) -> RunSet:
     features = shared.permutation(cfg.t)[: cfg.k]
     reference = shared.permutation(cfg.k) + 1
     redraw = round(cfg.q * cfg.k)
-    rows = np.zeros((cfg.runs, cfg.t), dtype=np.int64)
+    rows = np.zeros((cfg.runs, cfg.t), dtype=_storage_dtype("partial", cfg.t))
     for j, rng in enumerate(per_run):
         ranks = reference.copy()
         if redraw > 0:
@@ -206,7 +206,7 @@ def _curve(
         core0, block0 = _slots(base.k, base.overlap, 0.0)
         for x in grid:
             core, block = _slots(base.k, base.overlap, x)
-            table = np.zeros(base.k + 1, dtype=np.int64)  # 0 (unranked) stays 0
+            table = np.zeros(base.k + 1, dtype=anchor.matrix.dtype)  # 0 (unranked) stays 0
             table[core0 + 1], table[block0 + 1] = core + 1, block + 1
             yield RunSet._trusted(anchor.kind, table[anchor.matrix], anchor.k)
     else:

@@ -17,7 +17,7 @@ from stabrank import (
     parse_runset,
     row_violations,
 )
-from stabrank.lists import _int64, _scan
+from stabrank.lists import _int64, _scan, _storage_dtype
 from stabrank.runset_io import parse_header
 from conftest import EXAMPLE_FULL, EXAMPLE_K, EXAMPLE_MASKS, EXAMPLE_PARTIAL
 
@@ -298,7 +298,7 @@ class TestRunSet:
     def test_to_topk_matrix_is_frozen_contiguous_and_its_own(self, parent, request):
         parent = request.getfixturevalue(parent)
         masks = parent.to_topk(EXAMPLE_K).matrix
-        assert masks.dtype == np.int64
+        assert masks.dtype == _storage_dtype("topk", parent.t)
         assert masks.flags.c_contiguous
         assert not masks.flags.writeable
         assert not np.shares_memory(masks, parent.matrix)
@@ -339,7 +339,7 @@ class TestRunSet:
     @pytest.mark.parametrize("given", [np.bool_, np.int32, list], ids=["bool", "int32", "list"])
     def test_public_constructor_casts_and_copies_in_one_step(self, given):
         """Peak memory of ``RunSet(...)`` on a mask that is not int64 yet:
-        the cast is the copy, so about one int64 matrix."""
+        the int64 cast that is checked, then the int8 copy that is kept."""
         mask = np.tile(np.arange(5000) < 1500, (200, 1))
         np.random.default_rng(6).permuted(mask, axis=1, out=mask)
         data = mask.astype(int).tolist() if given is list else mask.astype(given)
@@ -365,7 +365,7 @@ class TestRunSet:
             (partial.to_topk().matrix, (partial.matrix != 0).astype(np.int64)),
         ]:
             np.testing.assert_array_equal(masks, expected)
-            assert masks.dtype == np.int64 and masks.flags.c_contiguous
+            assert masks.dtype == _storage_dtype("topk", full.t) and masks.flags.c_contiguous
             assert not masks.flags.writeable
 
     def test_to_topk_peaks_near_one_int64_mask_matrix(self):
@@ -420,7 +420,8 @@ class TestNoCoercion:
             RunSet("full", [[1.0, 2.5], [2.0, 1.0]])
         for exact in (np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[1, 2.0], [2, 1]], dtype=object)):
             rs = RunSet("full", exact)
-            assert rs.matrix.dtype == np.int64 and rs.matrix.tolist() == [[1, 2], [2, 1]]
+            assert rs.matrix.dtype == _storage_dtype("full", 2)
+            assert rs.matrix.tolist() == [[1, 2], [2, 1]]
         # asarray reads this list as floats and rounds 2**63 - 1 up to 2**63
         assert _int64([2**63 - 1, 1.0]).tolist() == [2**63 - 1, 1]
 

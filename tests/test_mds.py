@@ -156,6 +156,8 @@ class TestDistanceMatrix:
             DistanceMatrix(np.array([[1.0, 1.0], [1.0, 0]]), (("a", 0), ("a", 1)))
         with pytest.raises(ValueError, match="non-negative"):
             DistanceMatrix(np.array([[0, -1.0], [-1.0, 0]]), (("a", 0), ("a", 1)))
+        with pytest.raises(ValueError, match="^d must be a square array of numbers: "):
+            DistanceMatrix([[0, 1], [1]], (("a", 0), ("a", 1)))  # ragged
 
     def test_run_tag_must_be_an_integer(self):
         # int() would have made run 0.7 into run 0

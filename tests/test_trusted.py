@@ -36,6 +36,7 @@ from stabrank import (
     serialize_runset,
 )
 from stabrank import runset_io
+from stabrank.lists import _storage_dtype
 from stabrank.runset_io import read_columns
 from test_fuzz import near_valid_texts
 
@@ -101,7 +102,8 @@ def assert_passes_the_public_check(rs: RunSet) -> None:
     assert type(rs.k) is int
     np.testing.assert_array_equal(checked.matrix, rs.matrix)
     matrix = rs.matrix
-    assert matrix.dtype == np.int64 and matrix.flags.c_contiguous and not matrix.flags.writeable
+    assert matrix.dtype == _storage_dtype(rs.kind, rs.t)
+    assert matrix.flags.c_contiguous and not matrix.flags.writeable
 
 
 def config(**fields) -> ExperimentConfig:
