@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lists import RunSet, _int64, row_violations
+from .lists import RunSet, _integers, row_violations
 
 
 class MetricMismatchError(ValueError):
@@ -45,14 +45,14 @@ METRIC_KINDS = {
 
 
 def _plain(x, kind: str) -> np.ndarray:
-    """One list as an int64 vector, checked against its kind.
+    """One list as an int64 vector, so no metric wraps, checked against its kind.
 
     ``full`` needs a permutation of 1..t and ``topk`` only 0/1 entries;
     anything else raises ``ValueError`` with ``row_violations``' message,
     checked in bulk. An empty list or an all-zero mask passes, so that each
     metric raises its own degenerate-shape error.
     """
-    a = _int64(x)
+    a = _integers(x).astype(np.int64, copy=False)
     if a.ndim != 1:
         raise ValueError(f"expected a 1-dimensional list, got shape {a.shape}")
     n = a.shape[0] if kind == "full" else int(np.count_nonzero(a))

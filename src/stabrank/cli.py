@@ -22,6 +22,7 @@ import sys
 from .baselines import METRIC_KINDS, pairwise_stability
 from .divergence import js_stability
 from .experiments import EXPERIMENT_NAMES, run_experiment
+from .lists import _shape_problem
 from .mds import DISTANCES, MdsConvergenceError, classical_mds, distance_matrix
 from .probability import DegenerateNormalizerError
 from .runset_io import (
@@ -112,8 +113,8 @@ def cmd_validate(args) -> int:
     if any(problems):
         print(f"{args.file}: INVALID")
         return EXIT_VALIDATION
-    if header.runs < 2:
-        print(f"{args.file}: INVALID (a run set needs at least 2 lists)")
+    if problem := _shape_problem(header.kind, header.t, header.k, header.runs):
+        print(f"{args.file}: INVALID ({problem})")
         return EXIT_VALIDATION
     print(f"{args.file}: VALID kind={header.kind} t={header.t} k={header.k} K={header.runs}")
     return EXIT_OK

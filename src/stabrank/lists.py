@@ -28,6 +28,7 @@ import numpy as np
 
 KINDS = ("full", "partial", "topk")
 _SORT_ROWS = 64  # ranking rows that ``row_violations`` sorts at a time
+_GATHER_BLOCK = 1 << 16  # stored cells that ``_lookup`` casts to intp at a time
 
 
 def _storage_dtype(kind: str, t: int) -> np.dtype:
@@ -42,6 +43,17 @@ def _storage_dtype(kind: str, t: int) -> np.dtype:
     return np.dtype(np.int8) if kind == "topk" else np.min_scalar_type(-t * t)
 
 
+def _lookup(table: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``table[m]`` as one new array, with ``m`` cast to intp a block of rows at a time:
+    numpy gathers from narrow indices two to three times as slowly as from intp."""
+    out = np.empty(m.shape, table.dtype)
+    step = max(1, _GATHER_BLOCK // m.shape[1])
+    for start in range(0, m.shape[0], step):
+        rows = slice(start, start + step)
+        out[rows] = table[m[rows].astype(np.intp)]
+    return out
+
+
 def row_violations(kind: str, matrix: np.ndarray, k: int) -> list[str | None]:
     """Check every row of a (lists x features) matrix of one kind.
 
@@ -54,22 +66,23 @@ def row_violations(kind: str, matrix: np.ndarray, k: int) -> list[str | None]:
     scanned for their message by ``_scan``. ``k`` is judged for every kind,
     so full rankings need k == t, and a non-integer ``k`` raises
     ``TypeError``. A matrix that is not 2-D, or an entry that is not an
-    exact integer, raises ``ValueError``, as in ``RunSet``.
+    exact integer, raises ``ValueError``, as in ``RunSet``. A bool or
+    integer matrix is checked in its own dtype, with no copy of it.
     """
-    m = _int64_matrix(matrix)
+    m = _integer_matrix(matrix)
     runs, t = m.shape
     k = _exact_int(k, "k")
     if problem := _shape_problem(kind, t, k):
         return [problem] * runs
     if kind == "topk":
         # a negative entry reads as a huge unsigned value, so it fails too
-        bad = np.flatnonzero(~((m.view(np.uint64).max(axis=1) <= 1) & (m.sum(axis=1) == k)))
+        bad = np.flatnonzero(~((m.view(f"u{m.itemsize}").max(axis=1) <= 1) & (m.sum(axis=1) == k)))
     else:
         expected = np.concatenate([np.zeros(t - k, dtype=np.int64), np.arange(1, k + 1)])
         valid = np.empty(runs, dtype=bool)
         # one block of rows is copied and sorted at a time, in one buffer: a
         # single allocation, which the allocator hands back to the system
-        buffer = np.empty((min(runs, _SORT_ROWS), t), dtype=np.int64)
+        buffer = np.empty((min(runs, _SORT_ROWS), t), dtype=m.dtype)
         for start in range(0, runs, _SORT_ROWS):
             block = buffer[: min(_SORT_ROWS, runs - start)]
             np.copyto(block, m[start:start + len(block)])
@@ -78,7 +91,7 @@ def row_violations(kind: str, matrix: np.ndarray, k: int) -> list[str | None]:
         bad = np.flatnonzero(~valid)
     problems: list[str | None] = [None] * runs
     for j in bad:
-        problems[j] = _scan(kind, m[j].tolist(), k)
+        problems[j] = _scan(kind, m[j].astype(np.int64).tolist(), k)  # a bool cell reads 0 or 1
     return problems
 
 
@@ -126,20 +139,20 @@ def _validate_permutation(values: Sequence[int], n: int) -> str | None:
     return None
 
 
-def _int64(values) -> np.ndarray:
-    """``values`` as an int64 array, refusing any entry the cast would change.
+def _integers(values) -> np.ndarray:
+    """``values`` as an integer array, refusing any entry that is not an exact int64 integer.
 
-    An int64 array is returned as it is; anything else is cast, or read,
-    into a new array in one step. Every entry must be an integer, or an
-    integral finite float, within the int64 range: strings, complex
-    numbers, NaN, fractions and Python ints beyond int64 are refused. The
-    first refused entry raises a ``ValueError`` that names it and, in a 2-D
-    matrix, its run (row).
+    A bool or integer array is returned as it is, in native byte order, so
+    no cell wraps before it is checked; anything else is cast, or read, into
+    a new int64 array in one step. Every entry must be an integer, or an
+    integral finite float, within int64: strings, complex numbers, NaN,
+    fractions and Python ints or uint64 cells beyond it are refused. The
+    first raises a ``ValueError`` naming it and, in a 2-D matrix, its run.
     """
     given = isinstance(values, np.ndarray)
     m = np.asarray(values)
-    if np.can_cast(m.dtype, np.int64):
-        return m.astype(np.int64, copy=False)
+    if np.can_cast(m.dtype, np.int64):  # bool and every integer dtype but uint64
+        return m.astype(m.dtype.newbyteorder("="), copy=False)
     if m.dtype.kind == "u":
         exact = m <= np.iinfo(np.int64).max
     elif m.dtype.kind == "f":
@@ -153,7 +166,7 @@ def _int64(values) -> np.ndarray:
     if m.dtype.kind == "f" and not given:
         # asarray may have rounded Python ints to floats: recheck every entry
         # as given, so an int is judged, and named, as itself
-        return _int64(np.asarray(values, dtype=object))
+        return _integers(np.asarray(values, dtype=object))
     where = np.unravel_index(np.argmin(exact), m.shape)
     value = m[where]
     value = value.item() if isinstance(value, np.generic) else value
@@ -161,9 +174,9 @@ def _int64(values) -> np.ndarray:
     raise ValueError(f"{run}entry {value!r} is not an int64 integer")
 
 
-def _int64_matrix(values) -> np.ndarray:
-    """``_int64`` of a (runs x features) matrix; any other ``ndim`` raises ``ValueError``."""
-    m = _int64(values)
+def _integer_matrix(values) -> np.ndarray:
+    """``_integers`` of a (runs x features) matrix; any other ``ndim`` raises ``ValueError``."""
+    m = _integers(values)
     if m.ndim != 2:
         raise ValueError("matrix must be 2-dimensional (runs x features)")
     return m
@@ -194,9 +207,9 @@ class RunSet:
     kinds (0 = unranked), 0/1 flags for the topk kind; an omitted ``k`` is
     t for full rankings and the nonzero count of row 0 otherwise.
     ``RunSet(...)`` checks the shape (``_shape_problem``) and every row of
-    an int64 view of the input (no copy when it is int64 already), so a
-    cell is judged, and named, as itself before any narrowing. It then keeps
-    its own C-contiguous copy, frozen, so instances are safe to share
+    the input as given (a bool or integer array in its own dtype), so
+    a cell is judged, and named, as itself before any narrowing. It then
+    keeps its own C-contiguous copy, frozen, so instances are safe to share
     between threads and the caller's array stays writable and independent.
 
     The copy is stored at ``_storage_dtype(kind, t)``: int8 for masks, and
@@ -213,7 +226,7 @@ class RunSet:
     k: int = None  # type: ignore[assignment]  # inferred when omitted
 
     def __post_init__(self):
-        m = _int64_matrix(self.matrix)  # checked as given: no cell has wrapped yet
+        m = _integer_matrix(self.matrix)  # checked as given: no cell has wrapped yet
         runs, t = m.shape
         if self.k is not None:
             k = _exact_int(self.k, "k")

@@ -153,19 +153,18 @@ def distance_matrix(
         raise ValueError(f"mixed run set shapes (t, k): {sorted(shapes)}")
     kind, k = kinds.pop(), shapes.pop()[1]
     labels = tuple((label, run) for label, rs in labeled_run_sets for run in range(rs.runs))
-    if distance != "sqrt-js" or kind == "topk":
-        stacked = np.vstack([rs.matrix for _, rs in labeled_run_sets])
-        if distance != "sqrt-js":
-            rows = RunSet._trusted(kind, stacked, k)
-            similarity = similarity_matrix(rows, distance.removeprefix("one-minus-"))
-            return DistanceMatrix(np.maximum(0.0, 1.0 - similarity), labels)
+    stacked = RunSet._trusted(kind, np.vstack([rs.matrix for _, rs in labeled_run_sets]), k)
+    if distance != "sqrt-js":
+        similarity = similarity_matrix(stacked, distance.removeprefix("one-minus-"))
+        return DistanceMatrix(np.maximum(0.0, 1.0 - similarity), labels)
+    if kind == "topk":
         # js_pair fsums k - o equal terms fl(1/k) * fl(ln 2), which is their
         # correctly rounded product, so this order of operations matches it
-        overlaps = _gram(kind, stacked).astype(np.float64, copy=False)
+        overlaps = _gram(kind, stacked.matrix).astype(np.float64, copy=False)
         return DistanceMatrix(np.sqrt((k - overlaps) * ((1.0 / k) * math.log(2.0))), labels)
     n = len(labels)
     d = np.zeros((n, n))
-    points = np.vstack([run_probabilities(rs) for _, rs in labeled_run_sets])
+    points = run_probabilities(stacked)
     for i in range(n):
         for j in range(i + 1, n):
             d[i, j] = d[j, i] = math.sqrt(max(0.0, js_pair(points[i], points[j])))

@@ -22,11 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lists import RunSet, _exact_int, _shape_problem
-
-
-# rank cells that ``run_probabilities`` casts to intp at a time
-_GATHER_BLOCK = 1 << 16
+from .lists import RunSet, _exact_int, _lookup, _shape_problem
 
 
 class DegenerateNormalizerError(ValueError):
@@ -50,22 +46,12 @@ def _rank_weights(n: int) -> np.ndarray:
 def run_probabilities(run_set: RunSet) -> np.ndarray:
     """Map every row of a run set; returns a (K, t) row-stochastic matrix.
 
-    Ranks index a table of their weights a block of rows at a time: numpy
-    gathers from narrow (int16, int32) indices two to three times as
-    slowly as from intp ones, and a block-sized intp copy costs no K x t
-    array.
+    Ranks index a table of their weights through ``lists._lookup``.
     """
-    m = run_set.matrix
     if run_set.kind == "topk":
-        return m / float(run_set.k)
+        return run_set.matrix / float(run_set.k)
     # rank 0 (unranked) reads 0; full rankings have k = t and no zeros
-    table = np.concatenate(([0.0], _rank_weights(run_set.k)))
-    probabilities = np.empty(m.shape)
-    step = max(1, _GATHER_BLOCK // m.shape[1])
-    for start in range(0, m.shape[0], step):
-        rows = slice(start, start + step)
-        probabilities[rows] = table[m[rows].astype(np.intp)]
-    return probabilities
+    return _lookup(np.concatenate(([0.0], _rank_weights(run_set.k))), run_set.matrix)
 
 
 def normalizer(kind: str, t: int, k: int | None = None) -> float:

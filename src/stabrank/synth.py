@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .lists import RunSet, _exact_int, _storage_dtype
+from .lists import RunSet, _exact_int, _lookup, _storage_dtype
 
 
 @dataclass(frozen=True)
@@ -190,8 +190,8 @@ def _curve(
     Over ``fixed`` (ranking and subset families), ``generate`` runs at
     ``fixed=0`` and ``fixed=runs`` and every point stacks rows of the two;
     over ``lam`` (overlap family) it runs at ``lam=0`` and every point
-    relabels that run set's ranks. Any other field calls ``generate`` at
-    every point. Each point owns a new matrix, adopted unchecked.
+    relabels its ranks through ``_lookup``. Any other field calls ``generate``
+    at every point. Each point owns a new matrix, adopted unchecked.
     """
     if field == "fixed":
         random = generate(replace(base, fixed=0))
@@ -208,7 +208,7 @@ def _curve(
             core, block = _slots(base.k, base.overlap, x)
             table = np.zeros(base.k + 1, dtype=anchor.matrix.dtype)  # 0 (unranked) stays 0
             table[core0 + 1], table[block0 + 1] = core + 1, block + 1
-            yield RunSet._trusted(anchor.kind, table[anchor.matrix], anchor.k)
+            yield RunSet._trusted(anchor.kind, _lookup(table, anchor.matrix), anchor.k)
     else:
         for x in grid:
             yield generate(replace(base, **{field: x}))

@@ -272,8 +272,8 @@ def test_validate_and_stability_reach_one_verdict(text, tmp_path, monkeypatch):
     columns = [re.fullmatch(r"column (\d+): (.*)", line) for line in out.splitlines()[:-1]]
     first_bad = next((c for c in columns if c[2] != "ok"), None)
     if first_bad is None:
-        assert out.endswith("in.csv: INVALID (a run set needs at least 2 lists)\n")
         message = "a run set needs at least 2 lists, got 1"
+        assert out.endswith(f"in.csv: INVALID ({message})\n")
     else:
         message = f"column {first_bad[1]}: {first_bad[2]}"
     assert scored == (3, "", f"validation error: {message}\n")

@@ -17,7 +17,7 @@ from stabrank import (
     parse_runset,
     row_violations,
 )
-from stabrank.lists import _int64, _scan, _storage_dtype
+from stabrank.lists import _integers, _scan, _storage_dtype
 from stabrank.runset_io import parse_header
 from conftest import EXAMPLE_FULL, EXAMPLE_K, EXAMPLE_MASKS, EXAMPLE_PARTIAL
 
@@ -338,8 +338,10 @@ class TestRunSet:
 
     @pytest.mark.parametrize("given", [np.bool_, np.int32, list], ids=["bool", "int32", "list"])
     def test_public_constructor_casts_and_copies_in_one_step(self, given):
-        """Peak memory of ``RunSet(...)`` on a mask that is not int64 yet:
-        the int64 cast that is checked, then the int8 copy that is kept."""
+        """Peak memory of ``RunSet(...)`` on a mask that is not int8 yet: the
+        input as numpy reads it, checked as it is (a list becomes an int64
+        array; a bool or int32 array is not copied), then the int8 copy that
+        is kept."""
         mask = np.tile(np.arange(5000) < 1500, (200, 1))
         np.random.default_rng(6).permuted(mask, axis=1, out=mask)
         data = mask.astype(int).tolist() if given is list else mask.astype(given)
@@ -423,7 +425,7 @@ class TestNoCoercion:
             assert rs.matrix.dtype == _storage_dtype("full", 2)
             assert rs.matrix.tolist() == [[1, 2], [2, 1]]
         # asarray reads this list as floats and rounds 2**63 - 1 up to 2**63
-        assert _int64([2**63 - 1, 1.0]).tolist() == [2**63 - 1, 1]
+        assert _integers([2**63 - 1, 1.0]).tolist() == [2**63 - 1, 1]
 
     @pytest.mark.parametrize("k", [1.5, 1.0, True], ids=["fraction", "float", "bool"])
     def test_run_set_k_must_be_an_integer(self, k):

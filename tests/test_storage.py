@@ -4,8 +4,9 @@
 narrowest signed dtype that holds t². The tests below hold every public
 entry point on that storage to its result on int64 storage, show that a
 cell which would wrap is refused as itself, bound the memory of the public
-constructor and of ``to_topk``, and scan ``src/`` for the sums that would
-wrap in a narrow dtype.
+constructor, of ``row_violations`` and of ``to_topk``, hold ``_lookup`` and
+``row_violations`` on every storage dtype to their intp and int64 results,
+and scan ``src/`` for the sums that would wrap in a narrow dtype.
 """
 
 import ast
@@ -33,7 +34,7 @@ from stabrank import (
     similarity_matrix,
 )
 from stabrank import lists
-from stabrank.lists import _SORT_ROWS, _storage_dtype
+from stabrank.lists import _GATHER_BLOCK, _SORT_ROWS, _lookup, _storage_dtype
 
 SOURCE = Path(stabrank.__file__).resolve().parent
 SIGNED = (np.int8, np.int16, np.int32, np.int64)
@@ -170,6 +171,80 @@ def test_public_constructor_allocates_its_copy_and_one_block_of_rows(runs, t):
     assert rs.matrix.itemsize == 4  # int32 at these t
     block = _SORT_ROWS * t * (8 + 1) + 8 * t
     assert peak <= rs.matrix.nbytes + block + 2**16
+
+
+@pytest.mark.parametrize("given", [np.bool_, np.int32], ids=["bool", "int32"])
+def test_public_constructor_checks_a_narrow_mask_without_copying_it(given):
+    """A bool or int32 mask is checked as it is: the one allocation is the
+    int8 copy that is kept, one byte per cell."""
+    mask = np.tile(np.arange(5000) < 1500, (200, 1))
+    np.random.default_rng(10).permuted(mask, axis=1, out=mask)
+    data = mask.astype(given)
+    rs, peak = traced_peak(lambda: RunSet("topk", data, 1500))
+    assert rs.matrix.tolist() == mask.tolist()
+    assert peak <= 1.2 * mask.size
+
+
+def test_row_violations_checks_a_stored_run_set_in_its_own_dtype():
+    """A stored int32 run set is sorted a block of rows at a time in int32:
+    the check allocates less than the stored matrix."""
+    m = np.tile(np.arange(1, 5001), (200, 1))
+    np.random.default_rng(11).permuted(m, axis=1, out=m)
+    rs = RunSet("full", m)
+    del m
+    problems, peak = traced_peak(lambda: row_violations(rs.kind, rs.matrix, rs.k))
+    assert rs.matrix.itemsize == 4 and problems == [None] * rs.runs
+    assert peak <= rs.matrix.nbytes
+
+
+@given(
+    st.sampled_from([np.int8, np.int16, np.int32, np.int64]),
+    st.sampled_from([np.float64, np.int8, np.int32]),
+    st.sampled_from([1, 7, 1000, _GATHER_BLOCK - 1, _GATHER_BLOCK + 3]).flatmap(
+        lambda t: st.tuples(st.integers(1, max(2, 3 * 10**5 // t)), st.just(t))
+    ),
+    st.integers(0, 2**32),
+)
+def test_lookup_equals_the_intp_gather(dtype, table_dtype, shape, seed):
+    """``_lookup`` reads ``table[m]`` by blocks of rows, whatever the storage
+    dtype, the table's dtype, and whether the blocks divide K x t."""
+    runs, t = shape
+    rng = np.random.default_rng(seed)
+    table = rng.integers(-100, 100, 120).astype(table_dtype)
+    m = rng.integers(0, len(table), (runs, t)).astype(dtype)
+    found = _lookup(table, m)
+    expected = table[m.astype(np.intp)]
+    assert found.dtype == table.dtype and found.flags.c_contiguous
+    np.testing.assert_array_equal(found, expected)
+
+
+@given(
+    st.sampled_from(KINDS),
+    st.sampled_from([np.bool_, np.uint16, np.int8]),
+    st.integers(1, 12).flatmap(lambda t: st.tuples(
+        st.integers(1, t),
+        st.lists(st.lists(st.integers(-2, t + 2), min_size=t, max_size=t), min_size=1, max_size=4),
+    )),
+)
+def test_row_violations_on_narrow_input_equals_it_on_int64(kind, dtype, drawn):
+    """Every verdict and message is that of the int64 cast: a bool cell is
+    named as the integer it holds (``duplicate rank 1``, never ``True``)."""
+    k, rows = drawn
+    wide = np.array(rows, dtype=np.int64)
+    if dtype is np.bool_:
+        wide = wide & 1
+    elif dtype is np.uint16:
+        wide = np.abs(wide)
+    narrow = wide.astype(dtype)
+    assert row_violations(kind, narrow, k) == row_violations(kind, wide, k)
+
+
+def test_row_violations_reads_a_big_endian_matrix_by_value():
+    """The mask check reads an unsigned view of the cells, so they are put in
+    native byte order first: viewed as it is, a big-endian 256 reads as 1."""
+    m = np.zeros((2, 300), dtype=">i2")
+    m[:, 0] = 256
+    assert row_violations("topk", m, 256) == ["entry 256 is not 0 or 1"] * 2
 
 
 def test_to_topk_writes_one_byte_per_cell():
