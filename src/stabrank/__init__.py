@@ -56,7 +56,7 @@ from .synth import (
     gen_subset_family,
 )
 
-__version__ = "0.5.1"
+__version__ = "0.5.2"
 
 __all__ = [
     "DISTANCES",

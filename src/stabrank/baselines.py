@@ -11,11 +11,8 @@ exactly as defined: Spearman and Kuncheva go negative for strongly
 discordant inputs and are deliberately not clamped. Mean Spearman and
 Kuncheva are read from column sums (the frequency view of Nogueira,
 Sechidis & Brown, JMLR 2018); Jaccard needs the pairwise overlaps, which
-come from the Gram matrix of the lists. For masks over fewer than 2**24
-features that Gram is multiplied in float32: every partial sum is then an
-integer below 2**24, which float32 holds exactly. Rankings, and masks
-with more features, multiply in float64. The Gram is accumulated over
-blocks of features, so its float copy of the lists stays one block.
+come from the Gram matrix of the lists, ``_gram``: exact, and multiplied
+in the narrowest float that keeps it so, over blocks of features.
 """
 
 from __future__ import annotations
@@ -62,18 +59,31 @@ def _plain(x, kind: str) -> np.ndarray:
     return a
 
 
+def _pair(first, second, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Two lists of ``kind`` as ``_plain`` vectors of one length; else ``ValueError``."""
+    a, b = _plain(first, kind), _plain(second, kind)
+    if a.shape != b.shape:
+        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
+    return a, b
+
+
+def _check_domain(metric: str, t: int, k: int) -> None:
+    """Raise ``ValueError`` where ``metric`` is undefined for t features with k selected."""
+    if metric == "spearman" and t < 2:
+        raise ValueError("Spearman correlation needs at least 2 features")
+    if metric == "kuncheva" and k in (0, t):
+        raise ValueError(f"Kuncheva index is undefined for k={k} of t={t}")
+
+
 def spearman(first, second) -> float:
     """Spearman's rank correlation between two full rankings (plain sequences).
 
     ``1 - 6 * sum (r_i - r'_i)^2 / (t (t^2 - 1))``: 1 for identical
     rankings, -1 for exactly reversed ones. Requires t >= 2.
     """
-    a, b = _plain(first, "full"), _plain(second, "full")
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
+    a, b = _pair(first, second, "full")
     t = a.shape[0]
-    if t < 2:
-        raise ValueError("Spearman correlation needs at least 2 features")
+    _check_domain("spearman", t, t)
     d2 = int(np.sum((a - b) ** 2))
     return 1.0 - 6.0 * d2 / (t * (t * t - 1.0))
 
@@ -86,25 +96,19 @@ def kuncheva(first, second) -> float:
     overlap falls below the k^2/t chance level. Undefined at k = 0 or
     k = t (degenerate denominator).
     """
-    a, b = _plain(first, "topk"), _plain(second, "topk")
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
+    a, b = _pair(first, second, "topk")
     t = a.shape[0]
-    ka, kb = int(a.sum()), int(b.sum())
-    if ka != kb:
-        raise ValueError(f"masks select different counts: {ka} vs {kb}")
-    k = ka
-    if k == 0 or k == t:
-        raise ValueError(f"Kuncheva index is undefined for k={k} of t={t}")
+    k, kb = int(a.sum()), int(b.sum())
+    if k != kb:
+        raise ValueError(f"masks select different counts: {k} vs {kb}")
+    _check_domain("kuncheva", t, k)
     o = int(np.sum(a & b))
     return (o * t - k * k) / (k * (t - k))
 
 
 def jaccard(first, second) -> float:
     """Intersection over union of the selected features, in [0, 1]."""
-    a, b = _plain(first, "topk"), _plain(second, "topk")
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
+    a, b = _pair(first, second, "topk")
     o = int(np.sum(a & b))
     union = int(np.sum(a | b))
     if union == 0:
@@ -129,11 +133,7 @@ def _check_metric(run_set: RunSet, metric: str) -> None:
         raise MetricMismatchError(
             f"metric {metric!r} applies to {required} run sets, got {run_set.kind!r}"
         )
-    t, k = run_set.t, run_set.k
-    if metric == "spearman" and t < 2:
-        raise ValueError("Spearman correlation needs at least 2 features")
-    if metric == "kuncheva" and k == t:
-        raise ValueError(f"Kuncheva index is undefined for k={k} of t={t}")
+    _check_domain(metric, run_set.t, run_set.k)
 
 
 def pairwise_stability(run_set: RunSet, metric: str) -> PairwiseStability:
@@ -170,14 +170,13 @@ def similarity_matrix(run_set: RunSet, metric: str) -> np.ndarray:
     ``metric`` is one of ``spearman`` (full rankings only), ``kuncheva`` or
     ``jaccard`` (topk masks only); a kind mismatch raises
     ``MetricMismatchError``. Every entry is computed from the Gram matrix of
-    the lists, multiplied in float32 for masks over fewer than 2**24
-    features (where it is exact) and in float64 otherwise. Each entry
-    equals the scalar metric on that pair exactly, except for full rankings
-    with t(t+1)(2t+1)/6 >= 2**53 (t above about 300,000), where the Gram
-    rounds: at t = 10**6 entries agree with ``spearman`` within 1e-13.
+    the lists (``_gram``) and equals the scalar metric on that pair exactly,
+    except for full rankings with t(t+1)(2t+1)/6 >= 2**53 (t above about
+    300,000), where the Gram rounds: at t = 10**6 entries agree with
+    ``spearman`` within 1e-13.
     """
     _check_metric(run_set, metric)
-    gram = _gram(run_set.kind, run_set.matrix).astype(np.float64, copy=False)
+    gram = _gram(run_set.kind, run_set.matrix)
     t, k = run_set.t, run_set.k
     if metric == "spearman":
         sq = np.diag(gram)
@@ -189,15 +188,15 @@ def similarity_matrix(run_set: RunSet, metric: str) -> np.ndarray:
 
 
 def _gram(kind: str, m: np.ndarray) -> np.ndarray:
-    """The K x K products of the ``kind`` lists in the rows of ``m``, exact.
+    """The K x K products of the ``kind`` lists in the rows of ``m``, exact, in float64.
 
     The rows must be valid lists. A mask product counts shared features, so
-    every partial sum is an integer of at most t, and float32 holds it
-    exactly below 2**24 features. Rank products outgrow float32 and take
-    float64, exact while they stay below 2**53. The lists are cast and multiplied in blocks of whole features of
-    at most ``_GRAM_BLOCK`` elements (one feature when K is larger), so the
-    float copy holds one block at a time; the block products add up to the
-    same exact integers.
+    every partial sum is an integer of at most t, which float32 holds
+    exactly below 2**24 features: masks multiply in float32 there. Rank
+    products take float64, exact below 2**53. The lists are cast and
+    multiplied in blocks of whole features of at most ``_GRAM_BLOCK``
+    elements (one feature when K is larger), so the float copy holds one
+    block at a time; the block products add up to the same integers.
     """
     dtype = np.float32 if kind == "topk" and m.shape[1] < _FLOAT32_EXACT else np.float64
     step = max(1, _GRAM_BLOCK // m.shape[0])
@@ -206,4 +205,4 @@ def _gram(kind: str, m: np.ndarray) -> np.ndarray:
         block = m[:, start : start + step].astype(dtype)
         gram += block @ block.T
         del block  # free it before the next block is cast
-    return gram
+    return gram.astype(np.float64, copy=False)

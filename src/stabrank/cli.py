@@ -22,15 +22,13 @@ import sys
 from .baselines import METRIC_KINDS, pairwise_stability
 from .divergence import js_stability
 from .experiments import EXPERIMENT_NAMES, run_experiment
-from .lists import _shape_problem
 from .mds import DISTANCES, MdsConvergenceError, classical_mds, distance_matrix
 from .probability import DegenerateNormalizerError
 from .runset_io import (
     RunSetParseError,
     RunSetValidationError,
-    column_violations,
+    check_runset,
     load_runset,
-    read_columns,
     read_text,
 )
 
@@ -106,15 +104,12 @@ def _emit(args, document: dict, text) -> None:
 
 
 def cmd_validate(args) -> int:
-    header, matrix = read_columns(read_text(args.file))
-    problems = column_violations(header, matrix)
+    header, _, problems, verdict = check_runset(read_text(args.file))
     for col, problem in enumerate(problems, start=1):
         print(f"column {col}: {problem if problem else 'ok'}")
-    if any(problems):
-        print(f"{args.file}: INVALID")
-        return EXIT_VALIDATION
-    if problem := _shape_problem(header.kind, header.t, header.k, header.runs):
-        print(f"{args.file}: INVALID ({problem})")
+    if verdict is not None:
+        # a bad column is on its own line above; a shape verdict is named here
+        print(f"{args.file}: INVALID" + ("" if any(problems) else f" ({verdict})"))
         return EXIT_VALIDATION
     print(f"{args.file}: VALID kind={header.kind} t={header.t} k={header.k} K={header.runs}")
     return EXIT_OK

@@ -31,19 +31,18 @@ class SupportMismatchError(ValueError):
     """KL divergence is infinite: p has mass where q has none."""
 
 
-def _as_prob_matrix(ps) -> np.ndarray:
-    m = np.asarray(ps, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError("expected a sequence of probability vectors")
-    return m
-
-
-def kl(p, q) -> float:
-    """Kullback-Leibler divergence ``sum_i p_i ln(p_i / q_i)`` in nats."""
+def _distributions(p, q) -> tuple[np.ndarray, np.ndarray]:
+    """``p`` and ``q`` as float64 arrays of one shape; else ``ValueError``."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
+    return p, q
+
+
+def kl(p, q) -> float:
+    """Kullback-Leibler divergence ``sum_i p_i ln(p_i / q_i)`` in nats."""
+    p, q = _distributions(p, q)
     mask = p > 0
     if np.any(q[mask] == 0):
         raise SupportMismatchError("p has probability mass where q has none")
@@ -52,10 +51,7 @@ def kl(p, q) -> float:
 
 def js_pair(p, q) -> float:
     """Jensen-Shannon divergence of two distributions (symmetric, <= ln 2)."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
+    p, q = _distributions(p, q)
     if np.array_equal(p, q):
         return 0.0
     m = 0.5 * (p + q)
@@ -85,7 +81,9 @@ def js_multi(ps) -> float:
     Kahan-added per feature, and the t per-feature totals are summed
     exactly with ``math.fsum``.
     """
-    m = _as_prob_matrix(ps)
+    m = np.asarray(ps, dtype=np.float64)
+    if m.ndim != 2:
+        raise ValueError("expected a sequence of probability vectors")
     runs, t = m.shape
     if runs < 2:
         raise ValueError(f"need at least 2 distributions, got {runs}")

@@ -156,16 +156,16 @@ def _integers(values) -> np.ndarray:
     if m.dtype.kind == "u":
         exact = m <= np.iinfo(np.int64).max
     elif m.dtype.kind == "f":
-        exact = (np.abs(m) < 2.0**63) & (np.trunc(m) == m)  # NaN and inf fail both
+        # floats that asarray made of a list hold its ints exactly only below
+        # 2**53: larger entries are rechecked as given below. NaN and inf fail it.
+        exact = (np.abs(m) < (2.0**63 if given else 2.0**53)) & (np.trunc(m) == m)
     elif m.dtype.kind == "O":
         exact = np.array([_is_int64(v) for v in m.flat], dtype=bool).reshape(m.shape)
     else:
         exact = np.zeros(m.shape, dtype=bool)
     if exact.all():
         return m.astype(np.int64, order="C")
-    if m.dtype.kind == "f" and not given:
-        # asarray may have rounded Python ints to floats: recheck every entry
-        # as given, so an int is judged, and named, as itself
+    if m.dtype.kind == "f" and not given:  # judge, and name, each int as itself
         return _integers(np.asarray(values, dtype=object))
     where = np.unravel_index(np.argmin(exact), m.shape)
     value = m[where]

@@ -160,7 +160,7 @@ def distance_matrix(
     if kind == "topk":
         # js_pair fsums k - o equal terms fl(1/k) * fl(ln 2), which is their
         # correctly rounded product, so this order of operations matches it
-        overlaps = _gram(kind, stacked.matrix).astype(np.float64, copy=False)
+        overlaps = _gram(kind, stacked.matrix)
         return DistanceMatrix(np.sqrt((k - overlaps) * ((1.0 / k) * math.log(2.0))), labels)
     n = len(labels)
     d = np.zeros((n, n))

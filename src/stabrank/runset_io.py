@@ -159,8 +159,7 @@ def read_columns(text: str) -> tuple[RunSetFileHeader, np.ndarray]:
     dtype that holds t² (int8 for masks; see ``lists._storage_dtype``), and
     a cell narrowed before its check could wrap into range. Raises
     ``RunSetParseError`` for structural problems, naming the first bad line;
-    per-column invariant checking is up to the caller (see
-    ``column_violations``).
+    the lists themselves are judged by ``check_runset``.
     """
     lines = text.split("\n")
     ended = lines[-1] == ""
@@ -189,20 +188,29 @@ def column_violations(header: RunSetFileHeader, runs_matrix: np.ndarray) -> list
     return row_violations(header.kind, runs_matrix, header.k)
 
 
+def check_runset(text: str) -> tuple[RunSetFileHeader, np.ndarray, list[str | None], str | None]:
+    """A run-set file's header, runs-major matrix, column problems and verdict.
+
+    The verdict, which ``parse_runset`` raises and ``stabrank validate``
+    prints, is the first bad column as ``column j: <problem>``, else the
+    shape rule the file breaks (``lists._shape_problem``), else ``None``.
+    """
+    header, matrix = read_columns(text)
+    problems = column_violations(header, matrix)
+    bad = next((f"column {j}: {p}" for j, p in enumerate(problems, 1) if p is not None), None)
+    verdict = bad or _shape_problem(header.kind, header.t, header.k, header.runs)
+    return header, matrix, problems, verdict
+
+
 def parse_runset(text: str) -> RunSet:
     """Parse and validate a run-set file into a ``RunSet``.
 
-    Structural problems raise ``RunSetParseError``; invariant violations
-    and a single run raise ``RunSetValidationError`` (the first offending
-    column is named). No row is checked twice; once checked, the matrix is
-    adopted in its storage dtype, the one copy.
+    A structural problem raises ``RunSetParseError`` and a ``check_runset``
+    verdict ``RunSetValidationError``; else the checked matrix is adopted.
     """
-    header, matrix = read_columns(text)
-    for col, problem in enumerate(column_violations(header, matrix)):
-        if problem is not None:
-            raise RunSetValidationError(f"column {col + 1}: {problem}")
-    if problem := _shape_problem(header.kind, header.t, header.k, header.runs):
-        raise RunSetValidationError(problem)
+    header, matrix, _, verdict = check_runset(text)
+    if verdict is not None:
+        raise RunSetValidationError(verdict)
     return RunSet._trusted(header.kind, matrix, header.k)
 
 

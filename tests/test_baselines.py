@@ -68,8 +68,10 @@ class TestSpearman:
             ((1, 2, 3), (1, 1, 1), "not a full ranking: duplicate rank 1"),
             ((0, 1, 2), (1, 2, 3), "not a full ranking: rank 0 out of range 1..3"),
             ((1.5, 2, 3), (1, 2, 3), "entry 1.5 is not an int64 integer"),
+            ([[1, 2], [2, 1]], (1, 2), r"^expected a 1-dimensional list, got shape \(2, 2\)$"),
+            ((1.0, 2**53 + 1), (1, 2), f"^not a full ranking: rank {2**53 + 1} out of range 1..2$"),
         ],
-        ids=["duplicate", "zero-rank", "fraction"],
+        ids=["duplicate", "zero-rank", "fraction", "two-dimensional", "int-above-2**53"],
     )
     def test_rejects_non_permutations(self, first, second, message):
         with pytest.raises(ValueError, match=message):
@@ -113,8 +115,9 @@ class TestKuncheva:
             ((2, 0, 0, 0), (0, 1, 1, 0), "not a 0/1 mask: entry 2 is not 0 or 1"),
             ((1, 1, 0, 0), (1, -1, 1, 1), "not a 0/1 mask: entry -1 is not 0 or 1"),
             ((1, 0.5, 0, 0), (1, 0, 0, 0), "entry 0.5 is not an int64 integer"),
+            ((1, 0, 1), (1, 1), r"^length mismatch: \(3,\) vs \(2,\)$"),
         ],
-        ids=["two", "negative", "fraction"],
+        ids=["two", "negative", "fraction", "length-mismatch"],
     )
     def test_rejects_non_binary(self, first, second, message):
         with pytest.raises(ValueError, match=message):
@@ -166,8 +169,9 @@ class TestJaccard:
             ((2, 0, 0), (1, 0, 0), "not a 0/1 mask: entry 2 is not 0 or 1"),
             ((1, 0, 0), (1, 0, -1), "not a 0/1 mask: entry -1 is not 0 or 1"),
             ((1, 0, 0), (1.5, 0, 0), "entry 1.5 is not an int64 integer"),
+            ((1, 0), (1, 0, 0), r"^length mismatch: \(2,\) vs \(3,\)$"),
         ],
-        ids=["two", "negative", "fraction"],
+        ids=["two", "negative", "fraction", "length-mismatch"],
     )
     def test_rejects_non_binary(self, first, second, message):
         with pytest.raises(ValueError, match=message):
@@ -293,29 +297,41 @@ def random_masks(seed: int, t: int, k: int, runs: int) -> RunSet:
     return random_rankings(seed, t, runs).to_topk(k)
 
 
+def copy_width(rs: RunSet) -> float:
+    """Peak bytes per cell of one ``_gram`` call: with t much larger than K,
+    the width of the float copy it multiplies the lists in."""
+    tracemalloc.start()
+    try:
+        baselines._gram(rs.kind, rs.matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / rs.matrix.size
+
+
 class TestGram:
     """Mask Grams multiply in float32 below 2**24 features, and exactly, in
-    feature blocks that change no entry."""
+    feature blocks that change no entry; every Gram is returned in float64."""
 
     @pytest.mark.parametrize("t, k, runs", [(300, 90, 40), (20000, 15000, 8)])
     def test_float32_gram_equals_float64_gram(self, t, k, runs):
         rs = random_masks(t, t, k, runs)
         gram = baselines._gram(rs.kind, rs.matrix)
-        assert gram.dtype == np.float32
+        assert gram.dtype == np.float64
         m = rs.matrix.astype(np.float64)
         np.testing.assert_array_equal(gram, m @ m.T)
 
     @pytest.mark.parametrize("limit, dtype", [(0, np.float64), (1, np.float32)])
     def test_guard_on_either_side_of_the_limit(self, monkeypatch, limit, dtype):
-        rs = random_masks(5, 300, 90, 40)
+        rs = random_masks(5, 3000, 900, 40)
         expected = {m: similarity_matrix(rs, m) for m in ("kuncheva", "jaccard")}
         monkeypatch.setattr(baselines, "_FLOAT32_EXACT", rs.t + limit)
-        assert baselines._gram(rs.kind, rs.matrix).dtype == dtype
+        assert int(copy_width(rs)) == np.dtype(dtype).itemsize
         for metric, want in expected.items():
             np.testing.assert_array_equal(similarity_matrix(rs, metric), want)
 
-    def test_rankings_stay_float64(self, full_run_set):
-        assert baselines._gram(full_run_set.kind, full_run_set.matrix).dtype == np.float64
+    def test_rankings_stay_float64(self):
+        assert int(copy_width(random_rankings(4, 3000, 40))) == 8
 
     @pytest.mark.parametrize("t, tolerance", [(300_000, 0.0), (1_000_000, 1e-13)])
     def test_ranking_gram_exact_up_to_its_stated_bound(self, t, tolerance):

@@ -128,6 +128,10 @@ class TestJsPair:
     def test_disjoint_support_reaches_ln2(self):
         assert js_pair([1.0, 0.0], [0.0, 1.0]) == pytest.approx(LN2, abs=1e-15)
 
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match=r"^length mismatch: \(2,\) vs \(1,\)$"):
+            js_pair([0.5, 0.5], [1.0])
+
     @given(prob_vector_pairs())
     @settings(max_examples=60, deadline=None)
     def test_symmetric_and_bounded(self, pq):
@@ -159,6 +163,10 @@ class TestJsMulti:
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
             js_multi([[0.5, 0.5]])
+
+    def test_needs_a_sequence_of_vectors(self):
+        with pytest.raises(ValueError, match="^expected a sequence of probability vectors$"):
+            js_multi([0.5, 0.5])
 
     @given(run_sets_with_fixed_rows())
     @example(edge_run_set("full", t=7, k=7, runs=2, fixed=0))

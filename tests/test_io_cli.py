@@ -397,9 +397,11 @@ FAILURE_FILES = {
     "empty.csv": b"",
     "duplicate.csv": b"#stabrank v1 kind=full t=2 k=2 K=2\n1,1\n1,2\n",
     "one_run.csv": b"#stabrank v1 kind=full t=2 k=2 K=1\n1\n2\n",
+    "zero_runs.csv": b"#stabrank v1 kind=full t=2 k=2 K=0\n\n\n",
 }
 
-# (id, argv, exit code, stderr prefix): one row per documented failure path
+# (id, argv, exit code, stderr prefix): one row per documented failure path;
+# a prefix is the text before a ": " on the one stderr line, or all of the line
 FAILURE_TABLE = [
     ("validate-missing", ["validate", "missing/x.csv"], 2, "file error"),
     ("stability-missing", ["stability", "missing/x.csv"], 2, "file error"),
@@ -410,6 +412,10 @@ FAILURE_TABLE = [
     ("mds-oversized", ["mds", "oversized.csv"], 2, "parse error"),
     ("validate-overstated-k", ["validate", "overstated_k.csv"], 2, "parse error"),
     ("validate-latin1", ["validate", "latin1.csv"], 2, "parse error"),
+    ("validate-zero-runs", ["validate", "zero_runs.csv"], 2,
+     "parse error: line 1: K must be positive"),
+    ("stability-zero-runs", ["stability", "zero_runs.csv"], 2,
+     "parse error: line 1: K must be positive"),
     ("stability-latin1", ["stability", "latin1.csv"], 2, "parse error"),
     ("mds-latin1", ["mds", "latin1.csv"], 2, "parse error"),
     ("experiment-unwritable-out",
@@ -419,6 +425,8 @@ FAILURE_TABLE = [
     ("mds-invalid-column", ["mds", "masks.csv", "duplicate.csv"], 3, "validation error"),
     ("stability-kind-mismatch", ["stability", "full.csv", "--metrics", "kuncheva"], 4, "error"),
     ("stability-unknown-metric", ["stability", "full.csv", "--metrics", "kendall"], 4, "error"),
+    ("stability-no-metrics", ["stability", "full.csv", "--metrics", ","], 4,
+     "error: no metrics requested"),
     ("stability-unknown-metric-before-read",
      ["stability", "missing/x.csv", "--metrics", "kendall"], 4, "error"),
     ("stability-kuncheva-k-equals-t",
@@ -452,4 +460,4 @@ def test_failure_table(argv, code, prefix, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert got == code
-    assert err.startswith(f"{prefix}: ")
+    assert (err.removesuffix("\n") + ": ").startswith(prefix + ": ")

@@ -406,9 +406,12 @@ class TestNoCoercion:
             ([[1, 2], [2, 2**70]], f"run 1: entry {2**70} is not an int64 integer"),
             ([[1, 2**63], [2, 1]], f"run 0: entry {2**63} is not an int64 integer"),
             (np.array([[1, 2**63], [2, 1]], dtype=np.uint64), f"run 0: entry {2**63} is not"),
+            # asarray reads this list as floats and rounds 2**53 + 1 to 2**53
+            ([[1.0, 2**53 + 1], [2**53 + 1, 1.0]], f"^run 0: rank {2**53 + 1} out of range 1..2$"),
         ],
         ids=["fraction", "fraction-run-1", "string", "nan", "inf", "complex",
-             "python-int-beyond-int64", "python-int-read-as-float", "uint64-beyond-int64"],
+             "python-int-beyond-int64", "python-int-read-as-float", "uint64-beyond-int64",
+             "python-int-above-2**53"],
     )
     def test_rejects_non_integral_matrix(self, matrix, message):
         with warnings.catch_warnings():
@@ -426,6 +429,7 @@ class TestNoCoercion:
             assert rs.matrix.tolist() == [[1, 2], [2, 1]]
         # asarray reads this list as floats and rounds 2**63 - 1 up to 2**63
         assert _integers([2**63 - 1, 1.0]).tolist() == [2**63 - 1, 1]
+        assert _integers([2**53 + 1, 1.0]).tolist() == [2**53 + 1, 1]
 
     @pytest.mark.parametrize("k", [1.5, 1.0, True], ids=["fraction", "float", "bool"])
     def test_run_set_k_must_be_an_integer(self, k):

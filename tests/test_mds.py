@@ -139,6 +139,13 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError, match="mixed"):
             distance_matrix([("a", stable), ("b", full)])
 
+    def test_unknown_distance_and_no_input_rejected(self):
+        stable, _ = stable_and_random()
+        with pytest.raises(ValueError, match="^unknown distance 'euclid', expected one of "):
+            distance_matrix([("a", stable)], distance="euclid")
+        with pytest.raises(ValueError, match="^need at least one run set$"):
+            distance_matrix([])
+
     def test_metric_distance_requires_matching_kind(self):
         stable, _ = stable_and_random()
         with pytest.raises(MetricMismatchError):
@@ -158,6 +165,10 @@ class TestDistanceMatrix:
             DistanceMatrix(np.array([[0, -1.0], [-1.0, 0]]), (("a", 0), ("a", 1)))
         with pytest.raises(ValueError, match="^d must be a square array of numbers: "):
             DistanceMatrix([[0, 1], [1]], (("a", 0), ("a", 1)))  # ragged
+        with pytest.raises(ValueError, match="^distance matrix must be square$"):
+            DistanceMatrix(np.zeros((2, 3)), (("a", 0), ("a", 1)))
+        with pytest.raises(ValueError, match="^one label per point required$"):
+            DistanceMatrix(np.zeros((2, 2)), (("a", 0),))
 
     def test_run_tag_must_be_an_integer(self):
         # int() would have made run 0.7 into run 0

@@ -176,14 +176,16 @@ def test_only_stabrank_s_own_builders_adopt_a_matrix_unchecked():
 @pytest.mark.parametrize("module", ["runset_io.py", "cli.py"])
 def test_file_and_cli_input_never_skips_the_check(module):
     """File input reaches ``RunSet._trusted`` only in ``parse_runset``, after
-    its column check; the command layer never names it."""
+    ``check_runset``, which runs the column check; the command layer never
+    names it."""
     if module == "cli.py":
         assert "_trusted" not in (SOURCE / module).read_text(encoding="utf-8")
         return
     trusted = calls_by_function(module, "_trusted")
     assert set(trusted) == {"parse_runset"}
-    checks = calls_by_function(module, "column_violations")["parse_runset"]
+    checks = calls_by_function(module, "check_runset")["parse_runset"]
     assert min(checks) < min(trusted["parse_runset"])
+    assert "check_runset" in calls_by_function(module, "column_violations")
 
 
 @pytest.fixture
