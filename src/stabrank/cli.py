@@ -16,6 +16,7 @@ produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -167,7 +168,9 @@ def cmd_mds(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``stabrank`` argument parser, built once and reused by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="stabrank",
         description="Stability metrics for feature rankings and feature subsets.",

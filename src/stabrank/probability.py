@@ -46,12 +46,13 @@ def _rank_weights(n: int) -> np.ndarray:
 def run_probabilities(run_set: RunSet) -> np.ndarray:
     """Map every row of a run set; returns a (K, t) row-stochastic matrix.
 
-    Ranks index a table of their weights through ``lists._lookup``.
+    Ranks and mask entries index a table of their weights through
+    ``lists._lookup``: ``1/k`` for a selected feature, ``_rank_weights(k)``
+    for ranks 1..k.
     """
-    if run_set.kind == "topk":
-        return run_set.matrix / float(run_set.k)
-    # rank 0 (unranked) reads 0; full rankings have k = t and no zeros
-    return _lookup(np.concatenate(([0.0], _rank_weights(run_set.k))), run_set.matrix)
+    weights = [1.0 / run_set.k] if run_set.kind == "topk" else _rank_weights(run_set.k)
+    # 0 (unselected, unranked) reads 0; full rankings have k = t and no zeros
+    return _lookup(np.concatenate(([0.0], weights)), run_set.matrix)
 
 
 def normalizer(kind: str, t: int, k: int | None = None) -> float:

@@ -4,7 +4,8 @@
 requires every layer the benchmark traces to see calls, and requires each
 check to reject perturbed outputs. A change that stops reaching a traced
 layer (for example ``probability.run_probabilities`` from ``js_stability``)
-fails here.
+fails here. The self-test runs with ``-W error``, so a warning raised inside
+a workload fails it too.
 """
 
 import subprocess
@@ -16,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_bench_selftest_exits_0():
     result = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "selftest.py")],
+        [sys.executable, "-W", "error", str(ROOT / "bench" / "selftest.py")],
         cwd=ROOT,
         capture_output=True,
         text=True,

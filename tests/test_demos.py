@@ -2,7 +2,8 @@
 
 Each ``demos/*.py`` runs in its own process from an empty directory (demo
 04 writes ``mds_coords.csv`` into the working directory), with the
-package's ``src`` directory on the path.
+package's ``src`` directory on the path and ``-W error``, so a warning
+fails the demo as it fails a test.
 """
 
 import os
@@ -27,7 +28,7 @@ def test_demo_runs(demo, tmp_path):
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     result = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path,
         env=env,
         capture_output=True,

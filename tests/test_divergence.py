@@ -8,7 +8,10 @@ takes that route; it evaluates the divergence sum directly. ``js_multi``
 is also held to the all-terms ``math.fsum`` form it replaced, and to an
 O(t) bound on its working memory. Top-k masks are scored from their
 selection counts; that form is held to ``js_multi`` and to an mpmath
-evaluation of the entropy identity.
+evaluation of the entropy identity. ``kl``, ``js_pair`` and ``js_multi``
+are held bit for bit to their 0.5.2 bodies (``v052_*`` below), from before
+their input went through one check, and every input that check refuses
+has a row in ``REFUSALS``.
 """
 
 import math
@@ -29,6 +32,7 @@ from stabrank import (
     kl,
     run_probabilities,
 )
+from stabrank import divergence
 
 LN2 = math.log(2.0)
 
@@ -342,3 +346,169 @@ class TestJsMasks:
         finally:
             tracemalloc.stop()
         assert peak <= 0.2 * rs.matrix.nbytes
+
+
+# The 0.5.2 bodies of kl, js_pair and js_multi, which cast their
+# input with np.asarray(..., dtype=np.float64) and checked nothing else.
+def v052_distributions(p, q):
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    if p.shape != q.shape:
+        raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
+    return p, q
+
+
+def v052_kl(p, q):
+    p, q = v052_distributions(p, q)
+    mask = p > 0
+    if np.any(q[mask] == 0):
+        raise SupportMismatchError("p has probability mass where q has none")
+    return math.fsum(p[mask] * np.log(p[mask] / q[mask]))
+
+
+def v052_js_pair(p, q):
+    p, q = v052_distributions(p, q)
+    if np.array_equal(p, q):
+        return 0.0
+    m = 0.5 * (p + q)
+    return 0.5 * (v052_kl(p, m) + v052_kl(q, m))
+
+
+def v052_column_sums(rows, t):
+    total, carry, y, s = (np.zeros(t) for _ in range(4))
+    for row in rows:
+        np.subtract(row, carry, out=y)
+        np.add(total, y, out=s)
+        np.subtract(s, total, out=carry)
+        carry -= y
+        total, s = s, total
+    return total
+
+
+def v052_js_multi(ps):
+    m = np.asarray(ps, dtype=np.float64)
+    if m.ndim != 2:
+        raise ValueError("expected a sequence of probability vectors")
+    runs, t = m.shape
+    if runs < 2:
+        raise ValueError(f"need at least 2 distributions, got {runs}")
+    if np.all(m == m[0]):
+        return 0.0
+    mean = v052_column_sums(m, t) / runs
+    terms = (row * np.log(np.divide(row, mean, out=np.ones(t), where=row > 0)) for row in m)
+    return math.fsum(v052_column_sums(terms, t)) / runs
+
+
+def outcome(function, *args):
+    """``float.hex`` of the value, or the class of the ``ValueError`` raised."""
+    try:
+        return float.hex(function(*args))
+    except ValueError as exc:
+        return type(exc)
+
+
+@st.composite
+def vectors_with_zeros(draw):
+    """K = 2..8 non-negative vectors of t = 1..300 entries, a drawn share of
+    them zero; normalised to sum to 1 or left as drawn, and sometimes with
+    the second vector a copy of the first."""
+    t = draw(st.integers(1, 300))
+    runs = draw(st.integers(2, 8))
+    zeros = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = np.where(rng.random((runs, t)) < zeros, 0.0, rng.random((runs, t)))
+    if draw(st.booleans()):
+        sums = m.sum(axis=1, keepdims=True)
+        m = np.divide(m, sums, out=m, where=sums > 0)
+    if draw(st.booleans()):
+        m[1] = m[0]
+    return m
+
+
+class TestSameBitsAsBefore:
+    @given(vectors_with_zeros())
+    @example(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    @example(np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 0.0], [0.25, 0.25, 0.5]]))
+    @example(np.array([[0.0], [0.0]]))
+    @settings(max_examples=200, deadline=None)
+    def test_kl_js_pair_and_js_multi(self, m):
+        p, q = m[0], m[1]
+        for args in ((p, q), (q, p), (p.tolist(), q.tolist())):
+            assert outcome(kl, *args) == outcome(v052_kl, *args)
+            assert outcome(js_pair, *args) == outcome(v052_js_pair, *args)
+        assert outcome(js_multi, m) == outcome(v052_js_multi, m)
+        assert outcome(js_multi, m.tolist()) == outcome(v052_js_multi, m)
+
+
+NAN, INF = math.nan, math.inf
+REAL = "^probabilities must be real numbers, got dtype "
+FINITE = "^probabilities must be finite and non-negative, got "
+RAGGED = "^ragged nesting: the entries are not one rectangular array$"
+VECTOR = "^expected a probability vector$"
+VECTORS = "^expected a sequence of probability vectors$"
+SUPPORT = "^p has probability mass where q has none$"
+
+# (function, arguments, exception class, message): every row is refused
+# with a ValueError that names its problem, never a number or a warning
+REFUSALS = [
+    (kl, (["0.5", "0.5"], [0.5, 0.5]), ValueError, REAL + "<U3$"),
+    (js_pair, ([True, False], [0.5, 0.5]), ValueError, REAL + "bool$"),
+    (js_multi, ([[0.5, None], [0.5, 0.5]],), ValueError, REAL + "object$"),
+    (js_pair, ([0.5, 0.5], [0.5 + 0j, 0.5]), ValueError, REAL + "complex128$"),
+    (kl, ([NAN, 1.0], [0.5, 0.5]), ValueError, FINITE + "nan$"),
+    (js_multi, ([[0.5, 0.5], [0.5, NAN]],), ValueError, FINITE + "nan$"),
+    (js_pair, ([0.5, 0.5], [INF, 0.0]), ValueError, FINITE + "inf$"),
+    (kl, ([-INF, 1.0], [0.5, 0.5]), ValueError, FINITE + "-inf$"),
+    (kl, ([-0.5, 1.5], [0.5, 0.5]), ValueError, FINITE + "-0.5$"),
+    (js_pair, ([0.5, 0.5], [1.5, -0.5]), ValueError, FINITE + "-0.5$"),
+    (js_multi, ([[0.5, 0.5], [-0.5, 1.5]],), ValueError, FINITE + "-0.5$"),
+    (kl, ([[0.5], 0.5], [0.5, 0.5]), ValueError, RAGGED),
+    (js_multi, ([[0.5, 0.5], [1.0]],), ValueError, RAGGED),
+    (kl, ([[0.5, 0.5]], [[0.5, 0.5]]), ValueError, VECTOR),
+    (js_pair, ([[0.5, 0.5], [1.0, 0.0]], [[0.5, 0.5], [1.0, 0.0]]), ValueError, VECTOR),
+    (js_pair, (0.5, 0.5), ValueError, VECTOR),
+    (js_multi, ([[[0.5, 0.5]], [[0.5, 0.5]]],), ValueError, VECTORS),
+    (kl, ([1.0], [0.5, 0.5]), ValueError, r"^length mismatch: \(1,\) vs \(2,\)$"),
+    # the midpoint 0.5 * 5e-324 underflows to 0 where p > 0
+    (js_pair, ([1.0, 5e-324], [1.0, 0.0]), SupportMismatchError, SUPPORT),
+    (js_multi, ([[1.0, 5e-324], [1.0, 0.0]],), SupportMismatchError, SUPPORT),
+]
+
+
+@pytest.mark.parametrize(
+    "function, args, error, message",
+    REFUSALS,
+    ids=[f"{row[0].__name__}-{i}" for i, row in enumerate(REFUSALS)],
+)
+def test_refusals_name_their_problem(function, args, error, message):
+    with pytest.raises(error, match=message) as caught:
+        function(*args)
+    assert type(caught.value) is error
+
+
+def test_the_check_runs_once_per_input(monkeypatch):
+    calls = []
+    check = divergence._distribution
+
+    def counted(p, ndim):
+        calls.append(ndim)
+        return check(p, ndim)
+
+    monkeypatch.setattr(divergence, "_distribution", counted)
+    p, q = [0.25, 0.75, 0.0], [0.5, 0.0, 0.5]
+    for function, args, runs in ((js_pair, (p, q), [1, 1]), (kl, (p, p), [1, 1]),
+                                 (js_multi, ([p, q, p],), [2])):
+        calls.clear()
+        function(*args)
+        assert calls == runs, function.__name__
+    # the probabilities js_stability maps from a checked run set are not checked again
+    calls.clear()
+    js_stability(RunSet("full", [[1, 2, 3], [3, 1, 2]]))
+    assert calls == []
+
+
+def test_a_float64_array_is_not_copied():
+    p = np.array([0.25, 0.75])
+    assert divergence._distribution(p, 1) is p
+    m = np.array([[0.25, 0.75], [0.5, 0.5]])
+    assert divergence._distribution(m, 2) is m

@@ -18,6 +18,7 @@ from stabrank import (
     normalizer,
     run_probabilities,
 )
+from stabrank.probability import _rank_weights
 
 
 def oracle_weight(rank: int, n: int) -> float:
@@ -135,6 +136,30 @@ class TestRunProbabilities:
             assert stacked.shape == (rs.runs, rs.t)
             for row, ranks in zip(stacked, rs.matrix.tolist()):
                 assert row == pytest.approx(oracle_row(rs.kind, ranks, rs.k), abs=1e-15)
+
+    @given(
+        st.sampled_from(["full", "partial", "topk"]),
+        st.sampled_from([1, 2, 7, 10, 11, 12, 181, 182, 999, 2000]),
+        st.integers(2, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bitwise_equal_to_the_direct_formulas(self, kind, t, runs, seed):
+        """One gather through ``_lookup`` for every kind gives the bits of
+        ``matrix / k`` for masks and of indexing ``[0, w_1..w_k]`` by the
+        int64 ranks, at every storage width."""
+        rng = np.random.default_rng(seed)
+        k = t if kind == "full" else int(rng.integers(1, t + 1))
+        ranks = np.array([rng.permutation(t) + 1 for _ in range(runs)])
+        if kind == "topk":
+            rs = RunSet("topk", (ranks <= k).astype(np.int64), k)
+            want = rs.matrix / float(k)
+        else:
+            rs = RunSet(kind, np.where(ranks <= k, ranks, 0), k)
+            want = np.concatenate(([0.0], _rank_weights(k)))[rs.matrix.astype(np.int64)]
+        got = run_probabilities(rs)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
 
 
 class TestNormalizer:
