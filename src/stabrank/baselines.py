@@ -44,14 +44,13 @@ METRIC_KINDS = {
 def _plain(x, kind: str) -> np.ndarray:
     """One list as an int64 vector, so no metric wraps, checked against its kind.
 
-    ``full`` needs a permutation of 1..t and ``topk`` only 0/1 entries;
-    anything else raises ``ValueError`` with ``row_violations``' message,
-    checked in bulk. An empty list or an all-zero mask passes, so that each
-    metric raises its own degenerate-shape error.
+    The list passes ``lists._integers`` as a 1-D ``list``. ``full`` needs a
+    permutation of 1..t and ``topk`` only 0/1 entries; anything else raises
+    ``ValueError`` with ``row_violations``' message, checked in bulk. An
+    empty list or an all-zero mask passes, so that each metric raises its
+    own degenerate-shape error.
     """
-    a = _integers(x).astype(np.int64, copy=False)
-    if a.ndim != 1:
-        raise ValueError(f"expected a 1-dimensional list, got shape {a.shape}")
+    a = _integers(x, "list", ("features",)).astype(np.int64, copy=False)
     n = a.shape[0] if kind == "full" else int(np.count_nonzero(a))
     problem = row_violations(kind, a[np.newaxis], n)[0] if n else None
     if problem is not None:

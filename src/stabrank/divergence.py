@@ -16,7 +16,8 @@ feature, in two compensated passes and O(t) working memory; for masks
 ``js_multi`` is the oracle the counts form is tested against.
 
 Caller input to ``kl``, ``js_pair`` and ``js_multi`` becomes float64
-probability vectors in one place, ``_distribution``, and the KL term
+probability vectors in one place, ``_distribution``, on top of the array
+rule ``lists._array``, and the KL term
 ``p ln(p / q)`` is written once, in ``_kl_terms``. The probabilities that
 ``js_stability`` maps from a run set are not checked again.
 """
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lists import RunSet
+from .lists import RunSet, _array
 from .probability import normalizer, run_probabilities
 
 
@@ -40,20 +41,16 @@ def _distribution(p, ndim: int) -> np.ndarray:
     """``p`` as a float64 array of ``ndim`` dimensions with finite, non-negative
     entries: one probability vector (``ndim`` 1) or a sequence of them (2).
 
-    The one place where caller input becomes probabilities. Ragged nesting,
-    another ``ndim``, a dtype that is not a real number (bool, str, object,
-    complex), NaN, +-inf and negative entries each raise a ``ValueError``
-    that names the problem. One ``min`` and one ``max`` judge the entries,
-    so no temporary the size of the input is made, and a float64 array is
-    returned as it is, not copied. Sums are not checked: a vector need not
-    add up to 1.
+    The one place where caller input becomes probabilities. The array comes
+    from ``lists._array``, which refuses a masked array, ragged nesting and
+    a dtype that is not a real number (bool, str, object, complex); another
+    ``ndim``, NaN, +-inf and negative entries each raise a ``ValueError``
+    here. One ``min`` and one ``max`` judge the entries, so no temporary the
+    size of the input is made, and a float64 array is returned as it is, not
+    copied. Sums are not checked: a vector need not add up to 1.
     """
-    try:
-        a = np.asarray(p)
-    except ValueError:
-        raise ValueError("ragged nesting: the entries are not one rectangular array") from None
-    if a.dtype.kind not in "iuf":
-        raise ValueError(f"probabilities must be real numbers, got dtype {a.dtype}")
+    a = _array(p, "probabilities", "iuf",
+               ragged="ragged nesting: the entries are not one rectangular array")
     if a.ndim != ndim:
         vectors = "a sequence of probability vectors" if ndim == 2 else "a probability vector"
         raise ValueError(f"expected {vectors}")

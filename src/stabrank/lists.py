@@ -13,6 +13,7 @@ one validator: it names the first violated invariant of every row, and
 ``_shape_problem`` states the shape rules (kind, t, k, K) for every entry
 point. The public ``RunSet(...)`` runs both and keeps its own copy; run sets
 that stabrank builds, or has just parsed, skip both via ``RunSet._trusted``.
+Caller input of every module becomes an array through one rule, ``_array``.
 
 Feature identity is positional (index 0..t-1). Ties are not representable:
 rankings must be strict permutations.
@@ -21,6 +22,7 @@ rankings must be strict permutations.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -65,11 +67,12 @@ def row_violations(kind: str, matrix: np.ndarray, k: int) -> list[str | None]:
     ones; these vectorised checks find the bad rows, and only those are
     scanned for their message by ``_scan``. ``k`` is judged for every kind,
     so full rankings need k == t, and a non-integer ``k`` raises
-    ``TypeError``. A matrix that is not 2-D, or an entry that is not an
-    exact integer, raises ``ValueError``, as in ``RunSet``. A bool or
-    integer matrix is checked in its own dtype, with no copy of it.
+    ``TypeError``. The matrix passes ``_integers``, as in ``RunSet``, so
+    one that is not 2-D, or an entry that is not an exact integer, raises
+    ``ValueError``. A bool or integer matrix is checked in its own dtype,
+    with no copy of it.
     """
-    m = _integer_matrix(matrix)
+    m = _integers(matrix, "matrix", ("runs", "features"))
     runs, t = m.shape
     k = _exact_int(k, "k")
     if problem := _shape_problem(kind, t, k):
@@ -139,47 +142,65 @@ def _validate_permutation(values: Sequence[int], n: int) -> str | None:
     return None
 
 
-def _integers(values) -> np.ndarray:
-    """``values`` as an integer array, refusing any entry that is not an exact int64 integer.
+def _array(values, what: str, kinds: str, axes: tuple[str, ...] | None = None,
+           ragged: str | None = None) -> np.ndarray:
+    """``values`` as an ndarray in native byte order: the one rule by which caller input
+    becomes an array.
 
-    A bool or integer array is returned as it is, in native byte order, so
-    no cell wraps before it is checked; anything else is cast, or read, into
-    a new int64 array in one step. Every entry must be an integer, or an
-    integral finite float, within int64: strings, complex numbers, NaN,
-    fractions and Python ints or uint64 cells beyond it are refused. The
-    first raises a ``ValueError`` naming it and, in a 2-D matrix, its run.
+    No copy is made unless the byte order is swapped, so a caller who freezes
+    the result must copy it first. A masked array (checked before
+    ``np.asarray``, which would drop its mask), ragged nesting, a dtype kind
+    outside ``kinds`` and, when ``axes`` names the dimensions, another
+    ``ndim`` each raise a ``ValueError`` that names the field ``what``. A
+    field whose ragged message predates the rule passes it as ``ragged``.
+    """
+    # numpy imports numpy.ma on first use (1.3 MB), and no masked array exists before
+    ma = sys.modules.get("numpy.ma")
+    if ma is not None and isinstance(values, ma.MaskedArray):
+        raise ValueError(f"{what} must not be a masked array")
+    try:
+        a = np.asarray(values)
+    except ValueError:
+        ragged = ragged or f"{what} must be one rectangular array, not ragged nesting"
+        raise ValueError(ragged) from None
+    if a.dtype.kind not in kinds:
+        raise ValueError(f"{what} must be real numbers, got dtype {a.dtype}")
+    if axes is not None and a.ndim != len(axes):
+        raise ValueError(f"{what} must be {len(axes)}-dimensional ({' x '.join(axes)})")
+    return a if a.dtype.isnative else a.astype(a.dtype.newbyteorder("="))
+
+
+def _integers(values, what: str, axes: tuple[str, ...]) -> np.ndarray:
+    """``values`` through ``_array``, refusing any entry that is not an exact int64 integer.
+
+    A bool or integer array is returned as it is, so no cell wraps before it
+    is checked; anything else is cast, or read, into a new int64 array in
+    one step. Every entry must be an integer, or an integral finite float,
+    within int64: NaN, fractions and Python ints or uint64 cells beyond it
+    are refused. The first raises a ``ValueError`` naming it and, in a 2-D
+    matrix, its run.
     """
     given = isinstance(values, np.ndarray)
-    m = np.asarray(values)
+    m = _array(values, what, "biufO", axes)
     if np.can_cast(m.dtype, np.int64):  # bool and every integer dtype but uint64
-        return m.astype(m.dtype.newbyteorder("="), copy=False)
+        return m
     if m.dtype.kind == "u":
         exact = m <= np.iinfo(np.int64).max
     elif m.dtype.kind == "f":
         # floats that asarray made of a list hold its ints exactly only below
         # 2**53: larger entries are rechecked as given below. NaN and inf fail it.
         exact = (np.abs(m) < (2.0**63 if given else 2.0**53)) & (np.trunc(m) == m)
-    elif m.dtype.kind == "O":
+    else:  # an object array
         exact = np.array([_is_int64(v) for v in m.flat], dtype=bool).reshape(m.shape)
-    else:
-        exact = np.zeros(m.shape, dtype=bool)
     if exact.all():
         return m.astype(np.int64, order="C")
     if m.dtype.kind == "f" and not given:  # judge, and name, each int as itself
-        return _integers(np.asarray(values, dtype=object))
+        return _integers(np.asarray(values, dtype=object), what, axes)
     where = np.unravel_index(np.argmin(exact), m.shape)
     value = m[where]
     value = value.item() if isinstance(value, np.generic) else value
     run = f"run {where[0]}: " if m.ndim == 2 else ""
     raise ValueError(f"{run}entry {value!r} is not an int64 integer")
-
-
-def _integer_matrix(values) -> np.ndarray:
-    """``_integers`` of a (runs x features) matrix; any other ``ndim`` raises ``ValueError``."""
-    m = _integers(values)
-    if m.ndim != 2:
-        raise ValueError("matrix must be 2-dimensional (runs x features)")
-    return m
 
 
 def _is_int64(v) -> bool:
@@ -226,7 +247,8 @@ class RunSet:
     k: int = None  # type: ignore[assignment]  # inferred when omitted
 
     def __post_init__(self):
-        m = _integer_matrix(self.matrix)  # checked as given: no cell has wrapped yet
+        # checked as given: no cell has wrapped yet
+        m = _integers(self.matrix, "matrix", ("runs", "features"))
         runs, t = m.shape
         if self.k is not None:
             k = _exact_int(self.k, "k")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .baselines import METRIC_KINDS, _gram, similarity_matrix
 from .divergence import js_pair
-from .lists import RunSet, _exact_int
+from .lists import RunSet, _array, _exact_int
 from .probability import run_probabilities
 
 
@@ -42,22 +42,19 @@ DISTANCES = ("sqrt-js", *(f"one-minus-{m}" for m in METRIC_KINDS))
 class DistanceMatrix:
     """Symmetric non-negative distances with per-point (label, run) tags.
 
-    The distances must be integers or floats, and no NaN; ``inf`` is kept
-    (``classical_mds`` reports it). Each label must be a ``str`` and each run
-    tag an exact integer; neither is coerced.
+    ``d`` passes ``lists._array`` as integers or floats and is kept as a
+    read-only float64 copy; NaN is refused and ``inf`` kept
+    (``classical_mds`` reports it). ``labels`` holds one (label, run) pair
+    per point: each label a ``str`` and each run tag an exact integer;
+    neither is coerced.
     """
 
     d: np.ndarray
     labels: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        try:
-            d = np.array(self.d)
-        except ValueError as exc:  # ragged nesting
-            raise ValueError(f"d must be a square array of numbers: {exc}") from None
-        if d.dtype.kind not in "iuf":
-            raise ValueError(f"distances must be integers or floats, got dtype {d.dtype}")
-        d = d.astype(np.float64, copy=False)
+        # a copy of its own: the rule does not copy, and the copy is frozen below
+        d = _array(self.d, "distances", "iuf").astype(np.float64)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("distance matrix must be square")
         if d.shape[0] != len(self.labels):
@@ -72,9 +69,11 @@ class DistanceMatrix:
             raise ValueError("distances must be non-negative")
         d.setflags(write=False)
         object.__setattr__(self, "d", d)
-        for label, _ in self.labels:
-            if not isinstance(label, str):
-                raise TypeError(f"label must be a str, got {label!r}")
+        for pair in self.labels:
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+                raise TypeError(f"labels must be (label, run) pairs, got {pair!r}")
+            if not isinstance(pair[0], str):
+                raise TypeError(f"label must be a str, got {pair[0]!r}")
         labels = tuple((label, _exact_int(run, "run")) for label, run in self.labels)
         object.__setattr__(self, "labels", labels)
 
@@ -93,10 +92,11 @@ def _non_negative(value) -> bool:
 class Embedding:
     """2D coordinates, the retained (clamped) eigenvalues and the stress.
 
-    ``coords`` must be an (n, 2) array of finite integers or floats; it is
-    kept as a read-only float64 array. ``eigvals`` must be two finite,
-    non-negative numbers and ``stress`` one; both are kept as floats.
-    Anything else raises ``ValueError`` naming the field.
+    ``coords`` must pass ``lists._array`` as integers or floats and be an
+    (n, 2) array of finite values; it is kept as a read-only float64 copy.
+    ``eigvals`` must be two finite, non-negative numbers and ``stress`` one;
+    both are kept as floats. Anything else raises ``ValueError`` naming the
+    field.
     """
 
     coords: np.ndarray
@@ -104,14 +104,10 @@ class Embedding:
     stress: float
 
     def __post_init__(self):
-        try:
-            coords = np.array(self.coords)
-        except ValueError as exc:  # ragged nesting
-            raise ValueError(f"coords must be an (n, 2) array of numbers: {exc}") from None
-        if coords.dtype.kind not in "iuf" or coords.ndim != 2 or coords.shape[1] != 2:
-            raise ValueError(f"coords must be an (n, 2) array of numbers, got shape "
-                             f"{coords.shape} and dtype {coords.dtype}")
-        coords = coords.astype(np.float64, copy=False)
+        # a copy of its own: the rule does not copy, and the copy is frozen below
+        coords = _array(self.coords, "coords", "iuf").astype(np.float64)
+        if coords.ndim != 2 or coords.shape[1] != 2:
+            raise ValueError(f"coords must be an (n, 2) array, got shape {coords.shape}")
         if not np.isfinite(coords).all():
             raise ValueError("coords must be finite")
         coords.setflags(write=False)

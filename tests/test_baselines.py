@@ -68,7 +68,7 @@ class TestSpearman:
             ((1, 2, 3), (1, 1, 1), "not a full ranking: duplicate rank 1"),
             ((0, 1, 2), (1, 2, 3), "not a full ranking: rank 0 out of range 1..3"),
             ((1.5, 2, 3), (1, 2, 3), "entry 1.5 is not an int64 integer"),
-            ([[1, 2], [2, 1]], (1, 2), r"^expected a 1-dimensional list, got shape \(2, 2\)$"),
+            ([[1, 2], [2, 1]], (1, 2), r"^list must be 1-dimensional \(features\)$"),
             ((1.0, 2**53 + 1), (1, 2), f"^not a full ranking: rank {2**53 + 1} out of range 1..2$"),
         ],
         ids=["duplicate", "zero-rank", "fraction", "two-dimensional", "int-above-2**53"],

@@ -33,6 +33,7 @@ from stabrank import (
     run_probabilities,
 )
 from stabrank import divergence
+from stabrank.lists import _integers
 
 LN2 = math.log(2.0)
 
@@ -512,3 +513,6 @@ def test_a_float64_array_is_not_copied():
     assert divergence._distribution(p, 1) is p
     m = np.array([[0.25, 0.75], [0.5, 0.5]])
     assert divergence._distribution(m, 2) is m
+    # the rule beneath both checks: a native int64 matrix is not copied either
+    ranks = np.array([[1, 2], [2, 1]], dtype=np.int64)
+    assert _integers(ranks, "matrix", ("runs", "features")) is ranks

@@ -163,12 +163,15 @@ class TestDistanceMatrix:
             DistanceMatrix(np.array([[1.0, 1.0], [1.0, 0]]), (("a", 0), ("a", 1)))
         with pytest.raises(ValueError, match="non-negative"):
             DistanceMatrix(np.array([[0, -1.0], [-1.0, 0]]), (("a", 0), ("a", 1)))
-        with pytest.raises(ValueError, match="^d must be a square array of numbers: "):
+        ragged = "^distances must be one rectangular array, not ragged nesting$"
+        with pytest.raises(ValueError, match=ragged):
             DistanceMatrix([[0, 1], [1]], (("a", 0), ("a", 1)))  # ragged
         with pytest.raises(ValueError, match="^distance matrix must be square$"):
             DistanceMatrix(np.zeros((2, 3)), (("a", 0), ("a", 1)))
         with pytest.raises(ValueError, match="^one label per point required$"):
             DistanceMatrix(np.zeros((2, 2)), (("a", 0),))
+        with pytest.raises(TypeError, match="^labels must be \\(label, run\\) pairs, got 'a'$"):
+            DistanceMatrix(np.zeros((2, 2)), ("a", "b"))  # not pairs
 
     def test_run_tag_must_be_an_integer(self):
         # int() would have made run 0.7 into run 0
@@ -183,7 +186,7 @@ class TestDistanceMatrix:
 
     def test_non_numeric_distances_rejected(self):
         # a float cast would have read the strings '1' as 1.0
-        with pytest.raises(ValueError, match="must be integers or floats, got dtype <U1"):
+        with pytest.raises(ValueError, match="distances must be real numbers, got dtype <U1"):
             DistanceMatrix(np.array([["0", "1"], ["1", "0"]]), (("a", 0), ("a", 1)))
 
     @pytest.mark.parametrize("other", [math.nan, 1.0])
@@ -191,6 +194,16 @@ class TestDistanceMatrix:
         d = np.array([[0, math.nan], [other, 0]])
         with pytest.raises(ValueError, match="must not contain NaN"):
             DistanceMatrix(d, (("a", 0), ("a", 1)))
+
+    def test_callers_array_stays_writable_and_independent(self):
+        # the array rule makes no copy, so DistanceMatrix must take its own
+        # before it freezes it
+        given = np.ones((3, 3)) - np.eye(3)
+        dm = DistanceMatrix(given, (("a", 0), ("a", 1), ("a", 2)))
+        assert given.flags.writeable and not dm.d.flags.writeable
+        assert not np.shares_memory(given, dm.d)
+        given[0, 1] = given[1, 0] = 5.0
+        assert dm.d[0, 1] == 1.0
 
     def test_asymmetry_beyond_absolute_tolerance_rejected(self):
         # a relative tolerance would let 1.0 vs 1.00001 through, and
@@ -236,6 +249,15 @@ class TestEmbedding:
         assert emb.eigvals == (2.0, 1.0) and type(emb.eigvals[0]) is float
         assert type(emb.stress) is float
         source[0, 0] = 9
+        assert emb.coords[0, 0] == 1.0
+
+    def test_callers_float64_array_stays_writable_and_independent(self):
+        # the array rule makes no copy, so Embedding must take its own before
+        # it freezes it
+        given = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        emb = Embedding(given, (2.0, 1.0), 0.0)
+        assert given.flags.writeable and not np.shares_memory(given, emb.coords)
+        given[0, 0] = 9.0
         assert emb.coords[0, 0] == 1.0
 
 
