@@ -11,9 +11,12 @@ are reported in nats. A top-k mask is the uniform distribution 1/k on its
 selected features, so the divergence of K masks depends only on each
 feature's selection count c_f, and ``js_stability`` reads it from those
 counts without a probability matrix. Full and partial rankings go through
-``js_multi``'s reduction, which takes the K x t probabilities feature by
-feature, in two compensated passes and O(t) working memory; for masks
-``js_multi`` is the oracle the counts form is tested against.
+``js_multi``'s reduction, ``_js_rows``, which reads the probabilities a
+block of rows at a time in two compensated passes and adds them feature by
+feature, so no K x t float64 matrix is made from a run set: each pass maps
+one block of about 2**20 cells with ``run_probabilities``, in working memory
+of a few blocks and O(t). For masks ``js_multi`` is the oracle the counts
+form is tested against.
 
 Caller input to ``kl``, ``js_pair`` and ``js_multi`` becomes float64
 probability vectors in one place, ``_distribution``, on top of the array
@@ -31,6 +34,8 @@ import numpy as np
 
 from .lists import RunSet, _array
 from .probability import normalizer, run_probabilities
+
+_BLOCK_CELLS = 1 << 20  # cells that ``_js_rows`` reads at a time: 8 MiB of float64
 
 
 class SupportMismatchError(ValueError):
@@ -118,21 +123,40 @@ def _column_sums(rows, t: int) -> np.ndarray:
     return total
 
 
-def _js_rows(m: np.ndarray) -> float:
-    """``js_multi`` of the rows of an unchecked (K, t) float64 matrix, K >= 2.
+def _js_rows(m: np.ndarray, probabilities=None) -> float:
+    """``js_multi`` of K >= 2 unchecked rows, read a block of rows at a time.
 
-    Two passes over the rows keep only t-long work arrays: Kahan-compensated
-    per-feature sums give the mean, then each row's KL terms against it are
-    Kahan-added per feature, and the t per-feature totals are summed exactly
-    with ``math.fsum``.
+    ``m`` is the (K, t) float64 matrix of the rows or, when
+    ``probabilities`` is given, a matrix that it maps injectively to them:
+    ``probabilities(rows)`` returns the float64 rows of the slice ``rows``.
+    The blocks hold about ``_BLOCK_CELLS`` cells each. Rows that all equal
+    the first are found on ``m``, a block at a time, and give 0. Otherwise
+    two passes over the blocks keep only t-long work arrays besides the
+    block being read, each block mapped once per pass, or once in all
+    when there is one: Kahan-compensated per-feature sums give the mean,
+    then each row's KL terms against it are Kahan-added per feature, and
+    the t per-feature totals are summed exactly with ``math.fsum``. The
+    rows are read in the same order whatever the block size, so the result
+    does not depend on it.
     """
     runs, t = m.shape
     if runs < 2:
         raise ValueError(f"need at least 2 distributions, got {runs}")
-    if np.all(m == m[0]):
+    step = max(1, _BLOCK_CELLS // max(1, t))  # empty vectors (t = 0) are one block
+    blocks = [slice(start, start + step) for start in range(0, runs, step)]
+    if all(np.all(m[block] == m[0]) for block in blocks):
         return 0.0
-    mean = _column_sums(m, t) / runs
-    return math.fsum(_column_sums((_kl_terms(row, mean) for row in m), t)) / runs
+    probabilities = probabilities or m.__getitem__
+    if len(blocks) == 1:  # one block is mapped once, for both passes
+        mapped = probabilities(blocks[0])
+        probabilities = lambda _: mapped
+
+    def rows():
+        for block in blocks:
+            yield from probabilities(block)
+
+    mean = _column_sums(rows(), t) / runs
+    return math.fsum(_column_sums((_kl_terms(row, mean) for row in rows()), t)) / runs
 
 
 def js_multi(ps) -> float:
@@ -141,8 +165,9 @@ def js_multi(ps) -> float:
     Mean KL divergence of each vector from the entrywise mean; equals
     ``js_pair`` at K = 2, is invariant to input order, and is 0 exactly
     when all vectors are identical. ``ps`` passes ``_distribution`` (the
-    sums are not checked) and is reduced by ``_js_rows`` in O(t) working
-    memory.
+    sums are not checked) and is reduced by ``_js_rows`` over views of
+    blocks of its rows, in O(t) working memory besides one block's
+    comparison.
     """
     return _js_rows(_distribution(ps, 2))
 
@@ -180,8 +205,9 @@ def js_stability(run_set: RunSet) -> StabilityReport:
     Measures the generalized Jensen-Shannon divergence of the run set's
     lists and normalises it by the random baseline for the run set's
     shape. Top-k masks reduce from their per-feature selection counts;
-    full and partial rankings are mapped to their probability vectors and
-    reduced as in ``js_multi``, with no second check of those vectors.
+    full and partial rankings are mapped to their probability vectors a
+    block of rows at a time and reduced as in ``js_multi``, with no second
+    check of those vectors.
     Raises ``DegenerateNormalizerError`` when the baseline is zero (e.g.
     topk masks with k = t).
     """
@@ -189,7 +215,7 @@ def js_stability(run_set: RunSet) -> StabilityReport:
     if run_set.kind == "topk":
         d_js = _js_masks(run_set)
     else:
-        d_js = _js_rows(run_probabilities(run_set))
+        d_js = _js_rows(run_set.matrix, lambda rows: run_probabilities(run_set, rows))
     score = 1.0 - d_js / d_star
     # mathematically in [0, 1]; rounding may leave it an ulp outside
     score = min(1.0, max(0.0, score))

@@ -44,9 +44,9 @@ class DistanceMatrix:
 
     ``d`` passes ``lists._array`` as integers or floats and is kept as a
     read-only float64 copy; NaN is refused and ``inf`` kept
-    (``classical_mds`` reports it). ``labels`` holds one (label, run) pair
-    per point: each label a ``str`` and each run tag an exact integer;
-    neither is coerced.
+    (``classical_mds`` reports it). ``labels`` is a sequence of one
+    (label, run) pair per point: each label a ``str`` and each run tag an
+    exact integer; neither is coerced.
     """
 
     d: np.ndarray
@@ -57,6 +57,8 @@ class DistanceMatrix:
         d = _array(self.d, "distances", "iuf").astype(np.float64)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("distance matrix must be square")
+        if not isinstance(self.labels, Sequence):
+            raise TypeError(f"labels must be a sequence of (label, run) pairs, got {self.labels!r}")
         if d.shape[0] != len(self.labels):
             raise ValueError("one label per point required")
         if np.isnan(d).any():

@@ -43,16 +43,20 @@ def _rank_weights(n: int) -> np.ndarray:
     return w
 
 
-def run_probabilities(run_set: RunSet) -> np.ndarray:
-    """Map every row of a run set; returns a (K, t) row-stochastic matrix.
+def run_probabilities(run_set: RunSet, rows: slice | None = None) -> np.ndarray:
+    """Map the rows of a run set to probability vectors, one per row.
 
+    Returns a new row-stochastic float64 matrix of shape (K, t), or of the
+    rows that the private ``rows`` slice selects, bitwise equal to those
+    rows of the whole map: ``js_stability`` maps a block of rows at a time.
     Ranks and mask entries index a table of their weights through
     ``lists._lookup``: ``1/k`` for a selected feature, ``_rank_weights(k)``
     for ranks 1..k.
     """
     weights = [1.0 / run_set.k] if run_set.kind == "topk" else _rank_weights(run_set.k)
+    m = run_set.matrix if rows is None else run_set.matrix[rows]
     # 0 (unselected, unranked) reads 0; full rankings have k = t and no zeros
-    return _lookup(np.concatenate(([0.0], weights)), run_set.matrix)
+    return _lookup(np.concatenate(([0.0], weights)), m)
 
 
 def normalizer(kind: str, t: int, k: int | None = None) -> float:

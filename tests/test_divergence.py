@@ -6,12 +6,15 @@ stability score equals (ln t - H(mean)) / (ln t - H(row)) where H(row) is
 the entropy of any single mapped list. The implementation under test never
 takes that route; it evaluates the divergence sum directly. ``js_multi``
 is also held to the all-terms ``math.fsum`` form it replaced, and to an
-O(t) bound on its working memory. Top-k masks are scored from their
-selection counts; that form is held to ``js_multi`` and to an mpmath
-evaluation of the entropy identity. ``kl``, ``js_pair`` and ``js_multi``
-are held bit for bit to their 0.5.2 bodies (``v052_*`` below), from before
-their input went through one check, and every input that check refuses
-has a row in ``REFUSALS``.
+O(t) bound on its working memory. ``js_stability`` maps rankings to
+probabilities a block of rows at a time: ``TestRowBlocks`` holds its d_js,
+by ``float.hex``, to the reduction of the whole matrix, at every storage
+width and block size, and bounds its memory to two blocks and O(t). Top-k
+masks are scored from their selection counts; that form is held to
+``js_multi`` and to an mpmath evaluation of the entropy identity. ``kl``,
+``js_pair`` and ``js_multi`` are held bit for bit to their 0.5.2 bodies
+(``v052_*`` below), from before their input went through one check, and
+every input that check refuses has a row in ``REFUSALS``.
 """
 
 import math
@@ -165,6 +168,11 @@ class TestJsMulti:
         for perm in [(1, 0, 2, 3), (3, 2, 1, 0), (2, 3, 0, 1)]:
             assert js_multi(rows[list(perm)]) == pytest.approx(reference, abs=1e-13)
 
+    def test_empty_vectors_give_zero(self):
+        # all rows equal, as before the reduction read blocks of rows
+        assert js_multi([[], []]) == 0.0
+        assert js_multi(np.zeros((3, 0))) == 0.0
+
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
             js_multi([[0.5, 0.5]])
@@ -255,6 +263,81 @@ class TestJsStability:
         runs = int(rng.integers(2, 10))
         report = js_stability(random_run_set(rng, kind, t, k, runs))
         assert 0.0 <= report.s_js <= 1.0
+
+
+@st.composite
+def blocked_rankings(draw):
+    """Full or partial rankings at a t on either side of a storage width
+    (int8 up to t = 11, int16 up to 181, int32 above), with a block size in
+    cells that puts K below, at or above one block of ``step`` rows."""
+    kind = draw(st.sampled_from(["full", "partial"]))
+    t = draw(st.sampled_from([2, 11, 12, 181, 182, 1000]))
+    k = t if kind == "full" else draw(st.integers(1, t))
+    runs = draw(st.integers(2, 12))
+    fixed = draw(st.integers(0, runs))
+    step = draw(st.integers(1, runs + 1))
+    cells = step * t + draw(st.integers(0, t - 1))  # floor division gives step rows
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return with_fixed_rows(random_run_set(rng, kind, t, k, runs), fixed), cells
+
+
+class TestRowBlocks:
+    """``js_stability`` maps rankings to probabilities a block of rows at a
+    time; the result is that of the whole K x t matrix, bit for bit."""
+
+    @given(blocked_rankings())
+    @example((edge_run_set("full", t=12, k=12, runs=5, fixed=0), 2 * 12))  # last block: 1 row
+    @example((edge_run_set("partial", t=182, k=60, runs=7, fixed=7), 3 * 182))  # all identical
+    @example((edge_run_set("full", t=11, k=11, runs=4, fixed=3), 11))  # one row per block
+    @settings(max_examples=150, deadline=None)
+    def test_blocks_give_the_whole_matrix_d_js(self, drawn):
+        run_set, cells = drawn
+        probs = run_probabilities(run_set)
+        assert probs.size <= divergence._BLOCK_CELLS  # so the reference is one whole block
+        whole = divergence._js_rows(probs)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(divergence, "_BLOCK_CELLS", cells)
+            blocked = js_stability(run_set).d_js
+        assert blocked.hex() == whole.hex()
+
+    @given(run_sets_with_fixed_rows(), st.integers(-14, 14), st.integers(-14, 14))
+    @settings(max_examples=100, deadline=None)
+    def test_a_range_of_rows_maps_as_in_the_whole_map(self, run_set, start, stop):
+        rows = slice(start, stop)
+        part, whole = run_probabilities(run_set, rows=rows), run_probabilities(run_set)[rows]
+        assert part.shape == whole.shape and part.dtype == whole.dtype == np.float64
+        assert part.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("runs, t, maps", [(100, 2000, 1), (524, 2000, 1), (525, 2000, 4)])
+    def test_one_block_is_mapped_once_and_more_once_per_pass(self, monkeypatch, runs, t, maps):
+        """The paper shape (K=100, t=2000) is one block, mapped once as
+        before blocks; 525 rows of 2000 cells are two blocks, each mapped in
+        both passes."""
+        calls = []
+
+        def counted(run_set, rows=None):
+            calls.append(rows)
+            return run_probabilities(run_set, rows)
+
+        monkeypatch.setattr(divergence, "run_probabilities", counted)
+        js_stability(random_run_set(np.random.default_rng(13), "full", t, t, runs))
+        assert len(calls) == maps
+
+    def test_working_memory_is_two_blocks_and_o_of_t(self):
+        """At K=200, t=20000 the float64 matrix spans about four blocks; the
+        score holds two at most (the last row read of one block is still
+        referenced while the next is mapped) and O(t) work arrays."""
+        runs, t = 200, 20000
+        rs = random_run_set(np.random.default_rng(12), "full", t, t, runs)
+        tracemalloc.start()
+        try:
+            js_stability(rs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        whole = runs * t * 8
+        assert whole > 3 * divergence._BLOCK_CELLS * 8
+        assert peak <= 2 * divergence._BLOCK_CELLS * 8 + 32 * 8 * t < whole
 
 
 def masks_run_set(rows) -> RunSet:

@@ -172,6 +172,10 @@ class TestDistanceMatrix:
             DistanceMatrix(np.zeros((2, 2)), (("a", 0),))
         with pytest.raises(TypeError, match="^labels must be \\(label, run\\) pairs, got 'a'$"):
             DistanceMatrix(np.zeros((2, 2)), ("a", "b"))  # not pairs
+        for labels in (None, 5):  # len() would have named no field
+            with pytest.raises(TypeError, match=rf"^labels must be a sequence of \(label, run\) "
+                                                rf"pairs, got {labels}$"):
+                DistanceMatrix(np.zeros((2, 2)), labels)
 
     def test_run_tag_must_be_an_integer(self):
         # int() would have made run 0.7 into run 0
