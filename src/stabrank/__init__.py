@@ -56,7 +56,7 @@ from .synth import (
     gen_subset_family,
 )
 
-__version__ = "0.5.5"
+__version__ = "0.5.6"
 
 __all__ = [
     "DISTANCES",

@@ -8,11 +8,7 @@ similarity metric over all unordered pairs of lists:
 Spearman's rank correlation applies to full rankings; the Kuncheva index
 and the Jaccard index apply to equal-size top-k masks. Values are computed
 exactly as defined: Spearman and Kuncheva go negative for strongly
-discordant inputs and are deliberately not clamped. Mean Spearman and
-Kuncheva are read from column sums (the frequency view of Nogueira,
-Sechidis & Brown, JMLR 2018); Jaccard needs the pairwise overlaps, which
-come from the Gram matrix of the lists, ``_gram``: exact, and multiplied
-in the narrowest float that keeps it so, over blocks of features.
+discordant inputs and are deliberately not clamped.
 """
 
 from __future__ import annotations
@@ -41,26 +37,27 @@ METRIC_KINDS = {
 }
 
 
-def _plain(x, kind: str) -> np.ndarray:
+def _plain(x, kind: str, what: str) -> np.ndarray:
     """One list as an int64 vector, so no metric wraps, checked against its kind.
 
-    The list passes ``lists._integers`` as a 1-D ``list``. ``full`` needs a
-    permutation of 1..t and ``topk`` only 0/1 entries; anything else raises
-    ``ValueError`` with ``row_violations``' message, checked in bulk. An
-    empty list or an all-zero mask passes, so that each metric raises its
-    own degenerate-shape error.
+    The list passes ``lists._integers`` as 1-D, and every refusal names it by
+    ``what``. ``full`` needs a permutation of 1..t and ``topk`` only 0/1
+    entries; anything else raises ``ValueError`` with ``row_violations``'
+    message. An empty list or an all-zero mask passes, so that each metric
+    raises its own degenerate-shape error.
     """
-    a = _integers(x, "list", ("features",)).astype(np.int64, copy=False)
+    a = _integers(x, what, ("features",)).astype(np.int64, copy=False)
     n = a.shape[0] if kind == "full" else int(np.count_nonzero(a))
     problem = row_violations(kind, a[np.newaxis], n)[0] if n else None
     if problem is not None:
-        raise ValueError(f"not a {'full ranking' if kind == 'full' else '0/1 mask'}: {problem}")
+        noun = "full ranking" if kind == "full" else "0/1 mask"
+        raise ValueError(f"{what} is not a {noun}: {problem}")
     return a
 
 
 def _pair(first, second, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """Two lists of ``kind`` as ``_plain`` vectors of one length; else ``ValueError``."""
-    a, b = _plain(first, kind), _plain(second, kind)
+    a, b = _plain(first, kind, "first list"), _plain(second, kind, "second list")
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
     return a, b
@@ -138,11 +135,9 @@ def _check_metric(run_set: RunSet, metric: str) -> None:
 def pairwise_stability(run_set: RunSet, metric: str) -> PairwiseStability:
     """Average a similarity metric over all P = K(K-1)/2 unordered pairs.
 
-    Spearman and Kuncheva are exact integer sums over columns, rounded once:
-    all pairs' squared rank differences sum to ``sum_f (K S2_f - S1_f^2)``
-    (S1_f, S2_f: the sums of r and r^2 over feature f) and their overlaps
-    to ``sum_f c_f (c_f - 1) / 2`` (c_f: feature f's selection count).
-    Jaccard averages the ``similarity_matrix`` pairs.
+    Spearman and Kuncheva are exact integer sums over columns, rounded once
+    (docs/derivations.md#column-sums); Jaccard averages the
+    ``similarity_matrix`` pairs.
     """
     _check_metric(run_set, metric)
     runs, t, k = run_set.runs, run_set.t, run_set.k
@@ -150,8 +145,7 @@ def pairwise_stability(run_set: RunSet, metric: str) -> PairwiseStability:
         values = similarity_matrix(run_set, metric)[np.triu_indices(runs, 1)]
         return PairwiseStability(metric_name=metric, phi=math.fsum(values) / len(values))
     pairs = runs * (runs - 1) // 2
-    # int64 sums: the stored dtype may be as narrow as int8, and Σr² reaches
-    # K·t², which einsum would otherwise accumulate in that dtype
+    # int64 sums: einsum would otherwise add in the stored dtype, as narrow as int8
     s1 = run_set.matrix.sum(axis=0, dtype=np.int64)
     if metric == "spearman":
         s2 = np.einsum("ij,ij->j", run_set.matrix, run_set.matrix, dtype=np.int64)
@@ -168,11 +162,9 @@ def similarity_matrix(run_set: RunSet, metric: str) -> np.ndarray:
 
     ``metric`` is one of ``spearman`` (full rankings only), ``kuncheva`` or
     ``jaccard`` (topk masks only); a kind mismatch raises
-    ``MetricMismatchError``. Every entry is computed from the Gram matrix of
-    the lists (``_gram``) and equals the scalar metric on that pair exactly,
-    except for full rankings with t(t+1)(2t+1)/6 >= 2**53 (t above about
-    300,000), where the Gram rounds: at t = 10**6 entries agree with
-    ``spearman`` within 1e-13.
+    ``MetricMismatchError``. Every entry comes from the Gram matrix of the
+    lists and equals the scalar metric on that pair exactly, except for full
+    rankings past about t = 300,000 (docs/derivations.md#gram-exact).
     """
     _check_metric(run_set, metric)
     gram = _gram(run_set.kind, run_set.matrix)
@@ -187,15 +179,13 @@ def similarity_matrix(run_set: RunSet, metric: str) -> np.ndarray:
 
 
 def _gram(kind: str, m: np.ndarray) -> np.ndarray:
-    """The K x K products of the ``kind`` lists in the rows of ``m``, exact, in float64.
+    """The K x K products of the valid ``kind`` lists in the rows of ``m``, in float64.
 
-    The rows must be valid lists. A mask product counts shared features, so
-    every partial sum is an integer of at most t, which float32 holds
-    exactly below 2**24 features: masks multiply in float32 there. Rank
-    products take float64, exact below 2**53. The lists are cast and
-    multiplied in blocks of whole features of at most ``_GRAM_BLOCK``
-    elements (one feature when K is larger), so the float copy holds one
-    block at a time; the block products add up to the same integers.
+    Masks below ``_FLOAT32_EXACT`` features multiply in float32, everything
+    else in float64, each exact within its bound
+    (docs/derivations.md#gram-exact). The lists are cast and multiplied in
+    blocks of whole features of at most ``_GRAM_BLOCK`` elements (one
+    feature when K is larger), so the float copy holds one block at a time.
     """
     dtype = np.float32 if kind == "topk" and m.shape[1] < _FLOAT32_EXACT else np.float64
     step = max(1, _GRAM_BLOCK // m.shape[0])

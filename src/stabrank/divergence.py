@@ -6,23 +6,13 @@ the same shape would attain:
 
     s_js = 1 - d_js / d_star
 
-so identical lists score 1 and random lists score about 0. All divergences
-are reported in nats. A top-k mask is the uniform distribution 1/k on its
-selected features, so the divergence of K masks depends only on each
-feature's selection count c_f, and ``js_stability`` reads it from those
-counts without a probability matrix. Full and partial rankings go through
-``js_multi``'s reduction, ``_js_rows``, which reads the probabilities a
-block of rows at a time in two compensated passes and adds them feature by
-feature, so no K x t float64 matrix is made from a run set: each pass maps
-one block of about 2**20 cells with ``run_probabilities``, in working memory
-of a few blocks and O(t). For masks ``js_multi`` is the oracle the counts
-form is tested against.
-
-Caller input to ``kl``, ``js_pair`` and ``js_multi`` becomes float64
-probability vectors in one place, ``_distribution``, on top of the array
-rule ``lists._array``, and the KL term
-``p ln(p / q)`` is written once, in ``_kl_terms``. The probabilities that
-``js_stability`` maps from a run set are not checked again.
+so identical lists score 1, and random lists score about 0 as K grows
+(docs/derivations.md#normalizer). All divergences are in nats. Masks are
+scored from their selection counts, rankings through ``js_multi``'s
+reduction, ``_js_rows``, which maps a block of rows at a time, so no K x t
+float64 matrix is made from a run set. Caller input to ``kl``, ``js_pair``
+and ``js_multi`` is checked once, by ``_distribution``, and the KL term
+``p ln(p / q)`` is written once, in ``_kl_terms``.
 """
 
 from __future__ import annotations
@@ -42,33 +32,28 @@ class SupportMismatchError(ValueError):
     """KL divergence is infinite: p has mass where q has none."""
 
 
-def _distribution(p, ndim: int) -> np.ndarray:
-    """``p`` as a float64 array of ``ndim`` dimensions with finite, non-negative
-    entries: one probability vector (``ndim`` 1) or a sequence of them (2).
+def _distribution(p, ndim: int, what: str) -> np.ndarray:
+    """``p`` as a float64 array of ``ndim`` dimensions (1: one probability vector, 2: a
+    sequence of them) with finite, non-negative entries; ``what`` names it.
 
-    The one place where caller input becomes probabilities. The array comes
-    from ``lists._array``, which refuses a masked array, ragged nesting and
-    a dtype that is not a real number (bool, str, object, complex); another
-    ``ndim``, NaN, +-inf and negative entries each raise a ``ValueError``
-    here. One ``min`` and one ``max`` judge the entries, so no temporary the
-    size of the input is made, and a float64 array is returned as it is, not
-    copied. Sums are not checked: a vector need not add up to 1.
+    The one place where caller input becomes probabilities. ``lists._array``
+    refuses a masked array, ragged nesting, a dtype that is not a real number
+    (bool, str, object, complex) and another ``ndim``; NaN, +-inf and
+    negative entries raise a ``ValueError`` here, judged by one ``min`` and
+    one ``max``. A float64 array is returned as it is, not copied. Sums are
+    not checked: a vector need not add up to 1.
     """
-    a = _array(p, "probabilities", "iuf",
-               ragged="ragged nesting: the entries are not one rectangular array")
-    if a.ndim != ndim:
-        vectors = "a sequence of probability vectors" if ndim == 2 else "a probability vector"
-        raise ValueError(f"expected {vectors}")
+    a = _array(p, what, "iuf", ("vectors", "features")[-ndim:])
     low, high = (a.min(), a.max()) if a.size else (0, 0)
     if not (0 <= low and high < np.inf):  # NaN fails both comparisons
         bad = high if 0 <= low else low
-        raise ValueError(f"probabilities must be finite and non-negative, got {bad}")
+        raise ValueError(f"{what} must be finite and non-negative, got {bad}")
     return a.astype(np.float64, copy=False)
 
 
 def _distributions(p, q) -> tuple[np.ndarray, np.ndarray]:
     """Two probability vectors of one length, through ``_distribution``."""
-    p, q = _distribution(p, 1), _distribution(q, 1)
+    p, q = _distribution(p, 1, "p"), _distribution(q, 1, "q")
     if p.shape != q.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
     return p, q
@@ -124,20 +109,15 @@ def _column_sums(rows, t: int) -> np.ndarray:
 
 
 def _js_rows(m: np.ndarray, probabilities=None) -> float:
-    """``js_multi`` of K >= 2 unchecked rows, read a block of rows at a time.
+    """``js_multi`` of K >= 2 unchecked rows, read a block of about ``_BLOCK_CELLS``
+    cells at a time, in two Kahan-compensated passes (docs/derivations.md#js-rows).
 
     ``m`` is the (K, t) float64 matrix of the rows or, when
     ``probabilities`` is given, a matrix that it maps injectively to them:
     ``probabilities(rows)`` returns the float64 rows of the slice ``rows``.
-    The blocks hold about ``_BLOCK_CELLS`` cells each. Rows that all equal
-    the first are found on ``m``, a block at a time, and give 0. Otherwise
-    two passes over the blocks keep only t-long work arrays besides the
-    block being read, each block mapped once per pass, or once in all
-    when there is one: Kahan-compensated per-feature sums give the mean,
-    then each row's KL terms against it are Kahan-added per feature, and
-    the t per-feature totals are summed exactly with ``math.fsum``. The
-    rows are read in the same order whatever the block size, so the result
-    does not depend on it.
+    Rows that all equal the first give 0. Otherwise each block is mapped once
+    per pass, or once in all when there is one, in O(t) working memory
+    besides the block.
     """
     runs, t = m.shape
     if runs < 2:
@@ -165,11 +145,9 @@ def js_multi(ps) -> float:
     Mean KL divergence of each vector from the entrywise mean; equals
     ``js_pair`` at K = 2, is invariant to input order, and is 0 exactly
     when all vectors are identical. ``ps`` passes ``_distribution`` (the
-    sums are not checked) and is reduced by ``_js_rows`` over views of
-    blocks of its rows, in O(t) working memory besides one block's
-    comparison.
+    sums are not checked) and is reduced by ``_js_rows``.
     """
-    return _js_rows(_distribution(ps, 2))
+    return _js_rows(_distribution(ps, 2, "probabilities"))
 
 
 @dataclass(frozen=True)
@@ -186,30 +164,22 @@ class StabilityReport:
 
 
 def _js_masks(run_set: RunSet) -> float:
-    """``js_multi`` of K top-k masks, from their selection counts alone.
-
-    Each selecting run puts 1/k on feature f and the mean puts c_f/(Kk), so
-    ``d_js = (1/K) sum_f (c_f/k) ln(K/c_f)`` over the features with
-    c_f > 0. Every term is >= 0 and exactly 0 when c_f = K; ``log1p`` of
-    the exact ratio (K - c_f)/c_f keeps nearly unanimous features accurate,
-    and ``math.fsum`` adds the terms.
-    """
+    """``js_multi`` of K top-k masks from their selection counts c_f alone:
+    ``(1/(K k)) sum_f c_f ln(K/c_f)``, each log taken as ``log1p((K - c_f)/c_f)``
+    (docs/derivations.md#js-masks)."""
     counts = run_set.matrix.sum(axis=0, dtype=np.int64)
     c = counts[counts > 0].astype(np.float64)
     return math.fsum(c * np.log1p((run_set.runs - c) / c)) / (run_set.runs * run_set.k)
 
 
 def js_stability(run_set: RunSet) -> StabilityReport:
-    """Stability score of a run set in [0, 1].
+    """Stability score of a run set in [0, 1] (docs/derivations.md#normalizer).
 
-    Measures the generalized Jensen-Shannon divergence of the run set's
-    lists and normalises it by the random baseline for the run set's
-    shape. Top-k masks reduce from their per-feature selection counts;
-    full and partial rankings are mapped to their probability vectors a
-    block of rows at a time and reduced as in ``js_multi``, with no second
-    check of those vectors.
-    Raises ``DegenerateNormalizerError`` when the baseline is zero (e.g.
-    topk masks with k = t).
+    The generalized Jensen-Shannon divergence of the lists, normalised by
+    the random baseline of the run set's shape: masks from their selection
+    counts, rankings mapped a block of rows at a time and reduced as in
+    ``js_multi``, with no second check. Raises ``DegenerateNormalizerError``
+    when the baseline is zero (e.g. topk masks with k = t).
     """
     d_star = normalizer(run_set.kind, run_set.t, run_set.k)
     if run_set.kind == "topk":

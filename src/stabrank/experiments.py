@@ -5,12 +5,11 @@ to the matching pairwise baseline, as ordered (x, metrics) points: fig4
 and fig5 sweep the number of fixed outputs over 11 points of ``0..runs``,
 fig6 and fig7 sweep ``lam`` and ``q`` over ``0, 0.1, ..., 1``.
 
-fig4, fig5 and fig6 compose their 11 run sets from anchor run sets, two
-generator calls for fig4 and fig5 and one for fig6 (``synth._curve``); fig7
-calls its generator at every point. Each point equals the generator's own
-run set at that knob, so the curves are those of one call per point. fig6
-and fig7 score the masks of their first point only: the selected sets do
-not move with ``lam`` or ``q``.
+fig4, fig5 and fig6 compose their 11 run sets from two or one generator
+calls (``synth._curve``), each point equal to the generator's own run set at
+that knob; fig7 calls its generator at every point. fig6 and fig7 score the
+masks of their first point only: the selected sets do not move with ``lam``
+or ``q``.
 """
 
 from __future__ import annotations

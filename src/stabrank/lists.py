@@ -8,15 +8,10 @@ K x t matrix, in one of three kinds:
   everything else is 0 (unranked).
 * ``topk``    -- a 0/1 mask marking the k selected features.
 
-``RunSet.to_topk`` turns rankings into masks, and ``row_violations`` is the
-one validator: it names the first violated invariant of every row, and
-``_shape_problem`` states the shape rules (kind, t, k, K) for every entry
-point. The public ``RunSet(...)`` runs both and keeps its own copy; run sets
-that stabrank builds, or has just parsed, skip both via ``RunSet._trusted``.
-Caller input of every module becomes an array through one rule, ``_array``.
-
-Feature identity is positional (index 0..t-1). Ties are not representable:
-rankings must be strict permutations.
+``row_violations`` is the one validator and ``_shape_problem`` states the
+shape rules (kind, t, k, K) for every entry point; ``_array`` is the one rule
+by which caller input of every module becomes an array. Feature identity is
+positional (index 0..t-1), and ties are not representable.
 """
 
 from __future__ import annotations
@@ -34,14 +29,8 @@ _GATHER_BLOCK = 1 << 16  # stored cells that ``_lookup`` casts to intp at a time
 
 
 def _storage_dtype(kind: str, t: int) -> np.dtype:
-    """The dtype a run set of ``kind`` over ``t`` features is stored in.
-
-    Masks are int8. Ranks take the narrowest signed dtype that holds
-    ``t * t``: signed, so the difference of two rows cannot wrap, and
-    holding t², so the product of two ranks cannot either. That is int8 up
-    to t = 11, int16 up to 181, int32 up to 46340 and int64 above. This is
-    the one rule that chooses a storage width.
-    """
+    """The dtype a run set of ``kind`` over ``t`` features is stored in: the one rule
+    that chooses a storage width (docs/derivations.md#storage-dtype)."""
     return np.dtype(np.int8) if kind == "topk" else np.min_scalar_type(-t * t)
 
 
@@ -62,15 +51,10 @@ def row_violations(kind: str, matrix: np.ndarray, k: int) -> list[str | None]:
     Returns one entry per row: ``None`` where the row is valid, otherwise
     its first violated invariant in reading order (e.g. ``"duplicate rank
     1"``); a shape that ``_shape_problem`` refuses gives every row its
-    message. A ranking row is valid exactly when it sorts to ``t - k`` zeros
-    followed by ``1..k``, and a mask row when it holds only 0/1 with ``k``
-    ones; these vectorised checks find the bad rows, and only those are
-    scanned for their message by ``_scan``. ``k`` is judged for every kind,
-    so full rankings need k == t, and a non-integer ``k`` raises
-    ``TypeError``. The matrix passes ``_integers``, as in ``RunSet``, so
-    one that is not 2-D, or an entry that is not an exact integer, raises
-    ``ValueError``. A bool or integer matrix is checked in its own dtype,
-    with no copy of it.
+    message. ``k`` is judged for every kind (full rankings need k == t), and
+    a non-integer ``k`` raises ``TypeError``. The matrix passes
+    ``_integers``, as in ``RunSet``; a bool or integer matrix is checked in
+    its own dtype, with no copy of it.
     """
     m = _integers(matrix, "matrix", ("runs", "features"))
     runs, t = m.shape
@@ -80,7 +64,7 @@ def row_violations(kind: str, matrix: np.ndarray, k: int) -> list[str | None]:
     if kind == "topk":
         # a negative entry reads as a huge unsigned value, so it fails too
         bad = np.flatnonzero(~((m.view(f"u{m.itemsize}").max(axis=1) <= 1) & (m.sum(axis=1) == k)))
-    else:
+    else:  # a valid ranking row sorts to t - k zeros, then 1..k
         expected = np.concatenate([np.zeros(t - k, dtype=np.int64), np.arange(1, k + 1)])
         valid = np.empty(runs, dtype=bool)
         # one block of rows is copied and sorted at a time, in one buffer: a
@@ -142,17 +126,16 @@ def _validate_permutation(values: Sequence[int], n: int) -> str | None:
     return None
 
 
-def _array(values, what: str, kinds: str, axes: tuple[str, ...] | None = None,
-           ragged: str | None = None) -> np.ndarray:
+def _array(values, what: str, kinds: str, axes: tuple[str, ...] | None = None) -> np.ndarray:
     """``values`` as an ndarray in native byte order: the one rule by which caller input
     becomes an array.
 
     No copy is made unless the byte order is swapped, so a caller who freezes
-    the result must copy it first. A masked array (checked before
-    ``np.asarray``, which would drop its mask), ragged nesting, a dtype kind
-    outside ``kinds`` and, when ``axes`` names the dimensions, another
-    ``ndim`` each raise a ``ValueError`` that names the field ``what``. A
-    field whose ragged message predates the rule passes it as ``ragged``.
+    the result must copy it first. A masked array, or a list or tuple of
+    rows one of which is masked (``np.asarray`` would drop the masks), ragged
+    nesting, a dtype kind outside ``kinds`` and, when ``axes`` names the
+    dimensions, another ``ndim`` each raise a ``ValueError`` that names the
+    field ``what``.
     """
     # numpy imports numpy.ma on first use (1.3 MB), and no masked array exists before
     ma = sys.modules.get("numpy.ma")
@@ -161,8 +144,10 @@ def _array(values, what: str, kinds: str, axes: tuple[str, ...] | None = None,
     try:
         a = np.asarray(values)
     except ValueError:
-        ragged = ragged or f"{what} must be one rectangular array, not ragged nesting"
-        raise ValueError(ragged) from None
+        raise ValueError(f"{what} must be one rectangular array, not ragged nesting") from None
+    if (ma is not None and a.ndim == 2 and isinstance(values, (list, tuple))
+            and any(isinstance(row, ma.MaskedArray) for row in values)):
+        raise ValueError(f"{what} must not be a masked array")
     if a.dtype.kind not in kinds:
         raise ValueError(f"{what} must be real numbers, got dtype {a.dtype}")
     if axes is not None and a.ndim != len(axes):
@@ -199,7 +184,7 @@ def _integers(values, what: str, axes: tuple[str, ...]) -> np.ndarray:
     where = np.unravel_index(np.argmin(exact), m.shape)
     value = m[where]
     value = value.item() if isinstance(value, np.generic) else value
-    run = f"run {where[0]}: " if m.ndim == 2 else ""
+    run = f"run {where[0]}: " if m.ndim == 2 else f"{what}: "
     raise ValueError(f"{run}entry {value!r} is not an int64 integer")
 
 
@@ -228,17 +213,11 @@ class RunSet:
     kinds (0 = unranked), 0/1 flags for the topk kind; an omitted ``k`` is
     t for full rankings and the nonzero count of row 0 otherwise.
     ``RunSet(...)`` checks the shape (``_shape_problem``) and every row of
-    the input as given (a bool or integer array in its own dtype), so
-    a cell is judged, and named, as itself before any narrowing. It then
-    keeps its own C-contiguous copy, frozen, so instances are safe to share
-    between threads and the caller's array stays writable and independent.
-
-    The copy is stored at ``_storage_dtype(kind, t)``: int8 for masks, and
-    for ranks the narrowest signed dtype that holds t² (int16 up to t = 181,
-    int32 up to 46340, int64 above). Signed, so that the difference of two
-    rows cannot wrap; holding t², so that a rank times a rank cannot either.
-    ``matrix`` is therefore not always int64. Instances compare and hash by
-    identity; compare contents with
+    the input as given, so a cell is judged, and named, as itself. It then
+    keeps its own frozen, C-contiguous copy at ``_storage_dtype(kind, t)``:
+    the caller's array stays independent, instances are safe to share
+    between threads, and ``matrix`` is not always int64. Instances compare
+    and hash by identity; compare contents with
     ``a.kind == b.kind and a.k == b.k and np.array_equal(a.matrix, b.matrix)``.
     """
 
@@ -267,15 +246,9 @@ class RunSet:
 
     @classmethod
     def _trusted(cls, kind: str, matrix: np.ndarray, k: int) -> "RunSet":
-        """Adopt a fresh, valid, C-contiguous integer matrix and an int ``k`` unchecked; freeze it.
-
-        The run set is stored at ``_storage_dtype(kind, t)``: int8 for masks,
-        and for ranks the narrowest signed dtype that holds t², so that no
-        row difference or rank product wraps. A matrix in that dtype, as the
-        generators and ``to_topk`` allocate it, is adopted as is; any other,
-        such as a parsed int64 matrix, is narrowed here in one cast, so its
-        values must already be checked: a cell beyond the range would wrap.
-        """
+        """Adopt a fresh, valid, C-contiguous integer matrix and an int ``k`` unchecked,
+        narrowed to ``_storage_dtype`` in one cast and frozen. Who may call it, and
+        why each caller's matrix is valid: docs/derivations.md#trusted."""
         matrix = matrix.astype(_storage_dtype(kind, matrix.shape[1]), copy=False)
         matrix.setflags(write=False)
         run_set = object.__new__(cls)

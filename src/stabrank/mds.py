@@ -4,16 +4,10 @@ Every list is a point in feature space; plotting the points of several
 algorithms in 2D makes stability visible (tight cluster = stable, scatter
 = random). The default distance is the square root of the pairwise
 Jensen-Shannon divergence between the lists' probability vectors, which is
-a true metric and keeps the embedding well-posed. Top-k masks read it in
-closed form from the overlaps in the Gram matrix of all lists; rankings
-take one ``js_pair`` call per pair. ``1 - similarity`` of any pairwise
-baseline is available as an alternative, flagged as possibly non-metric,
-and reads the same Gram matrix.
-
-The projection is classical (Torgerson) MDS: double-center the squared
-distances and take the top-2 eigenpairs from ``numpy.linalg.eigh``.
-Negative eigenvalues are clamped to zero. Each axis's sign is fixed by
-making the largest-magnitude entry of its eigenvector positive.
+a true metric and keeps the embedding well-posed. ``1 - similarity`` of any
+pairwise baseline is available as an alternative, flagged as possibly
+non-metric. The projection is classical (Torgerson) MDS through
+``numpy.linalg.eigh``.
 """
 
 from __future__ import annotations
@@ -130,14 +124,12 @@ def distance_matrix(
     """Pairwise distances between all lists of several labeled run sets.
 
     All run sets must share kind, t and k. With the default ``sqrt-js``
-    distance, identical lists sit at 0 and disjoint masks at sqrt(ln 2).
-    Two masks that share o of their k features are at
-    ``sqrt((k - o) * (1/k) * ln 2)``, with o read from the Gram matrix of
-    all the lists; this equals the ``js_pair`` value bit for bit. Full and
-    partial rankings call ``js_pair`` on each pair of probability vectors.
-    A ``one-minus-*`` distance is ``1 - similarity_matrix`` of all the lists,
-    clamped at 0; its metric must apply to their kind (``MetricMismatchError``
-    otherwise). The stacked lists are not checked a second time.
+    distance, two masks that share o of their k features are at
+    ``sqrt((k - o) * (1/k) * ln 2)``, o read from the Gram matrix of all the
+    lists, bit for bit the ``js_pair`` value (docs/derivations.md#sqrt-js-masks);
+    full and partial rankings call ``js_pair`` on each pair. A ``one-minus-*``
+    distance is ``1 - similarity_matrix`` of all the lists, clamped at 0; its
+    metric must apply to their kind (``MetricMismatchError`` otherwise).
     """
     if distance not in DISTANCES:
         raise ValueError(f"unknown distance {distance!r}, expected one of {DISTANCES}")
@@ -156,8 +148,7 @@ def distance_matrix(
         similarity = similarity_matrix(stacked, distance.removeprefix("one-minus-"))
         return DistanceMatrix(np.maximum(0.0, 1.0 - similarity), labels)
     if kind == "topk":
-        # js_pair fsums k - o equal terms fl(1/k) * fl(ln 2), which is their
-        # correctly rounded product, so this order of operations matches it
+        # this order of operations is js_pair's (docs/derivations.md#sqrt-js-masks)
         overlaps = _gram(kind, stacked.matrix)
         return DistanceMatrix(np.sqrt((k - overlaps) * ((1.0 / k) * math.log(2.0))), labels)
     n = len(labels)

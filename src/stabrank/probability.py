@@ -1,18 +1,12 @@
 """The rank-to-probability map and the random-baseline divergence.
 
 ``run_probabilities`` maps every row of a run set to a probability
-distribution over its t features:
-
-* full ranking: ``p_i = (1/2t) * (1 + sum_{m=rank_i}^{t} 1/m)`` -- a smooth
-  weight that decreases with rank and sums to one by construction.
-* partial ranking: same form with k in place of t on the ranked features,
-  0 elsewhere.
-* top-k mask: uniform ``1/k`` on the selected features, 0 elsewhere.
-
-The random baseline ``normalizer(kind, t, k)`` is the divergence a
-completely random generator attains against the uniform mean distribution;
-it depends only on the shape (kind, t, k) and normalises the stability
-score. Natural logarithms throughout; ``0 * ln 0`` is taken as 0.
+distribution over its t features: a ranked feature gets the weight of its
+rank among the n ranked ones (n = t for full rankings, k for partial ones),
+a selected feature of a top-k mask gets ``1/k``, and every other feature 0.
+The random baseline ``normalizer(kind, t, k)`` depends only on the shape and
+normalises the stability score. Natural logarithms throughout; ``0 * ln 0``
+is taken as 0.
 """
 
 from __future__ import annotations
@@ -31,11 +25,9 @@ class DegenerateNormalizerError(ValueError):
 
 @lru_cache(maxsize=64)
 def _rank_weights(n: int) -> np.ndarray:
-    """Probability assigned to ranks 1..n of an n-long ranked list.
-
-    ``w[r-1] = (1/2n) * (1 + H_n - H_{r-1})`` with H the harmonic numbers.
-    The array is cached per n and frozen (initialise once, read many).
-    """
+    """Probability of ranks 1..n of an n-long ranked list, cached per n and frozen:
+    ``w[r-1] = (1/2n) * (1 + H_n - H_{r-1})``, H the harmonic numbers
+    (docs/derivations.md#rank-weights)."""
     h = np.cumsum(1.0 / np.arange(1, n + 1))
     tail = h[-1] - np.concatenate(([0.0], h[:-1]))  # sum_{m=r}^{n} 1/m
     w = (1.0 + tail) / (2.0 * n)
@@ -46,12 +38,10 @@ def _rank_weights(n: int) -> np.ndarray:
 def run_probabilities(run_set: RunSet, rows: slice | None = None) -> np.ndarray:
     """Map the rows of a run set to probability vectors, one per row.
 
-    Returns a new row-stochastic float64 matrix of shape (K, t), or of the
-    rows that the private ``rows`` slice selects, bitwise equal to those
-    rows of the whole map: ``js_stability`` maps a block of rows at a time.
-    Ranks and mask entries index a table of their weights through
-    ``lists._lookup``: ``1/k`` for a selected feature, ``_rank_weights(k)``
-    for ranks 1..k.
+    Returns a new row-stochastic float64 matrix of shape (K, t) or, given the
+    private ``rows`` slice, of those rows, bitwise equal to them in the whole
+    map. Ranks and mask entries index a table of their weights through
+    ``lists._lookup``.
     """
     weights = [1.0 / run_set.k] if run_set.kind == "topk" else _rank_weights(run_set.k)
     m = run_set.matrix if rows is None else run_set.matrix[rows]
@@ -60,15 +50,14 @@ def run_probabilities(run_set: RunSet, rows: slice | None = None) -> np.ndarray:
 
 
 def normalizer(kind: str, t: int, k: int | None = None) -> float:
-    """Divergence attained by a completely random generator of this shape.
-
-    Closed form ``ln(t/k)`` for the topk kind; otherwise the exact sum
-    ``sum_r w_r * ln(w_r * t)`` over the kind's nonzero rank weights.
+    """Divergence attained by a completely random generator of this shape: ``ln(t/k)``
+    for masks, ``sum_r w_r ln(w_r t)`` over the rank weights otherwise
+    (docs/derivations.md#normalizer).
 
     Raises ``DegenerateNormalizerError`` when the value is zero (topk with
-    k = t, or a single-feature ranking), since the stability score divides
-    by it. A ``t`` or ``k`` that is not an integer raises ``TypeError``, a
-    shape that ``lists._shape_problem`` refuses ``ValueError``.
+    k = t, or a single-feature ranking). A ``t`` or ``k`` that is not an
+    integer raises ``TypeError``; an omitted ``k`` for partial or topk, or a
+    shape that ``lists._shape_problem`` refuses, ``ValueError``.
     """
     t = _exact_int(t, "t")
     if k is None and kind in ("partial", "topk"):

@@ -9,11 +9,8 @@ in a newline, no quoting. Columns are runs and rows are features, mirroring
 the usual one-column-per-run matrix layout. Ranks for full/partial kinds (0 =
 unranked), 0/1 flags for topk. Cells and header numbers follow one strict
 grammar (see ``_CELL_RE``), so every accepted text is canonical:
-``serialize(parse(text)) == text``.
-
-Both directions work ``_BLOCK_LINES`` feature lines at a time: the reader
-tokenizes a block in bulk, and the writer looks its cells up in a text
-table of the values ``0..t``, the only values a valid ``RunSet`` holds.
+``serialize(parse(text)) == text``. Both directions work ``_BLOCK_LINES``
+feature lines at a time.
 """
 
 from __future__ import annotations
@@ -95,14 +92,12 @@ def read_cells(lines: list[str], first_line: int, runs: int) -> np.ndarray:
 
 
 def _bulk_cells(lines: list[str], runs: int) -> np.ndarray | None:
-    """The matrix when every cell is a canonical non-negative int64, else ``None``.
+    """The matrix when every cell is a canonical non-negative int64, else ``None``:
+    the digit count of the block equals that of its values
+    (docs/derivations.md#digit-count).
 
-    Only digits, commas and newlines pass the alphabet check, a blank line
-    (which ``loadtxt`` would skip) and a 19-digit cell are sent to the scan,
-    and ``loadtxt`` refuses empty cells and ragged rows. A cell is at least
-    as long as its value's decimal digits, and equally long only without a
-    leading zero, so the cells are canonical exactly when the digit count
-    of the block equals the digit count of its values.
+    Only digits, commas and newlines pass the alphabet check; a blank line
+    (which ``loadtxt`` would skip) and a 19-digit cell go to the scan.
     """
     body = "\n".join(lines)
     if not (body.isascii() and all(lines)) or body.encode("ascii").translate(None, _BULK_ALPHABET):
@@ -116,10 +111,7 @@ def _bulk_cells(lines: list[str], runs: int) -> np.ndarray | None:
     if matrix.shape != (len(lines), runs):
         return None
     top = int(matrix.max())
-    if top >= 10**18:
-        # 19-digit cells go to the scan, so no result rests on how loadtxt
-        # treats int64 overflow: whatever value below 10**18 it made of an
-        # overflowing cell has fewer digits than the cell, and fails the count
+    if top >= 10**18:  # so no result rests on how loadtxt treats int64 overflow
         return None
     widths = matrix.size + sum(
         int(np.count_nonzero(matrix >= 10**e)) for e in range(1, len(str(top)))
@@ -149,15 +141,12 @@ def _scan_cells(lines: list[str], first_line: int, runs: int) -> np.ndarray:
 
 
 def read_columns(text: str) -> tuple[RunSetFileHeader, np.ndarray]:
-    """Parse header and body; returns the (K, t) matrix with runs as rows.
+    """Parse header and body; returns the (K, t) int64 matrix with runs as rows.
 
     The body is tokenized ``_BLOCK_LINES`` lines at a time, each block
-    written transposed into one preallocated C-ordered matrix (the layout
-    ``RunSet`` keeps), so the tokenizer's copies stay block-sized. The
-    matrix is int64, the width of the cell grammar, so that every cell is
-    checked as written: a ``RunSet`` stores ranks in the narrowest signed
-    dtype that holds t² (int8 for masks; see ``lists._storage_dtype``), and
-    a cell narrowed before its check could wrap into range. Raises
+    written transposed into one preallocated C-ordered matrix, the layout
+    ``RunSet`` keeps. It is int64, the width of the cell grammar, so every
+    cell is checked before a ``RunSet`` narrows it. Raises
     ``RunSetParseError`` for structural problems, naming the first bad line;
     the lists themselves are judged by ``check_runset``.
     """
@@ -230,13 +219,10 @@ def load_runset(path) -> RunSet:
 def serialize_runset(run_set: RunSet) -> str:
     """Canonical text form of a run set (inverse of ``parse_runset``).
 
-    Every value ``0..max`` of the matrix has one row in a small text table:
-    its digits right-aligned in front of a ``,`` (plane 0) or, for the last
-    run, a ``\\n`` (plane 1), NUL-padded on the left. The body is written
-    ``_BLOCK_LINES`` feature lines at a time: a block gathers the table rows
-    of its cells, drops the NULs and decodes once, so no Python code runs
-    per cell. The table has at most t + 1 rows because a valid ``RunSet``
-    holds only values in ``0..t``; the writer relies on that.
+    The body is written ``_BLOCK_LINES`` feature lines at a time from a text
+    table of the values ``0..max``, with no Python code per cell. The matrix
+    must hold only values in ``0..t``, as every ``RunSet`` does
+    (docs/derivations.md#text-table).
     """
     m = run_set.matrix
     table = _text_table(int(m.max()))
@@ -250,8 +236,9 @@ def serialize_runset(run_set: RunSet) -> str:
 
 
 def _text_table(top: int) -> np.ndarray:
-    """The text of ``0..top`` for ``serialize_runset``: a ``(top + 1, 2)`` array
-    of fixed-width byte strings, each value's digits and then ``,`` or ``\\n``."""
+    """The text of ``0..top`` for ``serialize_runset``: a ``(top + 1, 2)`` array of
+    fixed-width byte strings, each value's digits, NUL-padded on the left, then
+    ``,`` or ``\\n`` (docs/derivations.md#text-table)."""
     scale = 10 ** np.arange(len(str(top)) - 1, -1, -1)  # place values, highest first
     values = np.arange(top + 1)[:, np.newaxis]
     digits = np.where((values >= scale) | (scale == 1), values // scale % 10 + ord("0"), 0)

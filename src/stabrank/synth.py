@@ -18,19 +18,6 @@ Randomness comes from numpy's PCG64 generator. Per-run streams are derived
 by ``SeedSequence(seed).spawn``: child 0 drives the shared arrangement,
 child j+1 drives run j. Identical configs therefore reproduce bit-identical
 run sets, and the stream layout is part of the golden-file contract.
-
-No per-run draw reads ``fixed`` or ``lam``, which gives two exact identities
-that ``_curve`` uses to build a sweep from one or two generator calls:
-
-* the ranking and subset families at ``fixed=x`` are the first x rows of
-  the run set at ``fixed=runs`` stacked on rows x.. of the one at
-  ``fixed=0``;
-* the overlap family at ``lam`` relabels the ranks of the one at ``lam=0``:
-  the i-th core slot becomes the i-th core slot at ``lam``, the i-th
-  block slot the i-th block slot, and 0 stays 0.
-
-The rank-shuffle family shares no draws across ``q``: ``round(q * k)`` sets
-how many positions each run draws, so every ``q`` reads its streams anew.
 """
 
 from __future__ import annotations
@@ -129,9 +116,8 @@ def gen_overlap_family(cfg: ExperimentConfig) -> RunSet:
     draw pool of the t - k features outside the reference top-k; each run
     selects the core plus ``k - overlap`` pool features. ``lam`` positions
     the run-specific block within the rank slots; rank order inside each
-    region is shuffled per run. The per-run feature draws never consume
-    lam, so the selected sets (and any mask-level metric) are identical
-    across lam for one seed.
+    region is shuffled per run. No draw reads lam, so the selected sets are
+    identical across lam for one seed.
     """
     if cfg.overlap is None:
         raise ValueError("the overlap family requires cfg.overlap")
@@ -190,8 +176,9 @@ def _curve(
     Over ``fixed`` (ranking and subset families), ``generate`` runs at
     ``fixed=0`` and ``fixed=runs`` and every point stacks rows of the two;
     over ``lam`` (overlap family) it runs at ``lam=0`` and every point
-    relabels its ranks through ``_lookup``. Any other field calls ``generate``
-    at every point. Each point owns a new matrix, adopted unchecked.
+    relabels its ranks through ``_lookup`` (docs/derivations.md#stream-layout).
+    Any other field calls ``generate`` at every point. Each point owns a new
+    matrix, adopted unchecked.
     """
     if field == "fixed":
         random = generate(replace(base, fixed=0))

@@ -1,14 +1,14 @@
 """One array rule at the boundary: ``lists._array``.
 
 Every public entry point that takes an array reads it through
-``lists._array``. The refusal table crosses those entry points with seven
+``lists._array``. The refusal table crosses those entry points with eight
 malformed inputs, each made from an input the entry point accepts: ragged
-nesting, a masked array, strings, complex numbers, an object array holding
-``None``, a 0-d and a 3-d array. Each is refused with a ``ValueError`` that
-names its field (``matrix``, ``list``, ``probabilities``, ``distances`` or
-``coords``) or, where an object array reaches the integer check, the entry
-and its run; none is numpy's own message. ``kl``, ``js_pair`` and
-``js_multi`` keep the ragged and dimension messages of 0.5.3 word for word.
+nesting, a masked array, a list whose first row is a masked array, strings,
+complex numbers, an object array holding ``None``, a 0-d and a 3-d array.
+Each is refused with a ``ValueError`` that names its field (``matrix``,
+``first list``, ``second list``, ``p``, ``q``, ``probabilities``,
+``distances`` or ``coords``) or, where an object array reaches the integer
+check, the entry and its run or list; none is numpy's own message.
 """
 
 import re
@@ -31,21 +31,21 @@ from stabrank import (
 from stabrank.lists import _array
 
 RUNS_X_FEATURES = r"^matrix must be 2-dimensional \(runs x features\)$"
-FEATURES = r"^list must be 1-dimensional \(features\)$"
-VECTOR = "^expected a probability vector$"
+FEATURES = r"must be 1-dimensional \(features\)$"
 
 # name: (call on the array, an array it accepts, field, the wrong-ndim message)
 ENTRY_POINTS = {
     "RunSet": (lambda x: RunSet("full", x), [[1, 2], [2, 1]], "matrix", RUNS_X_FEATURES),
     "row_violations": (lambda x: row_violations("full", x, 2), [[1, 2], [2, 1]], "matrix",
                        RUNS_X_FEATURES),
-    "spearman": (lambda x: spearman(x, [1, 2]), [2, 1], "list", FEATURES),
-    "kuncheva": (lambda x: kuncheva([0, 1], x), [1, 0], "list", FEATURES),
-    "jaccard": (lambda x: jaccard(x, [1, 0]), [1, 0], "list", FEATURES),
-    "kl": (lambda x: kl(x, [0.5, 0.5]), [0.25, 0.75], "probabilities", VECTOR),
-    "js_pair": (lambda x: js_pair([0.5, 0.5], x), [0.25, 0.75], "probabilities", VECTOR),
+    "spearman": (lambda x: spearman(x, [1, 2]), [2, 1], "first list", "^first list " + FEATURES),
+    "kuncheva": (lambda x: kuncheva([0, 1], x), [1, 0], "second list",
+                 "^second list " + FEATURES),
+    "jaccard": (lambda x: jaccard(x, [1, 0]), [1, 0], "first list", "^first list " + FEATURES),
+    "kl": (lambda x: kl(x, [0.5, 0.5]), [0.25, 0.75], "p", "^p " + FEATURES),
+    "js_pair": (lambda x: js_pair([0.5, 0.5], x), [0.25, 0.75], "q", "^q " + FEATURES),
     "js_multi": (js_multi, [[0.5, 0.5], [1.0, 0.0]], "probabilities",
-                 "^expected a sequence of probability vectors$"),
+                 r"^probabilities must be 2-dimensional \(vectors x features\)$"),
     "DistanceMatrix": (lambda x: DistanceMatrix(x, (("a", 0), ("a", 1))),
                        [[0.0, 1.0], [1.0, 0.0]], "distances", "^distance matrix must be square$"),
     "Embedding": (lambda x: Embedding(x, (1.0, 0.0), 0.0), [[0.0, 1.0], [2.0, 3.0]], "coords",
@@ -65,6 +65,12 @@ def masked(valid):
     return np.ma.array(valid, mask=mask)
 
 
+def masked_rows(valid):
+    """A list of rows whose first is masked; a 1-D input is the one row."""
+    rows = list(valid) if valid.ndim == 2 else [valid]
+    return [masked(rows[0]), *rows[1:]]
+
+
 def with_none(valid):
     values = valid.astype(object)
     values.flat[0] = None
@@ -75,6 +81,7 @@ def with_none(valid):
 INPUTS = {
     "ragged": (ragged, lambda field: f"^{field} must be one rectangular array, not ragged nesting$"),
     "masked": (masked, lambda field: f"^{field} must not be a masked array$"),
+    "masked rows": (masked_rows, lambda field: f"^{field} must not be a masked array$"),
     "str": (lambda valid: valid.astype(str),
             lambda field: rf"^{field} must be real numbers, got dtype <U\d+$"),
     "complex": (lambda valid: valid.astype(complex),
@@ -84,18 +91,14 @@ INPUTS = {
     "3-d": (lambda valid: valid.reshape((1,) * (3 - valid.ndim) + valid.shape), None),
 }
 
-# the words 0.5.3 gave the probabilities, which stay as they were
-PINNED = {("probabilities", "ragged"): "^ragged nesting: the entries are not one rectangular array$"}
-
-
 def expected(entry: str, made: str) -> str:
     _, _, field, wrong_ndim = ENTRY_POINTS[entry]
     message = INPUTS[made][1]
     if message is None:
         return wrong_ndim
-    if made == "object" and field in ("matrix", "list"):  # object arrays of ints are accepted
-        return "^" + ("run 0: " if field == "matrix" else "") + "entry None is not an int64 integer$"
-    return PINNED.get((field, made), message(field))
+    if made == "object" and field.endswith(("matrix", "list")):  # object arrays of ints pass
+        return "^" + ("run 0" if field == "matrix" else field) + ": entry None is not an int64 integer$"
+    return message(field)
 
 
 @pytest.mark.parametrize("made", INPUTS)

@@ -65,11 +65,12 @@ class TestSpearman:
     @pytest.mark.parametrize(
         "first, second, message",
         [
-            ((1, 2, 3), (1, 1, 1), "not a full ranking: duplicate rank 1"),
-            ((0, 1, 2), (1, 2, 3), "not a full ranking: rank 0 out of range 1..3"),
-            ((1.5, 2, 3), (1, 2, 3), "entry 1.5 is not an int64 integer"),
-            ([[1, 2], [2, 1]], (1, 2), r"^list must be 1-dimensional \(features\)$"),
-            ((1.0, 2**53 + 1), (1, 2), f"^not a full ranking: rank {2**53 + 1} out of range 1..2$"),
+            ((1, 2, 3), (1, 1, 1), "^second list is not a full ranking: duplicate rank 1$"),
+            ((0, 1, 2), (1, 2, 3), "^first list is not a full ranking: rank 0 out of range 1..3$"),
+            ((1.5, 2, 3), (1, 2, 3), "^first list: entry 1.5 is not an int64 integer$"),
+            ([[1, 2], [2, 1]], (1, 2), r"^first list must be 1-dimensional \(features\)$"),
+            ((1.0, 2**53 + 1), (1, 2),
+             f"^first list is not a full ranking: rank {2**53 + 1} out of range 1..2$"),
         ],
         ids=["duplicate", "zero-rank", "fraction", "two-dimensional", "int-above-2**53"],
     )
@@ -112,9 +113,9 @@ class TestKuncheva:
     @pytest.mark.parametrize(
         "first, second, message",
         [
-            ((2, 0, 0, 0), (0, 1, 1, 0), "not a 0/1 mask: entry 2 is not 0 or 1"),
-            ((1, 1, 0, 0), (1, -1, 1, 1), "not a 0/1 mask: entry -1 is not 0 or 1"),
-            ((1, 0.5, 0, 0), (1, 0, 0, 0), "entry 0.5 is not an int64 integer"),
+            ((2, 0, 0, 0), (0, 1, 1, 0), "^first list is not a 0/1 mask: entry 2 is not 0 or 1$"),
+            ((1, 1, 0, 0), (1, -1, 1, 1), "^second list is not a 0/1 mask: entry -1 is not 0 or 1$"),
+            ((1, 0.5, 0, 0), (1, 0, 0, 0), "^first list: entry 0.5 is not an int64 integer$"),
             ((1, 0, 1), (1, 1), r"^length mismatch: \(3,\) vs \(2,\)$"),
         ],
         ids=["two", "negative", "fraction", "length-mismatch"],
@@ -166,9 +167,9 @@ class TestJaccard:
     @pytest.mark.parametrize(
         "first, second, message",
         [
-            ((2, 0, 0), (1, 0, 0), "not a 0/1 mask: entry 2 is not 0 or 1"),
-            ((1, 0, 0), (1, 0, -1), "not a 0/1 mask: entry -1 is not 0 or 1"),
-            ((1, 0, 0), (1.5, 0, 0), "entry 1.5 is not an int64 integer"),
+            ((2, 0, 0), (1, 0, 0), "^first list is not a 0/1 mask: entry 2 is not 0 or 1$"),
+            ((1, 0, 0), (1, 0, -1), "^second list is not a 0/1 mask: entry -1 is not 0 or 1$"),
+            ((1, 0, 0), (1.5, 0, 0), "^second list: entry 1.5 is not an int64 integer$"),
             ((1, 0), (1, 0, 0), r"^length mismatch: \(2,\) vs \(3,\)$"),
         ],
         ids=["two", "negative", "fraction", "length-mismatch"],

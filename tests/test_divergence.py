@@ -178,7 +178,7 @@ class TestJsMulti:
             js_multi([[0.5, 0.5]])
 
     def test_needs_a_sequence_of_vectors(self):
-        with pytest.raises(ValueError, match="^expected a sequence of probability vectors$"):
+        with pytest.raises(ValueError, match=VECTORS):
             js_multi([0.5, 0.5])
 
     @given(run_sets_with_fixed_rows())
@@ -525,37 +525,43 @@ class TestSameBitsAsBefore:
 
 
 NAN, INF = math.nan, math.inf
-REAL = "^probabilities must be real numbers, got dtype "
-FINITE = "^probabilities must be finite and non-negative, got "
-RAGGED = "^ragged nesting: the entries are not one rectangular array$"
-VECTOR = "^expected a probability vector$"
-VECTORS = "^expected a sequence of probability vectors$"
+REAL = " must be real numbers, got dtype "
+FINITE = " must be finite and non-negative, got "
+RAGGED = " must be one rectangular array, not ragged nesting$"
+VECTOR = r" must be 1-dimensional \(features\)$"
+VECTORS = r"^probabilities must be 2-dimensional \(vectors x features\)$"
 SUPPORT = "^p has probability mass where q has none$"
 
 # (function, arguments, exception class, message): every row is refused
 # with a ValueError that names its problem, never a number or a warning
 REFUSALS = [
-    (kl, (["0.5", "0.5"], [0.5, 0.5]), ValueError, REAL + "<U3$"),
-    (js_pair, ([True, False], [0.5, 0.5]), ValueError, REAL + "bool$"),
-    (js_multi, ([[0.5, None], [0.5, 0.5]],), ValueError, REAL + "object$"),
-    (js_pair, ([0.5, 0.5], [0.5 + 0j, 0.5]), ValueError, REAL + "complex128$"),
-    (kl, ([NAN, 1.0], [0.5, 0.5]), ValueError, FINITE + "nan$"),
-    (js_multi, ([[0.5, 0.5], [0.5, NAN]],), ValueError, FINITE + "nan$"),
-    (js_pair, ([0.5, 0.5], [INF, 0.0]), ValueError, FINITE + "inf$"),
-    (kl, ([-INF, 1.0], [0.5, 0.5]), ValueError, FINITE + "-inf$"),
-    (kl, ([-0.5, 1.5], [0.5, 0.5]), ValueError, FINITE + "-0.5$"),
-    (js_pair, ([0.5, 0.5], [1.5, -0.5]), ValueError, FINITE + "-0.5$"),
-    (js_multi, ([[0.5, 0.5], [-0.5, 1.5]],), ValueError, FINITE + "-0.5$"),
-    (kl, ([[0.5], 0.5], [0.5, 0.5]), ValueError, RAGGED),
-    (js_multi, ([[0.5, 0.5], [1.0]],), ValueError, RAGGED),
-    (kl, ([[0.5, 0.5]], [[0.5, 0.5]]), ValueError, VECTOR),
-    (js_pair, ([[0.5, 0.5], [1.0, 0.0]], [[0.5, 0.5], [1.0, 0.0]]), ValueError, VECTOR),
-    (js_pair, (0.5, 0.5), ValueError, VECTOR),
+    (kl, (["0.5", "0.5"], [0.5, 0.5]), ValueError, "^p" + REAL + "<U3$"),
+    (js_pair, ([True, False], [0.5, 0.5]), ValueError, "^p" + REAL + "bool$"),
+    (js_multi, ([[0.5, None], [0.5, 0.5]],), ValueError, "^probabilities" + REAL + "object$"),
+    (js_pair, ([0.5, 0.5], [0.5 + 0j, 0.5]), ValueError, "^q" + REAL + "complex128$"),
+    (kl, ([NAN, 1.0], [0.5, 0.5]), ValueError, "^p" + FINITE + "nan$"),
+    (js_multi, ([[0.5, 0.5], [0.5, NAN]],), ValueError, "^probabilities" + FINITE + "nan$"),
+    (js_pair, ([0.5, 0.5], [INF, 0.0]), ValueError, "^q" + FINITE + "inf$"),
+    (kl, ([-INF, 1.0], [0.5, 0.5]), ValueError, "^p" + FINITE + "-inf$"),
+    (kl, ([-0.5, 1.5], [0.5, 0.5]), ValueError, "^p" + FINITE + "-0.5$"),
+    (js_pair, ([0.5, 0.5], [1.5, -0.5]), ValueError, "^q" + FINITE + "-0.5$"),
+    (js_multi, ([[0.5, 0.5], [-0.5, 1.5]],), ValueError, "^probabilities" + FINITE + "-0.5$"),
+    (kl, ([[0.5], 0.5], [0.5, 0.5]), ValueError, "^p" + RAGGED),
+    (js_multi, ([[0.5, 0.5], [1.0]],), ValueError, "^probabilities" + RAGGED),
+    (kl, ([[0.5, 0.5]], [[0.5, 0.5]]), ValueError, "^p" + VECTOR),
+    (js_pair, ([[0.5, 0.5], [1.0, 0.0]], [[0.5, 0.5], [1.0, 0.0]]), ValueError, "^p" + VECTOR),
+    (js_pair, (0.5, 0.5), ValueError, "^p" + VECTOR),
     (js_multi, ([[[0.5, 0.5]], [[0.5, 0.5]]],), ValueError, VECTORS),
     (kl, ([1.0], [0.5, 0.5]), ValueError, r"^length mismatch: \(1,\) vs \(2,\)$"),
     # the midpoint 0.5 * 5e-324 underflows to 0 where p > 0
     (js_pair, ([1.0, 5e-324], [1.0, 0.0]), SupportMismatchError, SUPPORT),
     (js_multi, ([[1.0, 5e-324], [1.0, 0.0]],), SupportMismatchError, SUPPORT),
+    # the second vector is named as the one at fault
+    (kl, ([0.5, 0.5], [[0.5, 0.5]]), ValueError, "^q" + VECTOR),
+    (js_pair, ([0.5, 0.5], [0.5, NAN]), ValueError, "^q" + FINITE + "nan$"),
+    (js_pair, ([0.5, 0.5], [[0.5], 0.5]), ValueError, "^q" + RAGGED),
+    (js_multi, ([np.ma.array([0.9, 0.1], mask=[1, 0]), [0.5, 0.5]],), ValueError,
+     "^probabilities must not be a masked array$"),
 ]
 
 
@@ -574,9 +580,9 @@ def test_the_check_runs_once_per_input(monkeypatch):
     calls = []
     check = divergence._distribution
 
-    def counted(p, ndim):
+    def counted(p, ndim, what):
         calls.append(ndim)
-        return check(p, ndim)
+        return check(p, ndim, what)
 
     monkeypatch.setattr(divergence, "_distribution", counted)
     p, q = [0.25, 0.75, 0.0], [0.5, 0.0, 0.5]
@@ -593,9 +599,9 @@ def test_the_check_runs_once_per_input(monkeypatch):
 
 def test_a_float64_array_is_not_copied():
     p = np.array([0.25, 0.75])
-    assert divergence._distribution(p, 1) is p
+    assert divergence._distribution(p, 1, "p") is p
     m = np.array([[0.25, 0.75], [0.5, 0.5]])
-    assert divergence._distribution(m, 2) is m
+    assert divergence._distribution(m, 2, "probabilities") is m
     # the rule beneath both checks: a native int64 matrix is not copied either
     ranks = np.array([[1, 2], [2, 1]], dtype=np.int64)
     assert _integers(ranks, "matrix", ("runs", "features")) is ranks

@@ -1,7 +1,8 @@
 """The public surface: every exported name resolves, and none removed in 0.2.0 or 0.4.0 is left.
 
-The removed names are read from the first column of the README's 0.2.0
-and 0.4.0 tables, so the migration notes and the package cannot drift apart.
+The removed names are read from the first column of the "removed in 0.2.0"
+and "removed in 0.4.0" tables under the README's "Changes a user must know",
+so the migration notes and the package cannot drift apart.
 """
 
 import re
@@ -17,8 +18,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def removed_names(version: str) -> list[str]:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme.split(f"## {version}", 1)[1].split("\n## ", 1)[0]
-    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    section = readme.split("\n## Changes a user must know\n", 1)[1].split("\n## ", 1)[0]
+    table = section.split(f"\n| removed in {version} |", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
     return [name for cell in rows for name in re.findall(r"`([^`]+)`", cell)]
 
 
