@@ -2,8 +2,9 @@
 
 EXAMPLE_FULL holds one full ranking per run. The partial and mask variants
 are the same runs truncated at k=4; they double as regression anchors for
-the conversion and baseline metrics. The Hypothesis profile loaded here
-makes every property test deterministic.
+the conversion and baseline metrics. ``random_run_set`` is the one seeded
+generator of random run sets. The Hypothesis profile loaded here makes
+every property test deterministic.
 """
 
 import numpy as np
@@ -38,6 +39,17 @@ EXAMPLE_PARTIAL = tuple(
 EXAMPLE_MASKS = tuple(
     tuple(1 if r <= EXAMPLE_K else 0 for r in run) for run in EXAMPLE_FULL
 )
+
+
+def random_run_set(rng: np.random.Generator, kind: str, t: int, k: int, runs: int) -> RunSet:
+    """``runs`` uniformly random rankings of t features from ``rng``, cut to
+    their top k as partial rankings or as masks."""
+    rows = np.array([rng.permutation(t) + 1 for _ in range(runs)])
+    if kind == "full":
+        return RunSet("full", rows)
+    if kind == "partial":
+        return RunSet("partial", np.where(rows <= k, rows, 0), k)
+    return RunSet("topk", (rows <= k).astype(np.int64), k)
 
 
 @pytest.fixture

@@ -29,10 +29,10 @@ from stabrank import (
     normalizer,
     pairwise_stability,
     parse_runset,
-    run_probabilities,
     spearman,
 )
-from conftest import EXAMPLE_FULL, EXAMPLE_MASKS
+from conftest import EXAMPLE_FULL, EXAMPLE_MASKS, random_run_set
+from oracles import oracle_s_js
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -179,23 +179,6 @@ def test_criterion_07_normalizer_closed_form():
     _report(7, ok, f"normalizer(topk, 2000, 600)={value!r} vs ln(10/3)={expected!r}")
 
 
-def _oracle_s_js(rs: RunSet) -> float:
-    probs = run_probabilities(rs)
-    mean = probs.mean(axis=0)
-    h_mean = -math.fsum(p * math.log(p) for p in mean if p > 0)
-    h_row = -math.fsum(p * math.log(p) for p in probs[0] if p > 0)
-    return (math.log(rs.t) - h_mean) / (math.log(rs.t) - h_row)
-
-
-def _random_run_set(rng, kind, t, k, runs):
-    rows = np.array([rng.permutation(t) + 1 for _ in range(runs)])
-    if kind == "full":
-        return RunSet("full", rows)
-    if kind == "partial":
-        return RunSet("partial", np.where(rows <= k, rows, 0), k)
-    return RunSet("topk", (rows <= k).astype(np.int64), k)
-
-
 def test_criterion_08_entropy_identity_oracle():
     rng = np.random.default_rng(2024)
     worst = 0.0
@@ -206,8 +189,8 @@ def test_criterion_08_entropy_identity_oracle():
         if kind != "full" and k == t:
             k = t - 1
         runs = int(rng.integers(2, 21))
-        rs = _random_run_set(rng, kind, t, k, runs)
-        worst = max(worst, abs(js_stability(rs).s_js - _oracle_s_js(rs)))
+        rs = random_run_set(rng, kind, t, k, runs)
+        worst = max(worst, abs(js_stability(rs).s_js - oracle_s_js(rs)))
     ok = worst <= 1e-10
     _report(8, ok, f"max |direct - entropy identity| = {worst:.2e} over 100 run sets")
 
@@ -220,7 +203,7 @@ def test_criterion_09a_bounds_on_fuzzed_run_sets():
         t = int(rng.integers(2, 31))
         k = t if kind == "full" else int(rng.integers(1, t))
         runs = int(rng.integers(2, 13))
-        score = js_stability(_random_run_set(rng, kind, t, k, runs)).s_js
+        score = js_stability(random_run_set(rng, kind, t, k, runs)).s_js
         low, high = min(low, score), max(high, score)
     ok = 0.0 <= low and high <= 1.0
     _report(9, ok, f"(a) fuzzed s_js range [{low:.4f}, {high:.4f}] within [0, 1]")
@@ -245,7 +228,7 @@ def test_criterion_09c_correction_for_chance():
         scores = []
         for seed in range(20):
             rng = np.random.default_rng(8000 + seed)
-            rs = _random_run_set(rng, kind, t=200, k=60, runs=500)
+            rs = random_run_set(rng, kind, t=200, k=60, runs=500)
             scores.append(js_stability(rs).s_js)
         means[kind] = float(np.mean(scores))
     ok = all(abs(m) <= 0.02 for m in means.values())

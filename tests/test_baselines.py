@@ -26,16 +26,8 @@ from stabrank import (
     spearman,
 )
 from stabrank import baselines
-from conftest import EXAMPLE_MASKS
-
-
-def oracle_spearman(a, b):
-    t = len(a)
-    return 1 - 6 * sum((x - y) ** 2 for x, y in zip(a, b)) / (t * (t**2 - 1))
-
-
-def mask_to_set(mask):
-    return {i for i, v in enumerate(mask) if v == 1}
+from conftest import EXAMPLE_MASKS, random_run_set
+from oracles import oracle_spearman
 
 
 class TestSpearman:
@@ -289,15 +281,6 @@ class TestPairwiseStability:
         assert abs(phi) <= 0.05
 
 
-def random_rankings(seed: int, t: int, runs: int) -> RunSet:
-    rng = np.random.default_rng(seed)
-    return RunSet("full", np.array([rng.permutation(t) + 1 for _ in range(runs)]))
-
-
-def random_masks(seed: int, t: int, k: int, runs: int) -> RunSet:
-    return random_rankings(seed, t, runs).to_topk(k)
-
-
 def copy_width(rs: RunSet) -> float:
     """Peak bytes per cell of one ``_gram`` call: with t much larger than K,
     the width of the float copy it multiplies the lists in."""
@@ -316,7 +299,7 @@ class TestGram:
 
     @pytest.mark.parametrize("t, k, runs", [(300, 90, 40), (20000, 15000, 8)])
     def test_float32_gram_equals_float64_gram(self, t, k, runs):
-        rs = random_masks(t, t, k, runs)
+        rs = random_run_set(np.random.default_rng(t), "topk", t, k, runs)
         gram = baselines._gram(rs.kind, rs.matrix)
         assert gram.dtype == np.float64
         m = rs.matrix.astype(np.float64)
@@ -324,7 +307,7 @@ class TestGram:
 
     @pytest.mark.parametrize("limit, dtype", [(0, np.float64), (1, np.float32)])
     def test_guard_on_either_side_of_the_limit(self, monkeypatch, limit, dtype):
-        rs = random_masks(5, 3000, 900, 40)
+        rs = random_run_set(np.random.default_rng(5), "topk", 3000, 900, 40)
         expected = {m: similarity_matrix(rs, m) for m in ("kuncheva", "jaccard")}
         monkeypatch.setattr(baselines, "_FLOAT32_EXACT", rs.t + limit)
         assert int(copy_width(rs)) == np.dtype(dtype).itemsize
@@ -332,13 +315,14 @@ class TestGram:
             np.testing.assert_array_equal(similarity_matrix(rs, metric), want)
 
     def test_rankings_stay_float64(self):
-        assert int(copy_width(random_rankings(4, 3000, 40))) == 8
+        rs = random_run_set(np.random.default_rng(4), "full", 3000, 3000, 40)
+        assert int(copy_width(rs)) == 8
 
     @pytest.mark.parametrize("t, tolerance", [(300_000, 0.0), (1_000_000, 1e-13)])
     def test_ranking_gram_exact_up_to_its_stated_bound(self, t, tolerance):
         # the sum of squared ranks is just below 2**53 at t = 3e5 and past it at 1e6
         assert (t * (t + 1) * (2 * t + 1) // 6 < 2**53) == (tolerance == 0.0)
-        rs = random_rankings(8, t, 3)
+        rs = random_run_set(np.random.default_rng(8), "full", t, t, 3)
         got = similarity_matrix(rs, "spearman")
         for i, j in itertools.combinations(range(3), 2):
             want = spearman(rs.matrix[i], rs.matrix[j])
@@ -347,7 +331,7 @@ class TestGram:
     @pytest.mark.parametrize("kind", ["topk", "full"])
     @pytest.mark.parametrize("block", ["one", "runs", "7 runs"])
     def test_feature_blocks_leave_the_gram_unchanged(self, monkeypatch, kind, block):
-        rs = random_masks(6, 300, 90, 40) if kind == "topk" else random_rankings(6, 300, 40)
+        rs = random_run_set(np.random.default_rng(6), kind, 300, 90, 40)  # full ignores k
         want = baselines._gram(rs.kind, rs.matrix)
         monkeypatch.setattr(baselines, "_GRAM_BLOCK", {"one": 1, "runs": 40, "7 runs": 280}[block])
         got = baselines._gram(rs.kind, rs.matrix)
@@ -360,7 +344,7 @@ class TestGram:
         # bound below the 4 MB float32 copy of the whole matrix
         if block is not None:
             monkeypatch.setattr(baselines, "_GRAM_BLOCK", block)
-        rs = random_masks(7, 5000, 1000, 200)
+        rs = random_run_set(np.random.default_rng(7), "topk", 5000, 1000, 200)
         runs, t = rs.matrix.shape
         tracemalloc.start()
         try:

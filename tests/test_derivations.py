@@ -1,10 +1,10 @@
 """The derivations page and the code agree, in both directions.
 
 ``docs/derivations.md`` states each closed form once. Every entry names the
-functions that implement it and the tests that pin it: each named function
-must exist and cite the entry in its docstring, and each named test must
-exist. Every ``docs/derivations.md#<anchor>`` cited under ``src/`` must be
-an entry.
+functions that implement it and the tests that pin it, and may name its
+oracle in ``tests/oracles.py``: each named function must exist and cite the
+entry in its docstring, and each named test and oracle must exist. Every
+``docs/derivations.md#<anchor>`` cited under ``src/`` must be an entry.
 """
 
 import ast
@@ -22,25 +22,28 @@ SOURCE = Path(stabrank.__file__).resolve().parent
 CITATION = re.compile(r"docs/derivations\.md#([a-z0-9-]+)")
 
 
-def entries() -> dict[str, tuple[list[str], list[str]]]:
-    """anchor: (the functions that implement it, the tests that pin it)."""
+def entries() -> dict[str, tuple[list[str], list[str], list[str]]]:
+    """anchor: (the functions that implement it, the tests that pin it, its oracles)."""
     text = PAGE.read_text(encoding="utf-8")
     sections = re.split(r'^## <a id="([a-z0-9-]+)"></a>', text, flags=re.M)[1:]
     found = {}
     for anchor, body in zip(sections[::2], sections[1::2]):
         fields = []
         for name, pattern in (("Implemented by", r"stabrank\.[\w.]+"),
-                              ("Pinned by", r"tests/\w+\.py(?:::\w+)+")):
+                              ("Pinned by", r"tests/\w+\.py(?:::\w+)+"),
+                              ("Oracle", r"tests/oracles\.py::\w+")):
             match = re.search(rf"^- {name}:(.*?)(?=^- |^$|\Z)", body, re.M | re.S)
-            assert match, f"{anchor} has no '{name}' line"
-            fields.append(re.findall(f"`({pattern})`", match.group(1)))
+            assert match or name == "Oracle", f"{anchor} has no '{name}' line"
+            fields.append(re.findall(f"`({pattern})`", match.group(1)) if match else [])
         found[anchor] = tuple(fields)
     return found
 
 
 ENTRIES = entries()
-FUNCTIONS = [(anchor, name) for anchor, (names, _) in ENTRIES.items() for name in names]
-TESTS = [(anchor, name) for anchor, (_, names) in ENTRIES.items() for name in names]
+FUNCTIONS = [(anchor, name) for anchor, (names, _, _) in ENTRIES.items() for name in names]
+# the tests that pin each entry, then its oracles: both are definitions under tests/
+TESTS = [(anchor, name) for anchor, (_, *named) in ENTRIES.items() for names in named
+         for name in names]
 
 
 def resolve(dotted: str):
@@ -59,7 +62,7 @@ def resolve(dotted: str):
 
 def test_every_entry_names_code_and_tests_and_is_in_the_table():
     assert len(ENTRIES) >= 12
-    for anchor, (functions, tests) in ENTRIES.items():
+    for anchor, (functions, tests, _) in ENTRIES.items():
         assert functions and tests, anchor
     table = re.findall(r"^\| \[`([a-z0-9-]+)`\]\(#\1\) \|", PAGE.read_text(encoding="utf-8"), re.M)
     assert table == list(ENTRIES)

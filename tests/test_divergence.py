@@ -1,24 +1,18 @@
 """Divergence and stability-score tests.
 
-The independent oracle here is the entropy identity: because every list of
-one shape maps to a permutation of the same probability multiset, the
-stability score equals (ln t - H(mean)) / (ln t - H(row)) where H(row) is
-the entropy of any single mapped list. The implementation under test never
-takes that route; it evaluates the divergence sum directly. ``js_multi``
-is also held to the all-terms ``math.fsum`` form it replaced, and to an
-O(t) bound on its working memory. ``js_stability`` maps rankings to
-probabilities a block of rows at a time: ``TestRowBlocks`` holds its d_js,
-by ``float.hex``, to the reduction of the whole matrix, at every storage
-width and block size, and bounds its memory to two blocks and O(t). Top-k
-masks are scored from their selection counts; that form is held to
-``js_multi`` and to an mpmath evaluation of the entropy identity. ``kl``,
-``js_pair`` and ``js_multi`` are held bit for bit to their 0.5.2 bodies
-(``v052_*`` below), from before their input went through one check, and
-every input that check refuses has a row in ``REFUSALS``.
+``js_multi`` is held to ``fsum_js_multi`` and to an O(t) bound on its
+working memory, and the mask scores to ``decimal_d_js``; the oracles are
+described in ``tests/oracles.py``, and criterion 08 holds ``s_js`` to the
+entropy identity. ``TestRowBlocks`` holds the d_js of rankings mapped a
+block of rows at a time to that of the whole matrix, by ``float.hex``.
+``kl``, ``js_pair`` and ``js_multi`` are held bit for bit to their 0.5.2
+bodies (``v052_*``), and every input their check refuses has a row in
+``REFUSALS``.
 """
 
 import math
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -37,37 +31,10 @@ from stabrank import (
 )
 from stabrank import divergence
 from stabrank.lists import _integers
+from conftest import random_run_set
+from oracles import decimal_d_js, fsum_js_multi
 
 LN2 = math.log(2.0)
-
-
-def random_run_set(rng: np.random.Generator, kind: str, t: int, k: int, runs: int) -> RunSet:
-    rows = np.array([rng.permutation(t) + 1 for _ in range(runs)])
-    if kind == "full":
-        return RunSet("full", rows)
-    if kind == "partial":
-        return RunSet("partial", np.where(rows <= k, rows, 0), k)
-    return RunSet("topk", (rows <= k).astype(np.int64), k)
-
-
-def oracle_s_js(run_set: RunSet) -> float:
-    """Entropy-identity route, independent of the divergence sum."""
-    probs = run_probabilities(run_set)
-    mean = probs.mean(axis=0)
-    h_mean = -math.fsum(p * math.log(p) for p in mean if p > 0)
-    h_row = -math.fsum(p * math.log(p) for p in probs[0] if p > 0)
-    log_t = math.log(run_set.t)
-    return (log_t - h_mean) / (log_t - h_row)
-
-
-def fsum_js_multi(m: np.ndarray) -> float:
-    """All-terms oracle: one ``math.fsum`` over every ``p ln(p / mean)`` of the
-    K x t matrix, with the mean from ``ndarray.mean``."""
-    mean = m.mean(axis=0)
-    mask = m > 0
-    ratio = np.ones_like(m)
-    np.divide(m, mean, out=ratio, where=mask)
-    return math.fsum(np.where(mask, m * np.log(ratio), 0.0).ravel()) / m.shape[0]
 
 
 def with_fixed_rows(run_set: RunSet, fixed: int) -> RunSet:
@@ -227,18 +194,6 @@ class TestJsStability:
             assert 0.0 <= report.d_js <= report.d_star + 1e-12
             assert report.s_js == pytest.approx(1 - report.d_js / report.d_star, abs=1e-12)
 
-    def test_entropy_identity_oracle(self):
-        rng = np.random.default_rng(2)
-        for _ in range(60):
-            kind = rng.choice(["full", "partial", "topk"])
-            t = int(rng.integers(2, 51))
-            k = t if kind == "full" else int(rng.integers(1, min(t, 21)))
-            if kind != "full" and k == t:
-                k = t - 1
-            runs = int(rng.integers(2, 21))
-            rs = random_run_set(rng, kind, t, k, runs)
-            assert js_stability(rs).s_js == pytest.approx(oracle_s_js(rs), abs=1e-10)
-
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
         rs = random_run_set(rng, "partial", t=15, k=5, runs=6)
@@ -355,17 +310,9 @@ def mask_run_sets(draw):
     return with_fixed_rows(random_run_set(rng, "topk", t, k, runs), fixed)
 
 
-def mpmath_d_js(mpmath, run_set: RunSet):
-    """d_js of masks by the entropy identity H(mean) - ln k, in 50 digits
-    (so within about 1e-49 of the exact value, which may be 0)."""
-    with mpmath.workdps(50):
-        total = mpmath.mpf(run_set.runs * run_set.k)
-        h_mean = -mpmath.fsum(
-            c / total * mpmath.log(c / total)
-            for c in map(mpmath.mpf, run_set.matrix.sum(axis=0).tolist())
-            if c
-        )
-        return h_mean - mpmath.log(run_set.k)
+def within_two_ulps(got: float, exact: Decimal) -> bool:
+    """``got`` within 2 ulps of the 50-digit ``exact``, plus 1e-40 for an exact 0."""
+    return abs(Decimal(got) - exact) <= Decimal(2 * math.ulp(float(exact))) + Decimal("1e-40")
 
 
 class TestJsMasks:
@@ -400,25 +347,19 @@ class TestJsMasks:
         assert js_stability(with_it).d_js * 2 == pytest.approx(js_stability(without).d_js)
         assert js_stability(without).d_js == pytest.approx(math.log(3), rel=1e-15)
 
-    def test_matches_mpmath_at_paper_shape(self):
-        mpmath = pytest.importorskip("mpmath")
+    def test_matches_decimal_at_paper_shape(self):
         for seed in range(6):
             rng = np.random.default_rng(seed)
             rs = with_fixed_rows(random_run_set(rng, "topk", 2000, 600, 100), 20 * seed)
-            exact = mpmath_d_js(mpmath, rs)
-            got = js_stability(rs).d_js
-            assert abs(mpmath.mpf(got) - exact) <= 2 * math.ulp(float(exact)) + 1e-40
+            assert within_two_ulps(js_stability(rs).d_js, decimal_d_js(rs))
 
     @given(mask_run_sets())
     # nearly unanimous features: ln(K/c_f) is near 0 and needs the exact ratio
     @example(edge_run_set("topk", t=50, k=10, runs=400, fixed=399))
     @example(edge_run_set("topk", t=30, k=29, runs=1000, fixed=990))
     @settings(max_examples=100, deadline=None)
-    def test_matches_mpmath_within_two_ulps(self, run_set):
-        mpmath = pytest.importorskip("mpmath")
-        exact = mpmath_d_js(mpmath, run_set)
-        got = js_stability(run_set).d_js
-        assert abs(mpmath.mpf(got) - exact) <= 2 * math.ulp(float(exact)) + 1e-40
+    def test_matches_decimal_within_two_ulps(self, run_set):
+        assert within_two_ulps(js_stability(run_set).d_js, decimal_d_js(run_set))
 
     def test_working_memory_is_a_fifth_of_the_masks(self):
         rng = np.random.default_rng(9)
@@ -532,44 +473,50 @@ VECTOR = r" must be 1-dimensional \(features\)$"
 VECTORS = r"^probabilities must be 2-dimensional \(vectors x features\)$"
 SUPPORT = "^p has probability mass where q has none$"
 
-# (function, arguments, exception class, message): every row is refused
-# with a ValueError that names its problem, never a number or a warning
-REFUSALS = [
-    (kl, (["0.5", "0.5"], [0.5, 0.5]), ValueError, "^p" + REAL + "<U3$"),
-    (js_pair, ([True, False], [0.5, 0.5]), ValueError, "^p" + REAL + "bool$"),
-    (js_multi, ([[0.5, None], [0.5, 0.5]],), ValueError, "^probabilities" + REAL + "object$"),
-    (js_pair, ([0.5, 0.5], [0.5 + 0j, 0.5]), ValueError, "^q" + REAL + "complex128$"),
-    (kl, ([NAN, 1.0], [0.5, 0.5]), ValueError, "^p" + FINITE + "nan$"),
-    (js_multi, ([[0.5, 0.5], [0.5, NAN]],), ValueError, "^probabilities" + FINITE + "nan$"),
-    (js_pair, ([0.5, 0.5], [INF, 0.0]), ValueError, "^q" + FINITE + "inf$"),
-    (kl, ([-INF, 1.0], [0.5, 0.5]), ValueError, "^p" + FINITE + "-inf$"),
-    (kl, ([-0.5, 1.5], [0.5, 0.5]), ValueError, "^p" + FINITE + "-0.5$"),
-    (js_pair, ([0.5, 0.5], [1.5, -0.5]), ValueError, "^q" + FINITE + "-0.5$"),
-    (js_multi, ([[0.5, 0.5], [-0.5, 1.5]],), ValueError, "^probabilities" + FINITE + "-0.5$"),
-    (kl, ([[0.5], 0.5], [0.5, 0.5]), ValueError, "^p" + RAGGED),
-    (js_multi, ([[0.5, 0.5], [1.0]],), ValueError, "^probabilities" + RAGGED),
-    (kl, ([[0.5, 0.5]], [[0.5, 0.5]]), ValueError, "^p" + VECTOR),
-    (js_pair, ([[0.5, 0.5], [1.0, 0.0]], [[0.5, 0.5], [1.0, 0.0]]), ValueError, "^p" + VECTOR),
-    (js_pair, (0.5, 0.5), ValueError, "^p" + VECTOR),
-    (js_multi, ([[[0.5, 0.5]], [[0.5, 0.5]]],), ValueError, VECTORS),
-    (kl, ([1.0], [0.5, 0.5]), ValueError, r"^length mismatch: \(1,\) vs \(2,\)$"),
+# an id that names the function and its input: (function, arguments,
+# exception class, message). Every row is refused with a ValueError that
+# names its problem, never a number or a warning
+REFUSALS = {
+    "kl-string-p": (kl, (["0.5", "0.5"], [0.5, 0.5]), ValueError, "^p" + REAL + "<U3$"),
+    "js_pair-bool-p": (js_pair, ([True, False], [0.5, 0.5]), ValueError, "^p" + REAL + "bool$"),
+    "js_multi-None-entry": (js_multi, ([[0.5, None], [0.5, 0.5]],), ValueError,
+                            "^probabilities" + REAL + "object$"),
+    "js_pair-complex-q": (js_pair, ([0.5, 0.5], [0.5 + 0j, 0.5]), ValueError,
+                          "^q" + REAL + "complex128$"),
+    "kl-nan-in-p": (kl, ([NAN, 1.0], [0.5, 0.5]), ValueError, "^p" + FINITE + "nan$"),
+    "js_multi-nan-entry": (js_multi, ([[0.5, 0.5], [0.5, NAN]],), ValueError,
+                           "^probabilities" + FINITE + "nan$"),
+    "js_pair-inf-in-q": (js_pair, ([0.5, 0.5], [INF, 0.0]), ValueError, "^q" + FINITE + "inf$"),
+    "kl-minus-inf-in-p": (kl, ([-INF, 1.0], [0.5, 0.5]), ValueError, "^p" + FINITE + "-inf$"),
+    "kl-negative-p": (kl, ([-0.5, 1.5], [0.5, 0.5]), ValueError, "^p" + FINITE + "-0.5$"),
+    "js_pair-negative-q": (js_pair, ([0.5, 0.5], [1.5, -0.5]), ValueError,
+                           "^q" + FINITE + "-0.5$"),
+    "js_multi-negative-entry": (js_multi, ([[0.5, 0.5], [-0.5, 1.5]],), ValueError,
+                                "^probabilities" + FINITE + "-0.5$"),
+    "kl-ragged-p": (kl, ([[0.5], 0.5], [0.5, 0.5]), ValueError, "^p" + RAGGED),
+    "js_multi-ragged-rows": (js_multi, ([[0.5, 0.5], [1.0]],), ValueError,
+                             "^probabilities" + RAGGED),
+    "kl-2d-p": (kl, ([[0.5, 0.5]], [[0.5, 0.5]]), ValueError, "^p" + VECTOR),
+    "js_pair-2d-p": (js_pair, ([[0.5, 0.5], [1.0, 0.0]], [[0.5, 0.5], [1.0, 0.0]]), ValueError,
+                     "^p" + VECTOR),
+    "js_pair-scalar-p": (js_pair, (0.5, 0.5), ValueError, "^p" + VECTOR),
+    "js_multi-3d": (js_multi, ([[[0.5, 0.5]], [[0.5, 0.5]]],), ValueError, VECTORS),
+    "kl-short-p": (kl, ([1.0], [0.5, 0.5]), ValueError, r"^length mismatch: \(1,\) vs \(2,\)$"),
     # the midpoint 0.5 * 5e-324 underflows to 0 where p > 0
-    (js_pair, ([1.0, 5e-324], [1.0, 0.0]), SupportMismatchError, SUPPORT),
-    (js_multi, ([[1.0, 5e-324], [1.0, 0.0]],), SupportMismatchError, SUPPORT),
+    "js_pair-midpoint-underflow": (js_pair, ([1.0, 5e-324], [1.0, 0.0]), SupportMismatchError,
+                                   SUPPORT),
+    "js_multi-midpoint-underflow": (js_multi, ([[1.0, 5e-324], [1.0, 0.0]],),
+                                    SupportMismatchError, SUPPORT),
     # the second vector is named as the one at fault
-    (kl, ([0.5, 0.5], [[0.5, 0.5]]), ValueError, "^q" + VECTOR),
-    (js_pair, ([0.5, 0.5], [0.5, NAN]), ValueError, "^q" + FINITE + "nan$"),
-    (js_pair, ([0.5, 0.5], [[0.5], 0.5]), ValueError, "^q" + RAGGED),
-    (js_multi, ([np.ma.array([0.9, 0.1], mask=[1, 0]), [0.5, 0.5]],), ValueError,
-     "^probabilities must not be a masked array$"),
-]
+    "kl-2d-q": (kl, ([0.5, 0.5], [[0.5, 0.5]]), ValueError, "^q" + VECTOR),
+    "js_pair-nan-in-q": (js_pair, ([0.5, 0.5], [0.5, NAN]), ValueError, "^q" + FINITE + "nan$"),
+    "js_pair-ragged-q": (js_pair, ([0.5, 0.5], [[0.5], 0.5]), ValueError, "^q" + RAGGED),
+    "js_multi-masked-row": (js_multi, ([np.ma.array([0.9, 0.1], mask=[1, 0]), [0.5, 0.5]],),
+                            ValueError, "^probabilities must not be a masked array$"),
+}
 
 
-@pytest.mark.parametrize(
-    "function, args, error, message",
-    REFUSALS,
-    ids=[f"{row[0].__name__}-{i}" for i, row in enumerate(REFUSALS)],
-)
+@pytest.mark.parametrize("function, args, error, message", REFUSALS.values(), ids=list(REFUSALS))
 def test_refusals_name_their_problem(function, args, error, message):
     with pytest.raises(error, match=message) as caught:
         function(*args)

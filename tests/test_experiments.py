@@ -36,10 +36,10 @@ def test_overlap_outside_fig6_is_refused(name):
         run_experiment(name, 0, overlap=4, **SMALL)
 
 
-@pytest.mark.parametrize("keyword", [dict(fixed=3), dict(lam=0.5), dict(q=0.5), dict(points=6)])
-def test_unknown_keyword_is_refused(keyword):
+@pytest.mark.parametrize("keyword, value", [("fixed", 3), ("lam", 0.5), ("q", 0.5), ("points", 6)])
+def test_unknown_keyword_is_refused(keyword, value):
     with pytest.raises(TypeError):
-        run_experiment("fig4", 0, **SMALL, **keyword)
+        run_experiment("fig4", 0, **SMALL, **{keyword: value})
 
 
 def test_unknown_name_is_refused():

@@ -1,7 +1,7 @@
 """Rank-to-probability map tests against brute-force oracles.
 
-The oracle evaluates the defining sums term by term with exact
-(compensated) summation, independently of the cumulative-sum
+The oracles of ``tests/oracles.py`` evaluate the defining sums term by term
+with exact (compensated) summation, independently of the cumulative-sum
 implementation under test. Each list is mapped as a row of a run set.
 """
 
@@ -19,24 +19,7 @@ from stabrank import (
     run_probabilities,
 )
 from stabrank.probability import _rank_weights
-
-
-def oracle_weight(rank: int, n: int) -> float:
-    """(1/2n) * (1 + sum_{m=rank}^{n} 1/m), summed term by term."""
-    return math.fsum([1.0] + [1.0 / m for m in range(rank, n + 1)]) / (2 * n)
-
-
-def oracle_normalizer(n: int, t: int) -> float:
-    return math.fsum(
-        oracle_weight(r, n) * math.log(oracle_weight(r, n) * t) for r in range(1, n + 1)
-    )
-
-
-def oracle_row(kind: str, row, k: int) -> list[float]:
-    """One list's probabilities from ``oracle_weight`` (rankings) or 1/k (masks)."""
-    if kind == "topk":
-        return [v / k for v in row]
-    return [oracle_weight(r, k) if r else 0.0 for r in row]
+from oracles import oracle_normalizer, oracle_row, oracle_weight
 
 
 def mapped(kind: str, row, k: int | None = None) -> np.ndarray:

@@ -25,23 +25,13 @@ def cfg(**kwargs) -> ExperimentConfig:
 
 class TestExperimentConfig:
     @pytest.mark.parametrize(
-        "bad",
-        [
-            dict(t=0),
-            dict(k=0),
-            dict(k=41),
-            dict(runs=1),
-            dict(fixed=-1),
-            dict(fixed=7),
-            dict(lam=1.5),
-            dict(q=-0.1),
-            dict(overlap=0),
-            dict(overlap=11),
-        ],
+        "field, value",
+        [("t", 0), ("k", 0), ("k", 41), ("runs", 1), ("fixed", -1), ("fixed", 7), ("lam", 1.5),
+         ("q", -0.1), ("overlap", 0), ("overlap", 11)],
     )
-    def test_rejects_out_of_range(self, bad):
+    def test_rejects_out_of_range(self, field, value):
         with pytest.raises(ValueError):
-            cfg(**bad)
+            cfg(**{field: value})
 
     @pytest.mark.parametrize(
         "field, value", [("k", 10.5), ("runs", True), ("seed", np.float64(3.0)), ("fixed", 1.0)]
