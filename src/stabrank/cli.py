@@ -150,10 +150,13 @@ def cmd_experiment(args) -> int:
 
 def _labels(paths) -> list[str]:
     """Each input's base name without ``.csv``; when two inputs share a base
-    name, every input is labelled by its path as given, without ``.csv``."""
+    name, every input is labelled by its path without ``.csv``, and when two
+    distinct paths still share a label, by its path as given."""
     labels = [path.rsplit("/", 1)[-1].removesuffix(".csv") for path in paths]
     if len(set(labels)) < len(labels):
         labels = [path.removesuffix(".csv") for path in paths]
+        if len(set(labels)) < len(set(paths)):
+            labels = list(paths)
     return labels
 
 

@@ -143,9 +143,10 @@ def js_multi(ps) -> float:
     """Generalized Jensen-Shannon divergence of K probability vectors.
 
     Mean KL divergence of each vector from the entrywise mean; equals
-    ``js_pair`` at K = 2, is invariant to input order, and is 0 exactly
-    when all vectors are identical. ``ps`` passes ``_distribution`` (the
-    sums are not checked) and is reduced by ``_js_rows``.
+    ``js_pair`` at K = 2 and is invariant to input order, both up to
+    rounding (docs/derivations.md#js-rows), and is 0 exactly when all
+    vectors are identical. ``ps`` passes ``_distribution`` (the sums are
+    not checked) and is reduced by ``_js_rows``.
     """
     return _js_rows(_distribution(ps, 2, "probabilities"))
 

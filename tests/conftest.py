@@ -3,9 +3,13 @@
 EXAMPLE_FULL holds one full ranking per run. The partial and mask variants
 are the same runs truncated at k=4; they double as regression anchors for
 the conversion and baseline metrics. ``random_run_set`` is the one seeded
-generator of random run sets. The Hypothesis profile loaded here makes
-every property test deterministic.
+generator of random run sets, ``traced_peak`` the one memory measurement and
+``record_calls`` the one way a test sees a function's calls. The Hypothesis
+profile loaded here makes every property test deterministic.
 """
+
+import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +54,33 @@ def random_run_set(rng: np.random.Generator, kind: str, t: int, k: int, runs: in
     if kind == "partial":
         return RunSet("partial", np.where(rows <= k, rows, 0), k)
     return RunSet("topk", (rows <= k).astype(np.int64), k)
+
+
+def traced_peak(call, *args):
+    """``call(*args)`` and the peak bytes ``tracemalloc`` traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def record_calls(monkeypatch, owner, name: str) -> list[dict]:
+    """Rebind ``owner.name`` for the test to a wrapper that records each call
+    and then makes it; return the records, one dict of the call's bound
+    arguments (by parameter name) per call."""
+    original = getattr(owner, name)
+    signature = inspect.signature(original)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(signature.bind(*args, **kwargs).arguments)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
 
 
 @pytest.fixture

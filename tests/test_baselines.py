@@ -9,7 +9,6 @@ the float64 one.
 
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from stabrank import (
     spearman,
 )
 from stabrank import baselines
-from conftest import EXAMPLE_MASKS, random_run_set
+from conftest import EXAMPLE_MASKS, random_run_set, traced_peak
 from oracles import oracle_spearman
 
 
@@ -284,13 +283,7 @@ class TestPairwiseStability:
 def copy_width(rs: RunSet) -> float:
     """Peak bytes per cell of one ``_gram`` call: with t much larger than K,
     the width of the float copy it multiplies the lists in."""
-    tracemalloc.start()
-    try:
-        baselines._gram(rs.kind, rs.matrix)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return peak / rs.matrix.size
+    return traced_peak(baselines._gram, rs.kind, rs.matrix)[1] / rs.matrix.size
 
 
 class TestGram:
@@ -346,11 +339,6 @@ class TestGram:
             monkeypatch.setattr(baselines, "_GRAM_BLOCK", block)
         rs = random_run_set(np.random.default_rng(7), "topk", 5000, 1000, 200)
         runs, t = rs.matrix.shape
-        tracemalloc.start()
-        try:
-            baselines._gram(rs.kind, rs.matrix)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(baselines._gram, rs.kind, rs.matrix)
         copy = 4 * min(runs * t, max(baselines._GRAM_BLOCK, runs))
         assert peak <= copy + 2 * 4 * runs * runs + 64 * 1024

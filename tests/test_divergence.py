@@ -6,12 +6,11 @@ described in ``tests/oracles.py``, and criterion 08 holds ``s_js`` to the
 entropy identity. ``TestRowBlocks`` holds the d_js of rankings mapped a
 block of rows at a time to that of the whole matrix, by ``float.hex``.
 ``kl``, ``js_pair`` and ``js_multi`` are held bit for bit to their 0.5.2
-bodies (``v052_*``), and every input their check refuses has a row in
-``REFUSALS``.
+bodies (``v052_*``). Every input their check refuses has a row in
+``REFUSALS`` or in the refusal table of ``tests/test_array_rule.py``.
 """
 
 import math
-import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -31,7 +30,7 @@ from stabrank import (
 )
 from stabrank import divergence
 from stabrank.lists import _integers
-from conftest import random_run_set
+from conftest import random_run_set, record_calls, traced_peak
 from oracles import decimal_d_js, fsum_js_multi
 
 LN2 = math.log(2.0)
@@ -166,12 +165,7 @@ class TestJsMulti:
 
     def test_working_memory_is_a_quarter_of_the_input(self):
         probs = np.random.default_rng(8).dirichlet(np.ones(5000), size=200)
-        tracemalloc.start()
-        try:
-            js_multi(probs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(js_multi, probs)
         assert peak <= probs.nbytes / 4
 
 
@@ -268,13 +262,7 @@ class TestRowBlocks:
         """The paper shape (K=100, t=2000) is one block, mapped once as
         before blocks; 525 rows of 2000 cells are two blocks, each mapped in
         both passes."""
-        calls = []
-
-        def counted(run_set, rows=None):
-            calls.append(rows)
-            return run_probabilities(run_set, rows)
-
-        monkeypatch.setattr(divergence, "run_probabilities", counted)
+        calls = record_calls(monkeypatch, divergence, "run_probabilities")
         js_stability(random_run_set(np.random.default_rng(13), "full", t, t, runs))
         assert len(calls) == maps
 
@@ -284,12 +272,7 @@ class TestRowBlocks:
         referenced while the next is mapped) and O(t) work arrays."""
         runs, t = 200, 20000
         rs = random_run_set(np.random.default_rng(12), "full", t, t, runs)
-        tracemalloc.start()
-        try:
-            js_stability(rs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(js_stability, rs)
         whole = runs * t * 8
         assert whole > 3 * divergence._BLOCK_CELLS * 8
         assert peak <= 2 * divergence._BLOCK_CELLS * 8 + 32 * 8 * t < whole
@@ -364,12 +347,7 @@ class TestJsMasks:
     def test_working_memory_is_a_fifth_of_the_masks(self):
         rng = np.random.default_rng(9)
         rs = random_run_set(rng, "topk", t=5000, k=1500, runs=200)
-        tracemalloc.start()
-        try:
-            js_stability(rs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(js_stability, rs)
         assert peak <= 0.2 * rs.matrix.nbytes
 
 
@@ -468,7 +446,6 @@ class TestSameBitsAsBefore:
 NAN, INF = math.nan, math.inf
 REAL = " must be real numbers, got dtype "
 FINITE = " must be finite and non-negative, got "
-RAGGED = " must be one rectangular array, not ragged nesting$"
 VECTOR = r" must be 1-dimensional \(features\)$"
 VECTORS = r"^probabilities must be 2-dimensional \(vectors x features\)$"
 SUPPORT = "^p has probability mass where q has none$"
@@ -477,12 +454,7 @@ SUPPORT = "^p has probability mass where q has none$"
 # exception class, message). Every row is refused with a ValueError that
 # names its problem, never a number or a warning
 REFUSALS = {
-    "kl-string-p": (kl, (["0.5", "0.5"], [0.5, 0.5]), ValueError, "^p" + REAL + "<U3$"),
     "js_pair-bool-p": (js_pair, ([True, False], [0.5, 0.5]), ValueError, "^p" + REAL + "bool$"),
-    "js_multi-None-entry": (js_multi, ([[0.5, None], [0.5, 0.5]],), ValueError,
-                            "^probabilities" + REAL + "object$"),
-    "js_pair-complex-q": (js_pair, ([0.5, 0.5], [0.5 + 0j, 0.5]), ValueError,
-                          "^q" + REAL + "complex128$"),
     "kl-nan-in-p": (kl, ([NAN, 1.0], [0.5, 0.5]), ValueError, "^p" + FINITE + "nan$"),
     "js_multi-nan-entry": (js_multi, ([[0.5, 0.5], [0.5, NAN]],), ValueError,
                            "^probabilities" + FINITE + "nan$"),
@@ -493,14 +465,9 @@ REFUSALS = {
                            "^q" + FINITE + "-0.5$"),
     "js_multi-negative-entry": (js_multi, ([[0.5, 0.5], [-0.5, 1.5]],), ValueError,
                                 "^probabilities" + FINITE + "-0.5$"),
-    "kl-ragged-p": (kl, ([[0.5], 0.5], [0.5, 0.5]), ValueError, "^p" + RAGGED),
-    "js_multi-ragged-rows": (js_multi, ([[0.5, 0.5], [1.0]],), ValueError,
-                             "^probabilities" + RAGGED),
-    "kl-2d-p": (kl, ([[0.5, 0.5]], [[0.5, 0.5]]), ValueError, "^p" + VECTOR),
     "js_pair-2d-p": (js_pair, ([[0.5, 0.5], [1.0, 0.0]], [[0.5, 0.5], [1.0, 0.0]]), ValueError,
                      "^p" + VECTOR),
     "js_pair-scalar-p": (js_pair, (0.5, 0.5), ValueError, "^p" + VECTOR),
-    "js_multi-3d": (js_multi, ([[[0.5, 0.5]], [[0.5, 0.5]]],), ValueError, VECTORS),
     "kl-short-p": (kl, ([1.0], [0.5, 0.5]), ValueError, r"^length mismatch: \(1,\) vs \(2,\)$"),
     # the midpoint 0.5 * 5e-324 underflows to 0 where p > 0
     "js_pair-midpoint-underflow": (js_pair, ([1.0, 5e-324], [1.0, 0.0]), SupportMismatchError,
@@ -510,9 +477,6 @@ REFUSALS = {
     # the second vector is named as the one at fault
     "kl-2d-q": (kl, ([0.5, 0.5], [[0.5, 0.5]]), ValueError, "^q" + VECTOR),
     "js_pair-nan-in-q": (js_pair, ([0.5, 0.5], [0.5, NAN]), ValueError, "^q" + FINITE + "nan$"),
-    "js_pair-ragged-q": (js_pair, ([0.5, 0.5], [[0.5], 0.5]), ValueError, "^q" + RAGGED),
-    "js_multi-masked-row": (js_multi, ([np.ma.array([0.9, 0.1], mask=[1, 0]), [0.5, 0.5]],),
-                            ValueError, "^probabilities must not be a masked array$"),
 }
 
 
@@ -524,20 +488,13 @@ def test_refusals_name_their_problem(function, args, error, message):
 
 
 def test_the_check_runs_once_per_input(monkeypatch):
-    calls = []
-    check = divergence._distribution
-
-    def counted(p, ndim, what):
-        calls.append(ndim)
-        return check(p, ndim, what)
-
-    monkeypatch.setattr(divergence, "_distribution", counted)
+    calls = record_calls(monkeypatch, divergence, "_distribution")
     p, q = [0.25, 0.75, 0.0], [0.5, 0.0, 0.5]
     for function, args, runs in ((js_pair, (p, q), [1, 1]), (kl, (p, p), [1, 1]),
                                  (js_multi, ([p, q, p],), [2])):
         calls.clear()
         function(*args)
-        assert calls == runs, function.__name__
+        assert [call["ndim"] for call in calls] == runs, function.__name__
     # the probabilities js_stability maps from a checked run set are not checked again
     calls.clear()
     js_stability(RunSet("full", [[1, 2, 3], [3, 1, 2]]))

@@ -1,7 +1,6 @@
 """The one experiment runner: its keywords, its grids and its generators."""
 
 import re
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +18,7 @@ from stabrank import (
     gen_subset_family,
     run_experiment,
 )
+from conftest import record_calls, traced_peak
 
 SMALL = dict(t=40, k=8, runs=6)
 COLUMNS = {"fig4": "i", "fig5": "i", "fig6": "lambda", "fig7": "q"}
@@ -79,15 +79,7 @@ def test_generator_is_read_at_call_time(name, monkeypatch):
     """A rebinding of the module's generator names reaches the sweep: fig4
     and fig5 call it at their two anchors, fig6 at its one, fig7 at every
     point."""
-    generator = GENERATORS[name][0].__name__
-    original = getattr(stabrank.experiments, generator)
-    calls = []
-
-    def counting(cfg):
-        calls.append(cfg)
-        return original(cfg)
-
-    monkeypatch.setattr(stabrank.experiments, generator, counting)
+    calls = record_calls(monkeypatch, stabrank.experiments, GENERATORS[name][0].__name__)
     overlap = dict(overlap=4) if name == "fig6" else {}
     curve = run_experiment(name, 0, t=40, k=8, runs=20, **overlap)
     assert len(curve) == 11
@@ -176,6 +168,7 @@ def test_selected_sets_do_not_move_along_a_partial_curve(case):
             "but only 2 outside the reference top-10",
         ),
     ],
+    ids=["overlap-equals-k", "pool-exhausted"],
 )
 def test_overlap_family_errors_are_unchanged(shape, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -193,12 +186,7 @@ ONE_CALL_PER_POINT_PEAK = {"fig4": 1_777_892, "fig6": 1_782_634}
 def test_anchors_add_at_most_one_matrix(name):
     shape = dict(t=1000, k=300, runs=50, **({"overlap": 150} if name == "fig6" else {}))
     run_experiment(name, 1, **shape)  # warm up, so first-call allocations are not counted
-    tracemalloc.start()
-    try:
-        run_experiment(name, 1, **shape)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: run_experiment(name, 1, **shape))
     matrix = 8 * shape["runs"] * shape["t"]
     assert peak <= ONE_CALL_PER_POINT_PEAK[name] + matrix + 64 * 1024
 

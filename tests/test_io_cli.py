@@ -2,7 +2,6 @@
 
 import json
 import traceback
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ import pytest
 from stabrank import RunSet, RunSetParseError, load_runset, parse_runset, serialize_runset
 from stabrank.cli import main
 from stabrank.runset_io import read_columns
-from conftest import EXAMPLE_FULL, EXAMPLE_MASKS
+from conftest import EXAMPLE_FULL, EXAMPLE_MASKS, traced_peak
 
 FULL_HEADER = "#stabrank v1 kind=full t=10 k=10 K=5"
 
@@ -161,12 +160,7 @@ def test_serialize_runset_peaks_below_its_bound(kind):
     run_set = RunSet(kind, matrix, t if kind == "full" else k)
     del ranks, matrix
     size = len(serialize_runset(run_set))
-    tracemalloc.start()
-    try:
-        serialize_runset(run_set)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(serialize_runset, run_set)
     assert peak <= 2.5 * size
 
 
@@ -193,20 +187,6 @@ def identical_mask_file(tmp_path):
 
 
 class TestValidateCommand:
-    def test_valid_file(self, full_file, capsys):
-        assert main(["validate", full_file]) == 0
-        out = capsys.readouterr().out
-        assert "column 1: ok" in out
-        assert "VALID kind=full t=10 k=10 K=5" in out
-
-    def test_duplicate_rank_column(self, tmp_path, capsys):
-        text = "#stabrank v1 kind=full t=3 k=3 K=2\n1,1\n2,1\n3,3\n"
-        path = tmp_path / "bad.csv"
-        path.write_text(text)
-        assert main(["validate", str(path)]) == 3
-        out = capsys.readouterr().out
-        assert "column 2: duplicate rank 1" in out
-
     def test_empty_file(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -231,16 +211,6 @@ class TestStabilityCommand:
         assert payload["kind"] == "topk"
         assert payload["K"] == 5
         assert payload["metrics"]["kuncheva"]["phi"] == pytest.approx(11 / 24, abs=1e-12)
-
-    def test_json_report_shape(self, full_file, capsys):
-        assert main(["stability", full_file, "--metrics", "sjs,spearman", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"schema", "kind", "t", "k", "K", "metrics"}
-        assert set(payload["metrics"]) == {"sjs", "spearman"}
-        report = payload["metrics"]["sjs"]
-        assert report["s_js"] == pytest.approx(
-            1 - report["d_js"] / report["d_star"], abs=1e-9
-        )
 
     def test_metric_kind_mismatch(self, full_file, capsys):
         assert main(["stability", full_file, "--metrics", "kuncheva"]) == 4
@@ -270,17 +240,6 @@ class TestStabilityCommand:
 
 
 class TestExperimentCommand:
-    def test_fig4_csv_deterministic(self, tmp_path, capsys):
-        out_a = tmp_path / "a.csv"
-        out_b = tmp_path / "b.csv"
-        args = ["experiment", "fig4", "--seed", "5", "--t", "30", "--runs", "6"]
-        assert main(args + ["--out", str(out_a)]) == 0
-        assert main(args + ["--out", str(out_b)]) == 0
-        assert out_a.read_bytes() == out_b.read_bytes()
-        lines = out_a.read_text().strip().split("\n")
-        assert lines[0] == "i,s_js,phi_spearman"
-        assert len(lines) == 8  # header + 7 distinct grid points for runs=6
-
     def test_fig4_endpoints(self, tmp_path):
         out = tmp_path / "c.csv"
         main(["experiment", "fig4", "--seed", "1", "--t", "40", "--runs", "10", "--out", str(out)])
@@ -305,16 +264,6 @@ class TestExperimentCommand:
         assert {"lambda", "s_js_partial", "s_js_topk", "phi_kuncheva"} == set(
             payload["points"][0]
         )
-
-    def test_fig7_stdout(self, capsys):
-        assert (
-            main(["experiment", "fig7", "--seed", "3", "--t", "40", "--k", "8", "--runs", "4"])
-            == 0
-        )
-        lines = capsys.readouterr().out.strip().split("\n")
-        assert lines[0] == "q,s_js_partial,s_js_topk,phi_kuncheva"
-        first = lines[1].split(",")
-        assert float(first[1]) == 1.0  # q=0: identical partial rankings
 
     def test_overlap_flag_rejected_elsewhere(self, capsys):
         assert main(["experiment", "fig4", "--overlap", "10"]) == 4
@@ -341,17 +290,22 @@ class TestMdsCommand:
             assert float(a[0]) == pytest.approx(float(b[0]), abs=1e-9)
             assert float(a[1]) == pytest.approx(float(b[1]), abs=1e-9)
 
-    def test_shared_base_names_labelled_by_path(self, tmp_path, monkeypatch, capsys):
-        for folder in ("d1", "d2"):
-            (tmp_path / folder).mkdir()
-            (tmp_path / folder / "x.csv").write_text(MASK_TEXT)
-        (tmp_path / "y.csv").write_text(MASK_TEXT)
+    @pytest.mark.parametrize("files, expected", [
+        (["d1/x.csv", "d2/x.csv", "y.csv"], ["d1/x", "d2/x", "y"]),
+        # the paths without .csv clash too, so each keeps its path as given
+        (["d/x.csv", "d/x"], ["d/x.csv", "d/x"]),
+    ], ids=["base-names-clash", "paths-without-csv-clash"])
+    def test_shared_base_names_labelled_by_path(self, files, expected, tmp_path, monkeypatch,
+                                                capsys):
+        for name in files:
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(MASK_TEXT)
         monkeypatch.chdir(tmp_path)
-        assert main(["mds", "d1/x.csv", "d2/x.csv", "y.csv"]) == 0
+        assert main(["mds", *files]) == 0
         rows = capsys.readouterr().out.strip().split("\n")[1:]
         labels = [tuple(row.split(",")[:2]) for row in rows]
-        assert len(set(labels)) == 15
-        assert [label for label, _ in labels[::5]] == ["d1/x", "d2/x", "y"]
+        assert len(set(labels)) == 5 * len(files)
+        assert [label for label, _ in labels[::5]] == expected
 
     def test_mixed_kinds_rejected(self, full_file, mask_file, capsys):
         assert main(["mds", full_file, mask_file]) == 4
@@ -377,13 +331,6 @@ class TestMdsCommand:
         monkeypatch.setattr(cli, "distance_matrix", infinite_distances)
         assert main(["mds", mask_file]) == 5
         assert "not finite" in capsys.readouterr().err
-
-    def test_repeat_invocations_identical(self, tmp_path, mask_file, identical_mask_file):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        main(["mds", identical_mask_file, mask_file, "--out", str(a)])
-        main(["mds", identical_mask_file, mask_file, "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
 
 
 # Files the failure table's commands read; names resolve inside a temp dir.

@@ -1,7 +1,6 @@
 """Run-set construction, validation and the ranking-to-mask conversion."""
 
 import itertools
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +18,7 @@ from stabrank import (
 )
 from stabrank.lists import _integers, _scan, _storage_dtype
 from stabrank.runset_io import parse_header
-from conftest import EXAMPLE_FULL, EXAMPLE_K, EXAMPLE_MASKS, EXAMPLE_PARTIAL
+from conftest import EXAMPLE_FULL, EXAMPLE_K, EXAMPLE_MASKS, EXAMPLE_PARTIAL, traced_peak
 
 
 def truncate(ranks, k):
@@ -345,12 +344,7 @@ class TestRunSet:
         mask = np.tile(np.arange(5000) < 1500, (200, 1))
         np.random.default_rng(6).permuted(mask, axis=1, out=mask)
         data = mask.astype(int).tolist() if given is list else mask.astype(given)
-        tracemalloc.start()
-        try:
-            RunSet("topk", data, 1500)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(RunSet, "topk", data, 1500)
         assert peak <= 1.2 * mask.size * 8
 
     @settings(max_examples=100)
@@ -375,12 +369,7 @@ class TestRunSet:
         np.random.default_rng(4).permuted(m, axis=1, out=m)
         full = RunSet("full", m)
         del m
-        tracemalloc.start()
-        try:
-            full.to_topk(1500)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(full.to_topk, 1500)
         assert peak <= 1.3 * full.matrix.nbytes
 
     def test_example_partial_matches_conversion(self):

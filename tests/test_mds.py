@@ -23,6 +23,7 @@ from stabrank import (
     js_pair,
     run_probabilities,
 )
+from conftest import record_calls
 
 SQRT_LN2 = math.sqrt(math.log(2.0))
 
@@ -92,13 +93,7 @@ class TestSqrtJsOnMasks:
         np.testing.assert_array_equal(distance_matrix(labeled).d, js_pair_loop(labeled))
 
     def test_no_js_pair_calls_on_masks(self, monkeypatch):
-        calls = []
-
-        def counting(p, q):
-            calls.append(1)
-            return js_pair(p, q)
-
-        monkeypatch.setattr(stabrank.mds, "js_pair", counting)
+        calls = record_calls(monkeypatch, stabrank.mds, "js_pair")
         stable, random_ = stable_and_random()
         distance_matrix([("s", stable), ("r", random_)])
         assert calls == []
@@ -218,33 +213,33 @@ class TestDistanceMatrix:
         DistanceMatrix(np.array([[0, 1.0], [1.0 + 1e-13, 0]]), labels)
 
 
+# an id that names the field and its fault: (coords, eigvals, stress)
+MALFORMED_EMBEDDINGS = {
+    "coords-1d": (np.zeros(3), (1.0, 2.0), 0.0),
+    "coords-3-columns": (np.zeros((3, 3)), (1.0, 2.0), 0.0),
+    "coords-nan": (np.array([[0.0, math.nan]]), (1.0, 2.0), 0.0),
+    "coords-inf": (np.array([[0.0, math.inf]]), (1.0, 2.0), 0.0),
+    "eigvals-one": (np.zeros((3, 2)), (1.0,), 0.0),
+    "eigvals-three": (np.zeros((3, 2)), (1.0, 2.0, 3.0), 0.0),
+    "eigvals-scalar": (np.zeros((3, 2)), 1.0, 0.0),
+    "eigvals-negative": (np.zeros((3, 2)), (1.0, -2.0), 0.0),
+    "eigvals-nan": (np.zeros((3, 2)), (math.nan, 2.0), 0.0),
+    "eigvals-inf": (np.zeros((3, 2)), (math.inf, 2.0), 0.0),
+    "eigvals-string": (np.zeros((3, 2)), ("1", 2.0), 0.0),
+    "stress-negative": (np.zeros((3, 2)), (1.0, 2.0), -1.0),
+    "stress-nan": (np.zeros((3, 2)), (1.0, 2.0), math.nan),
+    "stress-inf": (np.zeros((3, 2)), (1.0, 2.0), math.inf),
+    "stress-bool": (np.zeros((3, 2)), (1.0, 2.0), True),
+    "stress-None": (np.zeros((3, 2)), (1.0, 2.0), None),
+}
+
+
 class TestEmbedding:
-    @pytest.mark.parametrize(
-        "coords, eigvals, stress, field",
-        [
-            (np.zeros(3), (1.0, 2.0), 0.0, "coords"),
-            (np.zeros((3, 3)), (1.0, 2.0), 0.0, "coords"),
-            (np.array([["0", "1"]]), (1.0, 2.0), 0.0, "coords"),
-            ([[0.0, 1.0], [2.0]], (1.0, 2.0), 0.0, "coords"),
-            (np.array([[0.0, math.nan]]), (1.0, 2.0), 0.0, "coords"),
-            (np.array([[0.0, math.inf]]), (1.0, 2.0), 0.0, "coords"),
-            (np.zeros((3, 2)), (1.0,), 0.0, "eigvals"),
-            (np.zeros((3, 2)), (1.0, 2.0, 3.0), 0.0, "eigvals"),
-            (np.zeros((3, 2)), 1.0, 0.0, "eigvals"),
-            (np.zeros((3, 2)), (1.0, -2.0), 0.0, "eigvals"),
-            (np.zeros((3, 2)), (math.nan, 2.0), 0.0, "eigvals"),
-            (np.zeros((3, 2)), (math.inf, 2.0), 0.0, "eigvals"),
-            (np.zeros((3, 2)), ("1", 2.0), 0.0, "eigvals"),
-            (np.zeros((3, 2)), (1.0, 2.0), -1.0, "stress"),
-            (np.zeros((3, 2)), (1.0, 2.0), math.nan, "stress"),
-            (np.zeros((3, 2)), (1.0, 2.0), math.inf, "stress"),
-            (np.zeros((3, 2)), (1.0, 2.0), True, "stress"),
-            (np.zeros((3, 2)), (1.0, 2.0), None, "stress"),
-        ],
-    )
-    def test_refuses_malformed_fields(self, coords, eigvals, stress, field):
+    @pytest.mark.parametrize("case", MALFORMED_EMBEDDINGS)
+    def test_refuses_malformed_fields(self, case):
+        field = case.split("-")[0]
         with pytest.raises(ValueError, match=f"^{field} must be "):
-            Embedding(coords, eigvals, stress)
+            Embedding(*MALFORMED_EMBEDDINGS[case])
 
     def test_coords_cast_and_frozen_like_distance_matrix(self):
         source = np.array([[1, 2], [3, 4], [5, 6]])

@@ -10,7 +10,6 @@ and scan ``src/`` for the sums that would wrap in a narrow dtype.
 """
 
 import ast
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +34,7 @@ from stabrank import (
 )
 from stabrank import lists
 from stabrank.lists import _GATHER_BLOCK, _SORT_ROWS, _lookup, _storage_dtype
+from conftest import traced_peak
 
 SOURCE = Path(stabrank.__file__).resolve().parent
 SIGNED = (np.int8, np.int16, np.int32, np.int64)
@@ -150,16 +150,6 @@ def test_a_cell_that_would_wrap_is_refused_as_itself(kind, k, cell, message):
         parse_runset(text)
 
 
-def traced_peak(call):
-    tracemalloc.start()
-    try:
-        result = call()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, peak
-
-
 @pytest.mark.parametrize("runs, t", [(200, 5000), (100, 20000)])
 def test_public_constructor_allocates_its_copy_and_one_block_of_rows(runs, t):
     """On an int64 input ``RunSet`` checks the input as it is, sorting one
@@ -167,7 +157,7 @@ def test_public_constructor_allocates_its_copy_and_one_block_of_rows(runs, t):
     the expected row), then makes its one narrow copy."""
     m = np.tile(np.arange(1, t + 1), (runs, 1))
     np.random.default_rng(8).permuted(m, axis=1, out=m)
-    rs, peak = traced_peak(lambda: RunSet("full", m))
+    rs, peak = traced_peak(RunSet, "full", m)
     assert rs.matrix.itemsize == 4  # int32 at these t
     block = _SORT_ROWS * t * (8 + 1) + 8 * t
     assert peak <= rs.matrix.nbytes + block + 2**16
@@ -180,7 +170,7 @@ def test_public_constructor_checks_a_narrow_mask_without_copying_it(given):
     mask = np.tile(np.arange(5000) < 1500, (200, 1))
     np.random.default_rng(10).permuted(mask, axis=1, out=mask)
     data = mask.astype(given)
-    rs, peak = traced_peak(lambda: RunSet("topk", data, 1500))
+    rs, peak = traced_peak(RunSet, "topk", data, 1500)
     assert rs.matrix.tolist() == mask.tolist()
     assert peak <= 1.2 * mask.size
 
@@ -192,7 +182,7 @@ def test_row_violations_checks_a_stored_run_set_in_its_own_dtype():
     np.random.default_rng(11).permuted(m, axis=1, out=m)
     rs = RunSet("full", m)
     del m
-    problems, peak = traced_peak(lambda: row_violations(rs.kind, rs.matrix, rs.k))
+    problems, peak = traced_peak(row_violations, rs.kind, rs.matrix, rs.k)
     assert rs.matrix.itemsize == 4 and problems == [None] * rs.runs
     assert peak <= rs.matrix.nbytes
 
@@ -252,7 +242,7 @@ def test_to_topk_writes_one_byte_per_cell():
     np.random.default_rng(9).permuted(m, axis=1, out=m)
     full = RunSet("full", m)
     del m
-    masks, peak = traced_peak(lambda: full.to_topk(1500))
+    masks, peak = traced_peak(full.to_topk, 1500)
     assert masks.matrix.nbytes == masks.matrix.size
     assert peak <= masks.matrix.nbytes + 2**16
 

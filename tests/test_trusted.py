@@ -10,7 +10,6 @@ other tests pin where the boundary lies.
 
 import ast
 import re
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +37,7 @@ from stabrank import (
 from stabrank import runset_io
 from stabrank.lists import _storage_dtype
 from stabrank.runset_io import read_columns
+from conftest import record_calls, traced_peak
 from test_fuzz import near_valid_texts
 
 FAMILIES = (gen_ranking_family, gen_subset_family, gen_overlap_family, gen_rank_shuffle_family)
@@ -190,16 +190,8 @@ def test_file_and_cli_input_never_skips_the_check(module):
 
 @pytest.fixture
 def public_constructions(monkeypatch):
-    """Every call of the public ``RunSet(...)``, recorded by kind."""
-    calls = []
-    original = RunSet.__init__
-
-    def counting(self, kind, *args, **kwargs):
-        calls.append(kind)
-        original(self, kind, *args, **kwargs)
-
-    monkeypatch.setattr(RunSet, "__init__", counting)
-    return calls
+    """Every call of the public ``RunSet(...)``, with its arguments."""
+    return record_calls(monkeypatch, RunSet, "__init__")
 
 
 @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
@@ -215,18 +207,11 @@ def test_a_sweep_makes_no_public_construction(name, public_constructions):
 )
 def test_a_parsed_file_is_constructed_once(family, knobs, public_constructions, monkeypatch):
     """One column check per file, and no public construction to check it again."""
-    checks = []
-    column_violations = runset_io.column_violations
-
-    def counting(header, matrix):
-        checks.append(header.kind)
-        return column_violations(header, matrix)
-
-    monkeypatch.setattr(runset_io, "column_violations", counting)
+    checks = record_calls(monkeypatch, runset_io, "column_violations")
     rs = family(config(t=30, k=8, runs=5, **knobs))
     parsed = parse_runset(serialize_runset(rs))
     assert public_constructions == []
-    assert checks == [rs.kind]
+    assert [check["header"].kind for check in checks] == [rs.kind]
     np.testing.assert_array_equal(parsed.matrix, rs.matrix)
 
 
@@ -285,10 +270,5 @@ def test_parse_runset_peaks_below_its_bound(kind, bound):
     matrix = {"full": ranks, "partial": np.where(ranks <= k, ranks, 0), "topk": ranks <= k}[kind]
     text = serialize_runset(RunSet(kind, matrix, t if kind == "full" else k))
     del ranks, matrix
-    tracemalloc.start()
-    try:
-        parse_runset(text)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(parse_runset, text)
     assert peak <= bound * runs * t * 8
