@@ -59,18 +59,23 @@ def _distributions(p, q) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
-def _kl_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _kl_terms(p: np.ndarray, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``p_i ln(p_i / q_i)`` where p_i > 0, and 0 elsewhere; unchecked input.
 
-    Raises ``SupportMismatchError`` where p_i > 0 = q_i, which includes a
-    q_i that underflowed to 0 (a midpoint ``0.5 * 5e-324``).
+    A ``p`` with no zero takes no mask, and its terms are written into
+    ``out`` when given (docs/derivations.md#js-rows). Raises
+    ``SupportMismatchError`` where p_i > 0 = q_i, which includes a q_i that
+    underflowed to 0 (a midpoint ``0.5 * 5e-324``).
     """
     try:
         with np.errstate(divide="raise"):
-            ratio = np.divide(p, q, out=np.ones(p.shape), where=p > 0)
+            if p.all():
+                ratio = np.divide(p, q, out=out)
+            else:
+                ratio = np.divide(p, q, out=np.ones(p.shape), where=p > 0)
     except FloatingPointError:
         raise SupportMismatchError("p has probability mass where q has none") from None
-    return p * np.log(ratio)
+    return np.multiply(p, np.log(ratio, out=ratio), out=ratio)
 
 
 def kl(p, q) -> float:
@@ -136,7 +141,8 @@ def _js_rows(m: np.ndarray, probabilities=None) -> float:
             yield from probabilities(block)
 
     mean = _column_sums(rows(), t) / runs
-    return math.fsum(_column_sums((_kl_terms(row, mean) for row in rows()), t)) / runs
+    terms = np.empty(t)  # each row's terms, added to the sums before the next row's
+    return math.fsum(_column_sums((_kl_terms(row, mean, terms) for row in rows()), t)) / runs
 
 
 def js_multi(ps) -> float:

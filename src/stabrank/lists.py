@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 KINDS = ("full", "partial", "topk")
-_SORT_ROWS = 64  # ranking rows that ``row_violations`` sorts at a time
+_CHECK_ROWS = 64  # ranking rows that ``row_violations`` counts at a time
 _GATHER_BLOCK = 1 << 16  # stored cells that ``_lookup`` casts to intp at a time
 
 
@@ -54,27 +54,33 @@ def row_violations(kind: str, matrix: np.ndarray, k: int) -> list[str | None]:
     message. ``k`` is judged for every kind (full rankings need k == t), and
     a non-integer ``k`` raises ``TypeError``. The matrix passes
     ``_integers``, as in ``RunSet``; a bool or integer matrix is checked in
-    its own dtype, with no copy of it.
+    its own dtype, with no copy of it. Rankings are checked by counting, a
+    block of ``_CHECK_ROWS`` rows at a time (docs/derivations.md#rank-count).
     """
     m = _integers(matrix, "matrix", ("runs", "features"))
     runs, t = m.shape
     k = _exact_int(k, "k")
     if problem := _shape_problem(kind, t, k):
         return [problem] * runs
+    unsigned = m.view(f"u{m.itemsize}")  # where a negative entry is out of every range
     if kind == "topk":
-        # a negative entry reads as a huge unsigned value, so it fails too
-        bad = np.flatnonzero(~((m.view(f"u{m.itemsize}").max(axis=1) <= 1) & (m.sum(axis=1) == k)))
-    else:  # a valid ranking row sorts to t - k zeros, then 1..k
-        expected = np.concatenate([np.zeros(t - k, dtype=np.int64), np.arange(1, k + 1)])
+        bad = np.flatnonzero(~((unsigned.max(axis=1) <= 1) & (m.sum(axis=1) == k)))
+    else:
         valid = np.empty(runs, dtype=bool)
-        # one block of rows is copied and sorted at a time, in one buffer: a
-        # single allocation, which the allocator hands back to the system
-        buffer = np.empty((min(runs, _SORT_ROWS), t), dtype=m.dtype)
-        for start in range(0, runs, _SORT_ROWS):
-            block = buffer[: min(_SORT_ROWS, runs - start)]
-            np.copyto(block, m[start:start + len(block)])
-            block.sort(axis=1)
-            valid[start:start + len(block)] = np.all(block == expected, axis=1)
+        for start in range(0, runs, _CHECK_ROWS):
+            rows = slice(start, start + _CHECK_ROWS)
+            block = m[rows]
+            # entries in 0..k, k of them nonzero
+            ok = (unsigned[rows] <= k).all(axis=1) & (np.count_nonzero(block, axis=1) == k)
+            # and every rank 1..k marked in the row's slots of ``seen``: a row
+            # outside 0..k marks only its own slot 0, never a neighbour's
+            seen = np.zeros((len(block), k + 1), dtype=bool)
+            slots = np.arange(0, seen.size, k + 1)[:, None]
+            at = np.add(block, slots, dtype=np.intp)
+            at[~ok] = slots[~ok]
+            seen.reshape(-1)[at] = True
+            valid[rows] = ok & seen[:, 1:].all(axis=1)
+            del seen, at  # free them before the next block's
         bad = np.flatnonzero(~valid)
     problems: list[str | None] = [None] * runs
     for j in bad:

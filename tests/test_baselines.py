@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stabrank import (
@@ -280,6 +280,28 @@ class TestPairwiseStability:
         assert abs(phi) <= 0.05
 
 
+def pooled(kind: str, t: int, k: int, rows: list[int], seed: int = 0) -> RunSet:
+    """A run set whose row j is list ``rows[j]`` of a pool of random lists."""
+    pool = random_run_set(np.random.default_rng(seed), kind, t, k, max(2, max(rows) + 1))
+    return RunSet(kind, pool.matrix[rows], k)
+
+
+@st.composite
+def pooled_run_sets(draw):
+    """Up to 12 lists drawn with repeats from a pool of one to six, of any kind."""
+    kind = draw(st.sampled_from(["full", "partial", "topk"]))
+    t = draw(st.integers(2, 40))
+    k = t if kind == "full" else draw(st.integers(1, t - 1))
+    size = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=12))
+    return pooled(kind, t, k, rows, draw(st.integers(0, 2**32 - 1)))
+
+
+KEY_BLOCK = baselines._KEY_BLOCK
+SCALARS = {"full": {"spearman": spearman}, "partial": {},
+           "topk": {"kuncheva": kuncheva, "jaccard": jaccard}}
+
+
 def copy_width(rs: RunSet) -> float:
     """Peak bytes per cell of one ``_gram`` call: with t much larger than K,
     the width of the float copy it multiplies the lists in."""
@@ -330,6 +352,30 @@ class TestGram:
         got = baselines._gram(rs.kind, rs.matrix)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
+
+    @given(pooled_run_sets(), st.sampled_from([1, 5, KEY_BLOCK]))
+    @example(pooled("topk", 30, 9, [0, 1, 2, 0, 3, 1]), 5)  # repeats, not next to each other
+    @example(pooled("full", 12, 12, [3, 0, 5, 1, 4, 2]), KEY_BLOCK)  # distinct, unsorted
+    @example(pooled("partial", 20, 6, [2, 2, 2, 2]), 1)  # all identical
+    @example(pooled("topk", 9, 3, [1, 0]), KEY_BLOCK)  # K = 2
+    @settings(max_examples=150, deadline=None)
+    def test_distinct_rows_give_the_float64_product(self, run_set, key_block):
+        """The Gram of the distinct rows, gathered back, is the float64 product
+        of all the rows, and each similarity the scalar metric; at every key
+        block, each row is matched to its copies and to no other row."""
+        m = run_set.matrix
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(baselines, "_KEY_BLOCK", key_block)
+            index, inverse = baselines._distinct_rows(run_set.kind, m)
+            gram = baselines._gram(run_set.kind, m)
+            similarity = {metric: similarity_matrix(run_set, metric)
+                          for metric in SCALARS[run_set.kind]}
+        assert len(index) == len(np.unique(m, axis=0))
+        np.testing.assert_array_equal(m[index][inverse], m)
+        assert gram.dtype == np.float64
+        np.testing.assert_array_equal(gram, m.astype(np.float64) @ m.T)
+        for metric, scalar in SCALARS[run_set.kind].items():
+            np.testing.assert_array_equal(similarity[metric], [[scalar(a, b) for b in m] for a in m])
 
     @pytest.mark.parametrize("block", [None, 200 * 500])
     def test_float_copy_is_bounded_by_the_block(self, monkeypatch, block):

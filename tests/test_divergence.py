@@ -442,6 +442,15 @@ class TestSameBitsAsBefore:
         assert outcome(js_multi, m) == outcome(v052_js_multi, m)
         assert outcome(js_multi, m.tolist()) == outcome(v052_js_multi, m)
 
+    @pytest.mark.parametrize("kind", ["full", "partial"])
+    @pytest.mark.parametrize("fixed", [0, 50, 99])
+    def test_unmasked_terms_keep_the_bits_at_paper_shape(self, kind, fixed):
+        """Full rankings have no zero probability and take the unmasked KL
+        terms; the 0.5.2 body masks every row, so it checks them independently."""
+        rng = np.random.default_rng(fixed)
+        rs = with_fixed_rows(random_run_set(rng, kind, 2000, 600, 100), fixed)
+        assert js_stability(rs).d_js.hex() == v052_js_multi(run_probabilities(rs)).hex()
+
 
 NAN, INF = math.nan, math.inf
 REAL = " must be real numbers, got dtype "

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stabrank import (
@@ -16,6 +16,7 @@ from stabrank import (
     parse_runset,
     row_violations,
 )
+from stabrank import lists
 from stabrank.lists import _integers, _scan, _storage_dtype
 from stabrank.runset_io import parse_header
 from conftest import EXAMPLE_FULL, EXAMPLE_K, EXAMPLE_MASKS, EXAMPLE_PARTIAL, traced_peak
@@ -106,6 +107,39 @@ class TestValidate:
             assert row_violations(kind, m, k) == [_scan(kind, row.tolist(), k) for row in m]
         else:
             assert row_violations(kind, m, k) == [f"k={k} out of range 1..{t}"] * 3
+
+
+@st.composite
+def rankings_with_bad_cells(draw):
+    """Valid full or partial rankings with up to three cells overwritten, by
+    values a flattened count would alias into a neighbouring row's slots
+    (k + 1, t + 1, -1) or by valid ones, at int64 or at their storage width."""
+    kind = draw(st.sampled_from(["full", "partial"]))
+    t = draw(st.integers(1, 12))
+    k = t if kind == "full" else draw(st.integers(1, t))
+    runs = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = truncate([rng.permutation(t) + 1 for _ in range(runs)], k)
+    for _ in range(draw(st.integers(0, 3))):
+        cell = draw(st.integers(0, runs - 1)), draw(st.integers(0, t - 1))
+        m[cell] = draw(st.sampled_from([k + 1, t + 1, -1, 0, 1, k]))
+    return kind, m.astype(draw(st.sampled_from([np.int64, _storage_dtype(kind, t)]))), k
+
+
+@given(rankings_with_bad_cells(), st.integers(1, 3))
+# -1 in row 1 would mark rank 4 of row 0, which lacks it
+@example(("full", np.array([[1, 2, 3, 3], [-1, 1, 2, 3]]), 4), 2)
+# t + 1 = 7 in row 0 would mark rank 3 of row 1, which lacks it
+@example(("partial", np.array([[7, 1, 2, 0, 0, 0], [1, 2, 2, 0, 0, 0]]), 3), 2)
+# k + 1 = 3 in row 0 would count as a zero of row 1, which has one too few
+@example(("partial", np.array([[3, 1, 2, 0], [1, 2, 0, 1]], dtype=np.int8), 2), 3)
+@settings(max_examples=300, deadline=None)
+def test_counting_check_matches_the_scan_across_row_blocks(drawn, rows_per_block):
+    kind, m, k = drawn
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lists, "_CHECK_ROWS", rows_per_block)
+        problems = row_violations(kind, m, k)
+    assert problems == [_scan(kind, row.tolist(), k) for row in m]
 
 
 def shaped_rows(kind, t, k, runs):

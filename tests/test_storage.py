@@ -33,7 +33,7 @@ from stabrank import (
     similarity_matrix,
 )
 from stabrank import lists
-from stabrank.lists import _GATHER_BLOCK, _SORT_ROWS, _lookup, _storage_dtype
+from stabrank.lists import _CHECK_ROWS, _GATHER_BLOCK, _lookup, _storage_dtype
 from conftest import traced_peak
 
 SOURCE = Path(stabrank.__file__).resolve().parent
@@ -152,14 +152,14 @@ def test_a_cell_that_would_wrap_is_refused_as_itself(kind, k, cell, message):
 
 @pytest.mark.parametrize("runs, t", [(200, 5000), (100, 20000)])
 def test_public_constructor_allocates_its_copy_and_one_block_of_rows(runs, t):
-    """On an int64 input ``RunSet`` checks the input as it is, sorting one
-    block of rows at a time (int64 rows and their bool comparison, next to
-    the expected row), then makes its one narrow copy."""
+    """On an int64 input ``RunSet`` checks the input as it is, counting one
+    block of rows at a time (an intp index of the block's cells and a bool
+    table of the ranks they mark), then makes its one narrow copy."""
     m = np.tile(np.arange(1, t + 1), (runs, 1))
     np.random.default_rng(8).permuted(m, axis=1, out=m)
     rs, peak = traced_peak(RunSet, "full", m)
     assert rs.matrix.itemsize == 4  # int32 at these t
-    block = _SORT_ROWS * t * (8 + 1) + 8 * t
+    block = _CHECK_ROWS * t * (8 + 1) + 8 * t
     assert peak <= rs.matrix.nbytes + block + 2**16
 
 
@@ -176,8 +176,8 @@ def test_public_constructor_checks_a_narrow_mask_without_copying_it(given):
 
 
 def test_row_violations_checks_a_stored_run_set_in_its_own_dtype():
-    """A stored int32 run set is sorted a block of rows at a time in int32:
-    the check allocates less than the stored matrix."""
+    """A stored int32 run set is checked as it is, a block of rows at a
+    time: the check allocates less than the stored matrix."""
     m = np.tile(np.arange(1, 5001), (200, 1))
     np.random.default_rng(11).permuted(m, axis=1, out=m)
     rs = RunSet("full", m)
