@@ -29,8 +29,6 @@ class MetricMismatchError(ValueError):
 _FLOAT32_EXACT = 2**24
 # elements of the float copy that _gram casts and multiplies at a time
 _GRAM_BLOCK = 1 << 22
-# bytes of row keys that _distinct_rows sorts at a time
-_KEY_BLOCK = 1 << 18
 
 METRIC_KINDS = {
     "spearman": "full",
@@ -184,29 +182,24 @@ def _distinct_rows(kind: str, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique``'s ``(index, inverse)`` of the rows of ``m``: ``m[index]`` are its
     distinct rows and ``m[index][inverse]`` is ``m``.
 
-    Rows are told apart by their bytes, masks packed 8 features to a byte.
-    The bytes are taken ``_KEY_BLOCK`` at a time, each block keyed by the
-    row's class so far, so the sort holds one block of keys, not a copy of
-    ``m``; once every row is in a class of its own, the rest is not read.
+    Only masks are searched, in one sort of their rows packed 8 features to
+    a byte; rankings count as distinct, ``index`` and ``inverse`` both
+    ``arange(K)`` (docs/derivations.md#gram-exact).
     """
-    keys = np.packbits(m, axis=1) if kind == "topk" else np.ascontiguousarray(m)
-    keys = keys.view(np.uint8)
-    inverse = np.zeros(len(keys), np.intp)
-    step = max(1, _KEY_BLOCK // len(keys))
-    for start in range(0, keys.shape[1], step):
-        key = np.hstack((inverse[:, None].view(np.uint8), keys[:, start : start + step]))
-        key = key.view(np.dtype((np.void, key.shape[1]))).ravel()
-        index, inverse = np.unique(key, return_index=True, return_inverse=True)[1:]
-        if len(index) == len(keys):
-            break
-    return index, inverse
+    if kind != "topk":
+        identity = np.arange(len(m))
+        return identity, identity
+    keys = np.packbits(m, axis=1)
+    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+    return np.unique(keys, return_index=True, return_inverse=True)[1:]
 
 
 def _gram(kind: str, m: np.ndarray) -> np.ndarray:
     """The K x K products of the valid ``kind`` lists in the rows of ``m``, in float64.
 
-    Only the distinct rows (``_distinct_rows``) are multiplied, and their
-    products gathered back to K x K. Masks below ``_FLOAT32_EXACT`` features
+    Of masks, only the distinct rows (``_distinct_rows``) are multiplied,
+    and their products gathered back to K x K; rankings are multiplied as
+    given. Masks below ``_FLOAT32_EXACT`` features
     multiply in float32, everything else in float64, each exact within its
     bound (docs/derivations.md#gram-exact). The lists are cast and
     multiplied in blocks of whole features of at most ``_GRAM_BLOCK``

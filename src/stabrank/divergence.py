@@ -62,19 +62,18 @@ def _distributions(p, q) -> tuple[np.ndarray, np.ndarray]:
 def _kl_terms(p: np.ndarray, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``p_i ln(p_i / q_i)`` where p_i > 0, and 0 elsewhere; unchecked input.
 
-    A ``p`` with no zero takes no mask, and its terms are written into
-    ``out`` when given (docs/derivations.md#js-rows). Raises
-    ``SupportMismatchError`` where p_i > 0 = q_i, which includes a q_i that
-    underflowed to 0 (a midpoint ``0.5 * 5e-324``).
+    Every entry is divided, into ``out`` when given, and the quotient is set
+    to 1 where p_i = 0, so those terms are ``0 * ln 1 = 0``
+    (docs/derivations.md#js-rows). Raises ``SupportMismatchError`` where
+    p_i > 0 = q_i, which includes a q_i that underflowed to 0 (a midpoint
+    ``0.5 * 5e-324``).
     """
     try:
-        with np.errstate(divide="raise"):
-            if p.all():
-                ratio = np.divide(p, q, out=out)
-            else:
-                ratio = np.divide(p, q, out=np.ones(p.shape), where=p > 0)
+        with np.errstate(divide="raise", invalid="ignore"):  # 0/0 is overwritten below
+            ratio = np.divide(p, q, out=out)
     except FloatingPointError:
         raise SupportMismatchError("p has probability mass where q has none") from None
+    ratio[p == 0] = 1.0
     return np.multiply(p, np.log(ratio, out=ratio), out=ratio)
 
 

@@ -165,7 +165,10 @@ def classical_mds(dm: DistanceMatrix) -> Embedding:
 
     The two algebraically largest eigenpairs of ``B = -0.5 * J D^2 J`` give
     the axes; each axis's largest-magnitude eigenvector entry is made
-    positive, so the signs do not depend on the eigensolver. Raises
+    positive, so the signs do not depend on the eigensolver. An eigenvalue
+    at most ``n * eps * max|lambda|`` (``numpy.linalg.matrix_rank``'s
+    tolerance) is rounding noise and taken as 0, so a rank-1 embedding has
+    a null axis of exact zeros, never ``-0.0``. Raises
     ``MdsConvergenceError`` when ``B`` is not finite or ``eigh`` fails.
     """
     n = dm.n
@@ -182,11 +185,13 @@ def classical_mds(dm: DistanceMatrix) -> Embedding:
         eigvals, eigvecs = np.linalg.eigh(b)
     except np.linalg.LinAlgError as exc:
         raise MdsConvergenceError(f"eigendecomposition failed: {exc}") from None
+    # numpy.linalg.matrix_rank's default tolerance, over all of B's eigenvalues
+    tolerance = n * np.finfo(np.float64).eps * np.max(np.abs(eigvals))
     eigvals, eigvecs = eigvals[:-3:-1], eigvecs[:, :-3:-1]
     peaks = eigvecs[np.argmax(np.abs(eigvecs), axis=0), [0, 1]]
     eigvecs = eigvecs * np.where(peaks < 0, -1.0, 1.0)[np.newaxis, :]
-    clamped = np.maximum(eigvals, 0.0)
-    coords = eigvecs * np.sqrt(clamped)[np.newaxis, :]
+    clamped = np.where(eigvals > tolerance, eigvals, 0.0)
+    coords = eigvecs * np.sqrt(clamped)[np.newaxis, :] + 0.0  # + 0.0 turns -0.0 into 0.0
 
     sq = np.sum(coords**2, axis=1)
     recon = np.sqrt(np.maximum(0.0, sq[:, None] + sq[None, :] - 2.0 * coords @ coords.T))

@@ -297,7 +297,6 @@ def pooled_run_sets(draw):
     return pooled(kind, t, k, rows, draw(st.integers(0, 2**32 - 1)))
 
 
-KEY_BLOCK = baselines._KEY_BLOCK
 SCALARS = {"full": {"spearman": spearman}, "partial": {},
            "topk": {"kuncheva": kuncheva, "jaccard": jaccard}}
 
@@ -353,29 +352,43 @@ class TestGram:
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
 
-    @given(pooled_run_sets(), st.sampled_from([1, 5, KEY_BLOCK]))
-    @example(pooled("topk", 30, 9, [0, 1, 2, 0, 3, 1]), 5)  # repeats, not next to each other
-    @example(pooled("full", 12, 12, [3, 0, 5, 1, 4, 2]), KEY_BLOCK)  # distinct, unsorted
-    @example(pooled("partial", 20, 6, [2, 2, 2, 2]), 1)  # all identical
-    @example(pooled("topk", 9, 3, [1, 0]), KEY_BLOCK)  # K = 2
+    @given(pooled_run_sets())
+    @example(pooled("topk", 30, 9, [0, 1, 2, 0, 3, 1]))  # repeats, not next to each other
+    @example(pooled("full", 12, 12, [3, 0, 5, 1, 4, 2]))  # distinct, unsorted
+    @example(pooled("partial", 20, 6, [2, 2, 2, 2]))  # all identical
+    @example(pooled("topk", 9, 3, [1, 0]))  # K = 2
     @settings(max_examples=150, deadline=None)
-    def test_distinct_rows_give_the_float64_product(self, run_set, key_block):
+    def test_distinct_rows_give_the_float64_product(self, run_set):
         """The Gram of the distinct rows, gathered back, is the float64 product
-        of all the rows, and each similarity the scalar metric; at every key
-        block, each row is matched to its copies and to no other row."""
+        of all the rows, and each similarity the scalar metric; each mask is
+        matched to its copies and to no other row, and rankings are all
+        counted distinct."""
         m = run_set.matrix
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(baselines, "_KEY_BLOCK", key_block)
-            index, inverse = baselines._distinct_rows(run_set.kind, m)
-            gram = baselines._gram(run_set.kind, m)
-            similarity = {metric: similarity_matrix(run_set, metric)
-                          for metric in SCALARS[run_set.kind]}
-        assert len(index) == len(np.unique(m, axis=0))
-        np.testing.assert_array_equal(m[index][inverse], m)
+        index, inverse = baselines._distinct_rows(run_set.kind, m)
+        if run_set.kind == "topk":
+            np.testing.assert_array_equal(m[index], np.unique(m, axis=0))
+            np.testing.assert_array_equal(m[index][inverse], m)
+        else:
+            identity = np.arange(len(m))
+            np.testing.assert_array_equal(index, identity)
+            np.testing.assert_array_equal(inverse, identity)
+        gram = baselines._gram(run_set.kind, m)
         assert gram.dtype == np.float64
         np.testing.assert_array_equal(gram, m.astype(np.float64) @ m.T)
         for metric, scalar in SCALARS[run_set.kind].items():
-            np.testing.assert_array_equal(similarity[metric], [[scalar(a, b) for b in m] for a in m])
+            np.testing.assert_array_equal(similarity_matrix(run_set, metric),
+                                          [[scalar(a, b) for b in m] for a in m])
+
+    @pytest.mark.parametrize("repeats", [0, 500])
+    def test_mask_search_holds_a_few_copies_of_the_packed_keys(self, repeats):
+        # score-large's masks, K=1000 and t=20000, all distinct or with 500
+        # copies of one row: the sort holds copies of the packed rows, not of m
+        m = np.random.default_rng(9).integers(0, 2, (1000, 20000), dtype=np.int8)
+        m[:repeats] = m[-1]
+        packed = len(m) * -(-m.shape[1] // 8)
+        (index, _), peak = traced_peak(baselines._distinct_rows, "topk", m)
+        assert len(index) == len(m) - repeats
+        assert peak <= 5 * packed + 64 * 1024
 
     @pytest.mark.parametrize("block", [None, 200 * 500])
     def test_float_copy_is_bounded_by_the_block(self, monkeypatch, block):

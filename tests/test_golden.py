@@ -8,6 +8,8 @@ small generated run sets (two runs of each ``a`` file identical, the ``b``
 files random), one case per distance. ``mds_topk200_sqrt_js_json`` is a
 larger mask case from ``gen_subset_family`` (t=200, k=40, two files of 50
 runs with 40 identical each), where sqrt-JS meets many distinct overlaps.
+``mds_full_twice`` gives a file of two full rankings twice: four points on
+a line, whose second axis is rounding noise and must print as ``0``.
 ``experiment_fig4_paper`` runs the default (paper) shape, where the 12th
 printed digit of s_js depends on how accurately the divergence is reduced.
 A change to these bytes must be deliberate and recorded in CHANGES.md.
@@ -74,6 +76,7 @@ CASES = {
     ),
     "mds_topk200_sqrt_js_json": (["mds", "mds_topk200_a.csv", "mds_topk200_b.csv", "--json"], 0),
     "mds_full_sqrt_js_json": (["mds", "mds_full_a.csv", "mds_full_b.csv", "--json"], 0),
+    "mds_full_twice": (["mds", "mds_full_pair.csv", "mds_full_pair.csv"], 0),
     "mds_full_spearman": (
         ["mds", "mds_full_a.csv", "mds_full_b.csv", "--distance", "one-minus-spearman"],
         0,

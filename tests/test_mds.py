@@ -282,11 +282,15 @@ class TestClassicalMds:
         assert emb.eigvals == (0.0, 0.0)
 
     def test_duplicated_point_coincides(self):
-        # points {A, A, B} at distance 1: the two A copies embed together
+        # points {A, A, B} at distance 1: the two A copies embed together, on a
+        # line whose second axis, rounding noise in eigh, is exactly 0
         d = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
         emb = classical_mds(DistanceMatrix(d, (("a", 0), ("a", 1), ("b", 0))))
         assert np.linalg.norm(emb.coords[0] - emb.coords[1]) < 1e-8
         assert np.linalg.norm(emb.coords[0] - emb.coords[2]) == pytest.approx(1.0, abs=1e-6)
+        assert np.all(emb.coords[:, 1] == 0) and not np.signbit(emb.coords[:, 1]).any()
+        assert emb.eigvals[1] == 0.0
+        assert emb.stress < 1e-15
 
     def test_planar_euclidean_input_reproduced(self):
         rng = np.random.default_rng(3)
