@@ -2,9 +2,10 @@
 
 Nothing here imports stabrank: each function restates a definition from
 the paper, or from ``docs/derivations.md``, one list or one term at a time,
-so a fault in the program's rank map, normalizer or reduction does not
-reach its own oracle. A run set is read only through its ``kind``, ``k``,
-``t``, ``runs`` and ``matrix`` attributes.
+so a fault in the program's rank map, normalizer, reduction or file writer
+does not reach its own oracle. A run set is read only through its ``kind``,
+``k``, ``t``, ``runs`` and ``matrix`` attributes; the file text is written
+from a kind, a k and a matrix, which need not make a valid run set.
 """
 
 import math
@@ -44,10 +45,38 @@ def fsum_js_multi(m: np.ndarray) -> float:
     return math.fsum(np.where(mask, m * np.log(ratio), 0.0).ravel()) / m.shape[0]
 
 
+def per_cell_text(kind: str, k: int, matrix) -> str:
+    """The run-set file of the K x t ``matrix``: its header, then one line per
+    feature with that feature's cell of each run, formatted with ``str``."""
+    matrix = np.asarray(matrix)
+    runs, t = matrix.shape
+    lines = [f"#stabrank v1 kind={kind} t={t} k={k} K={runs}"]
+    lines += [",".join(map(str, column)) for column in matrix.T.tolist()]
+    return "\n".join(lines) + "\n"
+
+
 def oracle_spearman(a, b) -> float:
     """1 - 6 sum d^2 / (t (t^2 - 1)), with the squared differences summed literally."""
     t = len(a)
     return 1 - 6 * sum((x - y) ** 2 for x, y in zip(a, b)) / (t * (t**2 - 1))
+
+
+def _selected(mask) -> set[int]:
+    return {feature for feature, flag in enumerate(mask) if flag}
+
+
+def oracle_kuncheva(a, b) -> float:
+    """(o t - k^2) / (k (t - k)) for two masks that each select k of t
+    features, o of them in common, from the selected sets."""
+    first, second = _selected(a), _selected(b)
+    t, k = len(a), len(first)
+    return (len(first & second) * t - k * k) / (k * (t - k))
+
+
+def oracle_jaccard(a, b) -> float:
+    """|A & B| / |A | B| of the two masks' selected sets."""
+    first, second = _selected(a), _selected(b)
+    return len(first & second) / len(first | second)
 
 
 def _entropy(probabilities) -> float:

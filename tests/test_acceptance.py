@@ -32,7 +32,7 @@ from stabrank import (
     spearman,
 )
 from conftest import EXAMPLE_FULL, EXAMPLE_MASKS, random_run_set
-from oracles import oracle_s_js
+from oracles import oracle_s_js, per_cell_text
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -227,8 +227,7 @@ def test_criterion_09c_correction_for_chance():
     for kind in ("topk", "partial"):
         scores = []
         for seed in range(20):
-            rng = np.random.default_rng(8000 + seed)
-            rs = random_run_set(rng, kind, t=200, k=60, runs=500)
+            rs = random_run_set(8000 + seed, kind, t=200, k=60, runs=500)
             scores.append(js_stability(rs).s_js)
         means[kind] = float(np.mean(scores))
     ok = all(abs(m) <= 0.02 for m in means.values())
@@ -239,16 +238,9 @@ def test_criterion_09c_correction_for_chance():
     )
 
 
-def _example_file_text(rows, kind, k):
-    columns = np.array(rows).T
-    body = "\n".join(",".join(str(v) for v in row) for row in columns)
-    t, runs = columns.shape
-    return f"#stabrank v1 kind={kind} t={t} k={k} K={runs}\n{body}\n"
-
-
 def test_criterion_10_example_matrix_regression():
-    full = parse_runset(_example_file_text(EXAMPLE_FULL, "full", 10))
-    masks = parse_runset(_example_file_text(EXAMPLE_MASKS, "topk", 4))
+    full = parse_runset(per_cell_text("full", 10, EXAMPLE_FULL))
+    masks = parse_runset(per_cell_text("topk", 4, EXAMPLE_MASKS))
     ki = kuncheva(masks.matrix[0], masks.matrix[1])
     ji = jaccard(masks.matrix[0], masks.matrix[1])
     rho = spearman(full.matrix[0], full.matrix[0])

@@ -26,7 +26,15 @@ from stabrank import (
 )
 from stabrank import baselines
 from conftest import EXAMPLE_MASKS, random_run_set, traced_peak
-from oracles import oracle_spearman
+from oracles import oracle_jaccard, oracle_kuncheva, oracle_spearman
+
+
+def mask_pairs(t: int, ks):
+    """Every ordered pair of masks over t features that select the same k, for each k."""
+    for k in ks:
+        masks = [tuple(int(i in chosen) for i in range(t))
+                 for chosen in itertools.combinations(range(t), k)]
+        yield from itertools.product(masks, repeat=2)
 
 
 class TestSpearman:
@@ -116,15 +124,8 @@ class TestKuncheva:
             kuncheva(first, second)
 
     def test_exhaustive_set_arithmetic_oracle(self):
-        t = 6
-        for k in (1, 2, 3, 5):
-            for sa in itertools.combinations(range(t), k):
-                for sb in itertools.combinations(range(t), k):
-                    a = tuple(1 if i in sa else 0 for i in range(t))
-                    b = tuple(1 if i in sb else 0 for i in range(t))
-                    o = len(set(sa) & set(sb))
-                    expected = (o * t - k * k) / (k * (t - k))
-                    assert kuncheva(a, b) == pytest.approx(expected, abs=1e-14)
+        for a, b in mask_pairs(6, (1, 2, 3, 5)):
+            assert kuncheva(a, b) == pytest.approx(oracle_kuncheva(a, b), abs=1e-14)
 
 
 class TestJaccard:
@@ -144,16 +145,9 @@ class TestJaccard:
             jaccard((0, 0), (0, 0))
 
     def test_exhaustive_set_arithmetic_oracle(self):
-        t = 5
-        for k in (1, 2, 4):
-            for sa in itertools.combinations(range(t), k):
-                for sb in itertools.combinations(range(t), k):
-                    a = tuple(1 if i in sa else 0 for i in range(t))
-                    b = tuple(1 if i in sb else 0 for i in range(t))
-                    o = len(set(sa) & set(sb))
-                    union = len(set(sa) | set(sb))
-                    assert jaccard(a, b) == pytest.approx(o / union, abs=1e-14)
-                    assert 0.0 <= jaccard(a, b) <= 1.0
+        for a, b in mask_pairs(5, (1, 2, 4)):
+            assert jaccard(a, b) == pytest.approx(oracle_jaccard(a, b), abs=1e-14)
+            assert 0.0 <= jaccard(a, b) <= 1.0
 
     @pytest.mark.parametrize(
         "first, second, message",
@@ -190,9 +184,7 @@ class TestPairwiseStability:
         assert pairs[0] == pytest.approx(1 / 6, abs=1e-15)
 
     def test_vectorised_matches_scalar_loop(self):
-        rng = np.random.default_rng(12)
-        rows = np.array([rng.permutation(9) + 1 for _ in range(6)])
-        full = RunSet("full", rows)
+        full = random_run_set(12, "full", 9, 9, 6)
         masks = full.to_topk(3)
         for run_set, metric, func in (
             (full, "spearman", spearman),
@@ -249,9 +241,7 @@ class TestPairwiseStability:
     @settings(max_examples=150, deadline=None)
     def test_column_sum_means_match_triangle_fsum(self, metric, t, runs, fixed, seed):
         rng = np.random.default_rng(seed)
-        rows = np.array([rng.permutation(t) + 1 for _ in range(runs)])
-        rows[:fixed] = rows[0]
-        run_set = RunSet("full", rows)
+        run_set = random_run_set(rng, "full", t, t, runs, fixed)
         if metric == "kuncheva":
             run_set = run_set.to_topk(int(rng.integers(1, t)))
         pairs = similarity_matrix(run_set, metric)[np.triu_indices(runs, 1)]
@@ -274,15 +264,13 @@ class TestPairwiseStability:
             assert (got.type, str(got.value)) == (want.type, str(want.value))
 
     def test_random_rankings_average_near_zero(self):
-        rng = np.random.default_rng(77)
-        rows = np.array([rng.permutation(2000) + 1 for _ in range(100)])
-        phi = pairwise_stability(RunSet("full", rows), "spearman").phi
+        phi = pairwise_stability(random_run_set(77, "full", 2000, 2000, 100), "spearman").phi
         assert abs(phi) <= 0.05
 
 
 def pooled(kind: str, t: int, k: int, rows: list[int], seed: int = 0) -> RunSet:
     """A run set whose row j is list ``rows[j]`` of a pool of random lists."""
-    pool = random_run_set(np.random.default_rng(seed), kind, t, k, max(2, max(rows) + 1))
+    pool = random_run_set(seed, kind, t, k, max(2, max(rows) + 1))
     return RunSet(kind, pool.matrix[rows], k)
 
 
@@ -313,7 +301,7 @@ class TestGram:
 
     @pytest.mark.parametrize("t, k, runs", [(300, 90, 40), (20000, 15000, 8)])
     def test_float32_gram_equals_float64_gram(self, t, k, runs):
-        rs = random_run_set(np.random.default_rng(t), "topk", t, k, runs)
+        rs = random_run_set(t, "topk", t, k, runs)
         gram = baselines._gram(rs.kind, rs.matrix)
         assert gram.dtype == np.float64
         m = rs.matrix.astype(np.float64)
@@ -321,7 +309,7 @@ class TestGram:
 
     @pytest.mark.parametrize("limit, dtype", [(0, np.float64), (1, np.float32)])
     def test_guard_on_either_side_of_the_limit(self, monkeypatch, limit, dtype):
-        rs = random_run_set(np.random.default_rng(5), "topk", 3000, 900, 40)
+        rs = random_run_set(5, "topk", 3000, 900, 40)
         expected = {m: similarity_matrix(rs, m) for m in ("kuncheva", "jaccard")}
         monkeypatch.setattr(baselines, "_FLOAT32_EXACT", rs.t + limit)
         assert int(copy_width(rs)) == np.dtype(dtype).itemsize
@@ -329,14 +317,14 @@ class TestGram:
             np.testing.assert_array_equal(similarity_matrix(rs, metric), want)
 
     def test_rankings_stay_float64(self):
-        rs = random_run_set(np.random.default_rng(4), "full", 3000, 3000, 40)
+        rs = random_run_set(4, "full", 3000, 3000, 40)
         assert int(copy_width(rs)) == 8
 
     @pytest.mark.parametrize("t, tolerance", [(300_000, 0.0), (1_000_000, 1e-13)])
     def test_ranking_gram_exact_up_to_its_stated_bound(self, t, tolerance):
         # the sum of squared ranks is just below 2**53 at t = 3e5 and past it at 1e6
         assert (t * (t + 1) * (2 * t + 1) // 6 < 2**53) == (tolerance == 0.0)
-        rs = random_run_set(np.random.default_rng(8), "full", t, t, 3)
+        rs = random_run_set(8, "full", t, t, 3)
         got = similarity_matrix(rs, "spearman")
         for i, j in itertools.combinations(range(3), 2):
             want = spearman(rs.matrix[i], rs.matrix[j])
@@ -345,7 +333,7 @@ class TestGram:
     @pytest.mark.parametrize("kind", ["topk", "full"])
     @pytest.mark.parametrize("block", ["one", "runs", "7 runs"])
     def test_feature_blocks_leave_the_gram_unchanged(self, monkeypatch, kind, block):
-        rs = random_run_set(np.random.default_rng(6), kind, 300, 90, 40)  # full ignores k
+        rs = random_run_set(6, kind, 300, 90, 40)  # full ignores k
         want = baselines._gram(rs.kind, rs.matrix)
         monkeypatch.setattr(baselines, "_GRAM_BLOCK", {"one": 1, "runs": 40, "7 runs": 280}[block])
         got = baselines._gram(rs.kind, rs.matrix)
@@ -396,7 +384,7 @@ class TestGram:
         # bound below the 4 MB float32 copy of the whole matrix
         if block is not None:
             monkeypatch.setattr(baselines, "_GRAM_BLOCK", block)
-        rs = random_run_set(np.random.default_rng(7), "topk", 5000, 1000, 200)
+        rs = random_run_set(7, "topk", 5000, 1000, 200)
         runs, t = rs.matrix.shape
         _, peak = traced_peak(baselines._gram, rs.kind, rs.matrix)
         copy = 4 * min(runs * t, max(baselines._GRAM_BLOCK, runs))

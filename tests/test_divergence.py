@@ -36,13 +36,6 @@ from oracles import decimal_d_js, fsum_js_multi
 LN2 = math.log(2.0)
 
 
-def with_fixed_rows(run_set: RunSet, fixed: int) -> RunSet:
-    """The run set with its first ``fixed`` rows replaced by its first row."""
-    rows = run_set.matrix.copy()
-    rows[:fixed] = rows[0]
-    return RunSet(run_set.kind, rows, run_set.k)
-
-
 @st.composite
 def run_sets_with_fixed_rows(draw):
     kind = draw(st.sampled_from(["full", "partial", "topk"]))
@@ -50,13 +43,7 @@ def run_sets_with_fixed_rows(draw):
     k = t if kind == "full" else draw(st.integers(1, t - 1))
     runs = draw(st.integers(2, 12))
     fixed = draw(st.integers(0, runs))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return with_fixed_rows(random_run_set(rng, kind, t, k, runs), fixed)
-
-
-def edge_run_set(kind: str, t: int, k: int, runs: int, fixed: int) -> RunSet:
-    rng = np.random.default_rng(t * runs + fixed)
-    return with_fixed_rows(random_run_set(rng, kind, t, k, runs), fixed)
+    return random_run_set(draw(st.integers(0, 2**32 - 1)), kind, t, k, runs, fixed)
 
 
 @st.composite
@@ -148,12 +135,12 @@ class TestJsMulti:
             js_multi([0.5, 0.5])
 
     @given(run_sets_with_fixed_rows())
-    @example(edge_run_set("full", t=7, k=7, runs=2, fixed=0))
-    @example(edge_run_set("topk", t=9, k=8, runs=2, fixed=0))
-    @example(edge_run_set("partial", t=9, k=8, runs=6, fixed=5))
-    @example(edge_run_set("topk", t=12, k=11, runs=5, fixed=4))
-    @example(edge_run_set("full", t=12, k=12, runs=5, fixed=4))
-    @example(edge_run_set("partial", t=5, k=2, runs=3, fixed=3))
+    @example(random_run_set(14, "full", t=7, k=7, runs=2))
+    @example(random_run_set(18, "topk", t=9, k=8, runs=2))
+    @example(random_run_set(59, "partial", t=9, k=8, runs=6, fixed=5))
+    @example(random_run_set(64, "topk", t=12, k=11, runs=5, fixed=4))
+    @example(random_run_set(64, "full", t=12, k=12, runs=5, fixed=4))
+    @example(random_run_set(18, "partial", t=5, k=2, runs=3, fixed=3))
     @settings(max_examples=150, deadline=None)
     def test_matches_all_terms_fsum(self, run_set):
         probs = run_probabilities(run_set)
@@ -171,8 +158,7 @@ class TestJsMulti:
 
 class TestJsStability:
     def test_identical_full_rankings_score_exactly_one(self):
-        rows = np.tile(np.random.default_rng(0).permutation(30) + 1, (10, 1))
-        report = js_stability(RunSet("full", rows))
+        report = js_stability(random_run_set(0, "full", 30, 30, 10, fixed=10))
         assert report.s_js == 1.0
         assert report.d_js == 0.0
 
@@ -226,8 +212,7 @@ def blocked_rankings(draw):
     fixed = draw(st.integers(0, runs))
     step = draw(st.integers(1, runs + 1))
     cells = step * t + draw(st.integers(0, t - 1))  # floor division gives step rows
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return with_fixed_rows(random_run_set(rng, kind, t, k, runs), fixed), cells
+    return random_run_set(draw(st.integers(0, 2**32 - 1)), kind, t, k, runs, fixed), cells
 
 
 class TestRowBlocks:
@@ -235,9 +220,9 @@ class TestRowBlocks:
     time; the result is that of the whole K x t matrix, bit for bit."""
 
     @given(blocked_rankings())
-    @example((edge_run_set("full", t=12, k=12, runs=5, fixed=0), 2 * 12))  # last block: 1 row
-    @example((edge_run_set("partial", t=182, k=60, runs=7, fixed=7), 3 * 182))  # all identical
-    @example((edge_run_set("full", t=11, k=11, runs=4, fixed=3), 11))  # one row per block
+    @example((random_run_set(60, "full", t=12, k=12, runs=5), 2 * 12))  # last block: 1 row
+    @example((random_run_set(1281, "partial", t=182, k=60, runs=7, fixed=7), 3 * 182))  # identical
+    @example((random_run_set(47, "full", t=11, k=11, runs=4, fixed=3), 11))  # one row per block
     @settings(max_examples=150, deadline=None)
     def test_blocks_give_the_whole_matrix_d_js(self, drawn):
         run_set, cells = drawn
@@ -263,7 +248,7 @@ class TestRowBlocks:
         before blocks; 525 rows of 2000 cells are two blocks, each mapped in
         both passes."""
         calls = record_calls(monkeypatch, divergence, "run_probabilities")
-        js_stability(random_run_set(np.random.default_rng(13), "full", t, t, runs))
+        js_stability(random_run_set(13, "full", t, t, runs))
         assert len(calls) == maps
 
     def test_working_memory_is_two_blocks_and_o_of_t(self):
@@ -271,7 +256,7 @@ class TestRowBlocks:
         score holds two at most (the last row read of one block is still
         referenced while the next is mapped) and O(t) work arrays."""
         runs, t = 200, 20000
-        rs = random_run_set(np.random.default_rng(12), "full", t, t, runs)
+        rs = random_run_set(12, "full", t, t, runs)
         _, peak = traced_peak(js_stability, rs)
         whole = runs * t * 8
         assert whole > 3 * divergence._BLOCK_CELLS * 8
@@ -289,8 +274,7 @@ def mask_run_sets(draw):
     k = draw(st.integers(1, t - 1))
     runs = draw(st.integers(2, 12))
     fixed = draw(st.integers(0, runs))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return with_fixed_rows(random_run_set(rng, "topk", t, k, runs), fixed)
+    return random_run_set(draw(st.integers(0, 2**32 - 1)), "topk", t, k, runs, fixed)
 
 
 def within_two_ulps(got: float, exact: Decimal) -> bool:
@@ -302,9 +286,9 @@ class TestJsMasks:
     """``js_stability`` on masks reads d_js from the selection counts."""
 
     @given(mask_run_sets())
-    @example(edge_run_set("topk", t=9, k=1, runs=2, fixed=0))
-    @example(edge_run_set("topk", t=9, k=8, runs=2, fixed=0))
-    @example(edge_run_set("topk", t=40, k=39, runs=12, fixed=3))
+    @example(random_run_set(18, "topk", t=9, k=1, runs=2))
+    @example(random_run_set(18, "topk", t=9, k=8, runs=2))
+    @example(random_run_set(483, "topk", t=40, k=39, runs=12, fixed=3))
     @example(masks_run_set([[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]]))
     @settings(max_examples=200, deadline=None)
     def test_counts_form_matches_js_multi(self, run_set):
@@ -317,7 +301,7 @@ class TestJsMasks:
 
     @pytest.mark.parametrize("t, k, runs", [(9, 1, 2), (9, 8, 2), (30, 7, 10)])
     def test_identical_rows_score_exactly_one(self, t, k, runs):
-        rs = edge_run_set("topk", t, k, runs, fixed=runs)
+        rs = random_run_set(t * runs + runs, "topk", t, k, runs, fixed=runs)
         report = js_stability(rs)
         assert report.d_js == 0.0
         assert report.s_js == 1.0
@@ -332,21 +316,19 @@ class TestJsMasks:
 
     def test_matches_decimal_at_paper_shape(self):
         for seed in range(6):
-            rng = np.random.default_rng(seed)
-            rs = with_fixed_rows(random_run_set(rng, "topk", 2000, 600, 100), 20 * seed)
+            rs = random_run_set(seed, "topk", 2000, 600, 100, fixed=20 * seed)
             assert within_two_ulps(js_stability(rs).d_js, decimal_d_js(rs))
 
     @given(mask_run_sets())
     # nearly unanimous features: ln(K/c_f) is near 0 and needs the exact ratio
-    @example(edge_run_set("topk", t=50, k=10, runs=400, fixed=399))
-    @example(edge_run_set("topk", t=30, k=29, runs=1000, fixed=990))
+    @example(random_run_set(20399, "topk", t=50, k=10, runs=400, fixed=399))
+    @example(random_run_set(30990, "topk", t=30, k=29, runs=1000, fixed=990))
     @settings(max_examples=100, deadline=None)
     def test_matches_decimal_within_two_ulps(self, run_set):
         assert within_two_ulps(js_stability(run_set).d_js, decimal_d_js(run_set))
 
     def test_working_memory_is_a_fifth_of_the_masks(self):
-        rng = np.random.default_rng(9)
-        rs = random_run_set(rng, "topk", t=5000, k=1500, runs=200)
+        rs = random_run_set(9, "topk", t=5000, k=1500, runs=200)
         _, peak = traced_peak(js_stability, rs)
         assert peak <= 0.2 * rs.matrix.nbytes
 
@@ -447,8 +429,7 @@ class TestSameBitsAsBefore:
     def test_unmasked_terms_keep_the_bits_at_paper_shape(self, kind, fixed):
         """Full rankings have no zero probability and take the unmasked KL
         terms; the 0.5.2 body masks every row, so it checks them independently."""
-        rng = np.random.default_rng(fixed)
-        rs = with_fixed_rows(random_run_set(rng, kind, 2000, 600, 100), fixed)
+        rs = random_run_set(fixed, kind, 2000, 600, 100, fixed)
         assert js_stability(rs).d_js.hex() == v052_js_multi(run_probabilities(rs)).hex()
 
 

@@ -6,7 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import stabrank.experiments
 from stabrank import (
@@ -18,7 +17,7 @@ from stabrank import (
     gen_subset_family,
     run_experiment,
 )
-from conftest import record_calls, traced_peak
+from conftest import preset_shapes, record_calls, traced_peak
 
 SMALL = dict(t=40, k=8, runs=6)
 COLUMNS = {"fig4": "i", "fig5": "i", "fig6": "lambda", "fig7": "q"}
@@ -100,23 +99,8 @@ def swept_run_sets(name, seed, shape):
     return [point[COLUMNS[name]] for point in curve], run_sets
 
 
-@st.composite
-def sweeps(draw, names=EXPERIMENT_NAMES):
-    """One of ``names``, a seed and a small shape valid for it; fig6 keeps
-    ``t - k >= k - overlap`` so that its pool is not exhausted."""
-    name = draw(st.sampled_from(names))
-    seed = draw(st.integers(0, 2**32))
-    runs = draw(st.integers(2, 14))
-    k = draw(st.integers(2, 12))
-    if name != "fig6":
-        return name, seed, dict(t=draw(st.integers(k + 1, k + 30)), k=k, runs=runs)
-    overlap = draw(st.integers(1, k - 1))
-    t = draw(st.integers(2 * k - overlap, 2 * k - overlap + 20))
-    return name, seed, dict(t=t, k=k, runs=runs, overlap=overlap)
-
-
 @settings(max_examples=60)
-@given(sweeps())
+@given(preset_shapes())
 @example(("fig4", 0, dict(t=30, k=8, runs=2)))  # the fixed grid collapses to {0, 1, 2}
 @example(("fig5", 1, dict(t=30, k=8, runs=2)))
 @example(("fig6", 2, dict(t=40, k=8, runs=5, overlap=1)))
@@ -147,7 +131,7 @@ def assert_points_are_generator_calls(name, seed, shape):
 
 
 @settings(max_examples=40)
-@given(sweeps(names=("fig6", "fig7")))
+@given(preset_shapes(names=("fig6", "fig7")))
 @example(("fig6", 5, dict(t=20, k=12, runs=4, overlap=4)))
 @example(("fig7", 6, dict(t=20, k=1, runs=3)))
 def test_selected_sets_do_not_move_along_a_partial_curve(case):

@@ -27,38 +27,8 @@ from stabrank import (
 from stabrank.cli import main
 from stabrank import runset_io
 from stabrank.runset_io import _bulk_cells, _scan_cells, read_cells, read_columns
-
-# characters that break the cell grammar in one place, or nearly keep it
-TRICKY = "0123456789,\n-+ \t_\r١#."
-TRICKY_CELLS = ["", "0", "00", "-0", "+1", " 0", "\t1", "007", "1_0", "١", "-1",
-                "9223372036854775807", "9223372036854775808", "-9223372036854775808",
-                "-9223372036854775809", "1e3", "1.0"]
-# spellings of a value that int() reads as the value itself
-RESPELLINGS = ["+{}", " {}", "{}\t", "0{}", "{}\r", "{}_0"]
-
-
-def _mutate(draw, text: str, start: int) -> str:
-    """``text`` with one cell replaced, or one character replaced, inserted or
-    deleted, at or after index ``start``."""
-    where = draw(st.integers(start, len(text)))
-    action = draw(st.sampled_from(["cell", "replace", "insert", "delete"]))
-    if action == "cell":
-        lines = text[start:].split("\n")
-        row = draw(st.integers(0, len(lines) - 1 - (len(lines) > 1 and lines[-1] == "")))
-        cells = lines[row].split(",")
-        col = draw(st.integers(0, len(cells) - 1))
-        cells[col] = draw(
-            st.sampled_from(TRICKY_CELLS)
-            | st.text(TRICKY, max_size=4)
-            | st.sampled_from(RESPELLINGS).map(lambda spelling: spelling.format(cells[col]))
-        )
-        lines[row] = ",".join(cells)
-        return text[:start] + "\n".join(lines)
-    char = draw(st.sampled_from(TRICKY) | st.characters(codec="utf-8"))
-    if action == "insert":
-        return text[:where] + char + text[where:]
-    tail = text[where + 1:]
-    return text[:where] + (char if action == "replace" else "") + tail
+from conftest import mutate, near_valid_texts, random_run_set, run_set_texts
+from oracles import per_cell_text
 
 
 @st.composite
@@ -73,7 +43,7 @@ def cell_blocks(draw):
     body = "\n".join(",".join(map(str, row)) for row in matrix)
     pristine = draw(st.booleans())
     if not pristine:
-        body = _mutate(draw, body, 0)
+        body = mutate(draw, body, 0)
     return body.split("\n"), runs, pristine and max(map(max, matrix)) < 10**18
 
 
@@ -97,47 +67,6 @@ def test_bulk_check_matches_per_cell_reference(block):
         assert bulk is not None
     if bulk is not None:
         assert bulk.dtype == np.int64 and bulk.tolist() == reference
-
-
-@st.composite
-def run_set_texts(draw):
-    """(text, pristine): a run-set file of any kind, valid and of two or more
-    runs when pristine, otherwise possibly invalid and with one perturbation."""
-    kind = draw(st.sampled_from(["full", "partial", "topk"]))
-    t = draw(st.integers(1, 6))
-    k = t if kind == "full" else draw(st.integers(1, t))
-    pristine = draw(st.booleans())
-    runs = draw(st.integers(2 if pristine else 1, 4))
-    ranks = np.array([draw(st.permutations(range(1, t + 1))) for _ in range(runs)])
-    matrix = {"full": ranks, "partial": np.where(ranks <= k, ranks, 0),
-              "topk": (ranks <= k).astype(int)}[kind]
-    header = f"#stabrank v1 kind={kind} t={t} k={k} K={runs}\n"
-    text = header + "".join(",".join(map(str, row)) + "\n" for row in matrix.T)
-    if not pristine:
-        text = draw(st.sampled_from([
-            text,
-            _mutate(draw, text, len(header)),
-            _mutate(draw, text, 0),
-            text[:-1],  # no final newline
-            text.replace("\n", " \n", 1),
-            text.replace(f" t={t} ", f" t=0{t} ", 1),
-        ]))
-    return text, pristine
-
-
-@st.composite
-def near_valid_texts(draw):
-    """A ``run_set_texts`` text, or a pristine one with one data cell set to a
-    small integer, which may break that column's invariant but not the grammar."""
-    text, pristine = draw(run_set_texts())
-    if pristine and draw(st.booleans()):
-        lines = text.split("\n")
-        row = draw(st.integers(1, len(lines) - 2))  # a data line: not the header or the end
-        cells = lines[row].split(",")
-        cells[draw(st.integers(0, len(cells) - 1))] = str(draw(st.integers(-1, 7)))
-        lines[row] = ",".join(cells)
-        text = "\n".join(lines)
-    return text
 
 
 file_bytes = st.binary(max_size=80) | run_set_texts().map(lambda drawn: drawn[0].encode())
@@ -198,14 +127,6 @@ def test_blocks_of_lines_read_like_one_block(drawn, block_lines):
         assert _columns_outcome(text) == whole
 
 
-def _per_cell_text(run_set):
-    """The run set's file text formatted cell by cell with ``str``: the oracle."""
-    lines = [f"#stabrank v1 kind={run_set.kind} t={run_set.t} k={run_set.k} K={run_set.runs}"]
-    for feature_row in run_set.matrix.T:
-        lines.append(",".join(map(str, feature_row.tolist())))
-    return "\n".join(lines) + "\n"
-
-
 # t and k on both sides of a change in digit count
 WIDTH_EDGES = [1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001]
 
@@ -218,10 +139,7 @@ def writable_run_sets(draw):
     k = t if kind == "full" else draw(st.sampled_from([e for e in WIDTH_EDGES if e <= t] + [t])
                                       | st.integers(1, t))
     runs = draw(st.integers(2, 5))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    ranks = np.array([rng.permutation(t) + 1 for _ in range(runs)])
-    matrix = {"full": ranks, "partial": np.where(ranks <= k, ranks, 0), "topk": ranks <= k}[kind]
-    return RunSet(kind, matrix, k)
+    return random_run_set(draw(st.integers(0, 2**32 - 1)), kind, t, k, runs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -231,7 +149,7 @@ def writable_run_sets(draw):
 @example(RunSet("topk", [[1] + [0] * 999, [0] * 999 + [1]], 1), 3)
 def test_table_writer_matches_the_per_cell_formatter(run_set, block_lines):
     # the drawn files span up to 1001 lines, so small blocks give many
-    expected = _per_cell_text(run_set)
+    expected = per_cell_text(run_set.kind, run_set.k, run_set.matrix)
     with mock.patch.object(runset_io, "_BLOCK_LINES", block_lines):
         assert serialize_runset(run_set) == expected
     assert serialize_runset(run_set) == expected

@@ -6,22 +6,14 @@ import traceback
 import numpy as np
 import pytest
 
-from stabrank import RunSet, RunSetParseError, load_runset, parse_runset, serialize_runset
+from stabrank import RunSetParseError, load_runset, parse_runset, serialize_runset
 from stabrank.cli import main
 from stabrank.runset_io import read_columns
-from conftest import EXAMPLE_FULL, EXAMPLE_MASKS, traced_peak
+from conftest import EXAMPLE_FULL, EXAMPLE_MASKS, random_run_set, traced_peak
+from oracles import per_cell_text
 
-FULL_HEADER = "#stabrank v1 kind=full t=10 k=10 K=5"
-
-
-def as_file_text(rows, header):
-    columns = np.array(rows).T
-    body = "\n".join(",".join(str(v) for v in row) for row in columns)
-    return f"{header}\n{body}\n"
-
-
-FULL_TEXT = as_file_text(EXAMPLE_FULL, FULL_HEADER)
-MASK_TEXT = as_file_text(EXAMPLE_MASKS, "#stabrank v1 kind=topk t=10 k=4 K=5")
+FULL_TEXT = per_cell_text("full", 10, EXAMPLE_FULL)
+MASK_TEXT = per_cell_text("topk", 4, EXAMPLE_MASKS)
 
 
 class TestParsing:
@@ -50,7 +42,7 @@ class TestParsing:
 
     def test_wrong_row_count(self):
         with pytest.raises(RunSetParseError, match="expected 10 data rows"):
-            parse_runset(FULL_HEADER + "\n1,2,3,4,5\n")
+            parse_runset("#stabrank v1 kind=full t=10 k=10 K=5\n1,2,3,4,5\n")
 
     def test_wrong_column_count(self):
         text = "#stabrank v1 kind=full t=2 k=2 K=2\n1,2\n2\n"
@@ -154,11 +146,7 @@ def test_serialize_runset_peaks_below_its_bound(kind):
     """Peak memory of one write, in multiples of the text: the blocks and the
     joined text, with only one block's gathered table rows on top."""
     runs, t, k = 200, 5000, 1500  # five blocks of lines
-    ranks = np.tile(np.arange(1, t + 1), (runs, 1))
-    np.random.default_rng(6).permuted(ranks, axis=1, out=ranks)
-    matrix = {"full": ranks, "partial": np.where(ranks <= k, ranks, 0), "topk": ranks <= k}[kind]
-    run_set = RunSet(kind, matrix, t if kind == "full" else k)
-    del ranks, matrix
+    run_set = random_run_set(6, kind, t, k, runs)
     size = len(serialize_runset(run_set))
     _, peak = traced_peak(serialize_runset, run_set)
     assert peak <= 2.5 * size
@@ -182,7 +170,7 @@ def mask_file(tmp_path):
 def identical_mask_file(tmp_path):
     rows = [EXAMPLE_MASKS[0]] * 4
     path = tmp_path / "stable.csv"
-    path.write_text(as_file_text(rows, "#stabrank v1 kind=topk t=10 k=4 K=4"))
+    path.write_text(per_cell_text("topk", 4, rows))
     return str(path)
 
 
@@ -230,7 +218,7 @@ class TestStabilityCommand:
     def test_degenerate_normalizer(self, tmp_path, capsys):
         rows = [(1, 1, 1)] * 2
         path = tmp_path / "allones.csv"
-        path.write_text(as_file_text(rows, "#stabrank v1 kind=topk t=3 k=3 K=2"))
+        path.write_text(per_cell_text("topk", 3, rows))
         assert main(["stability", str(path), "--metrics", "sjs"]) == 5
 
     def test_validation_failure(self, tmp_path, capsys):
@@ -381,6 +369,8 @@ FAILURE_TABLE = [
     ("mds-kuncheva-k-equals-t",
      ["mds", "all_selected.csv", "masks.csv", "--distance", "one-minus-kuncheva"], 4, "error"),
     ("mds-mixed-kinds", ["mds", "full.csv", "masks.csv"], 4, "error"),
+    ("mds-mixed-shapes", ["mds", "masks.csv", "all_selected.csv"], 4,
+     "error: mixed run set shapes (t, k): [(3, 3), (10, 4)]"),
     ("experiment-overlap-outside-fig6", ["experiment", "fig4", "--overlap", "10"], 4, "error"),
     ("experiment-negative-seed",
      ["experiment", "fig4", "--seed", "-1", "--t", "20", "--runs", "4"], 4, "error"),

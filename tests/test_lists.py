@@ -19,13 +19,9 @@ from stabrank import (
 from stabrank import lists
 from stabrank.lists import _integers, _scan, _storage_dtype
 from stabrank.runset_io import parse_header
-from conftest import EXAMPLE_FULL, EXAMPLE_K, EXAMPLE_MASKS, EXAMPLE_PARTIAL, traced_peak
-
-
-def truncate(ranks, k):
-    """Partial rankings of ``ranks`` at ``k``: ranks above k become 0."""
-    ranks = np.asarray(ranks)
-    return np.where(ranks <= k, ranks, 0)
+from conftest import EXAMPLE_FULL, EXAMPLE_K, EXAMPLE_MASKS, EXAMPLE_PARTIAL
+from conftest import random_lists, random_run_set, read_as, traced_peak
+from oracles import per_cell_text
 
 
 class TestValidate:
@@ -96,12 +92,7 @@ class TestValidate:
         # with its message; a k one beyond its range on either side is a
         # shape problem, named on every row
         k = t if kind == "full" else data.draw(st.integers(0, t + 1))
-        rng = np.random.default_rng(seed)
-        m = np.array([rng.permutation(t) + 1 for _ in range(3)])
-        if kind == "partial":
-            m = truncate(m, k)
-        elif kind == "topk":
-            m = (m <= k).astype(np.int64)
+        m = random_lists(seed, kind, t, k, 3)
         m[data.draw(st.integers(0, 2)), data.draw(st.integers(0, t - 1))] = value
         if 1 <= k <= t:
             assert row_violations(kind, m, k) == [_scan(kind, row.tolist(), k) for row in m]
@@ -118,8 +109,7 @@ def rankings_with_bad_cells(draw):
     t = draw(st.integers(1, 12))
     k = t if kind == "full" else draw(st.integers(1, t))
     runs = draw(st.integers(2, 8))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    m = truncate([rng.permutation(t) + 1 for _ in range(runs)], k)
+    m = random_lists(draw(st.integers(0, 2**32 - 1)), kind, t, k, runs)
     for _ in range(draw(st.integers(0, 3))):
         cell = draw(st.integers(0, runs - 1)), draw(st.integers(0, t - 1))
         m[cell] = draw(st.sampled_from([k + 1, t + 1, -1, 0, 1, k]))
@@ -144,10 +134,7 @@ def test_counting_check_matches_the_scan_across_row_blocks(drawn, rows_per_block
 
 def shaped_rows(kind, t, k, runs):
     """``runs`` copies of one list over t features, valid where (kind, t, k) is a valid shape."""
-    ranks = np.tile(np.arange(1, t + 1), (runs, 1))
-    if kind == "partial":
-        return truncate(ranks, k)
-    return (ranks <= k).astype(np.int64) if kind == "topk" else ranks
+    return read_as(kind, np.tile(np.arange(1, t + 1), (runs, 1)), k)
 
 
 def message_of(call):
@@ -189,8 +176,7 @@ class TestShapeContract:
         rows = shaped_rows(kind, t, k, runs)
         assert message_of(lambda: RunSet(kind, rows, k)) == expected
         if kind in KINDS and runs >= 1:
-            body = "".join(",".join(map(str, column)) + "\n" for column in rows.T.tolist())
-            text = f"#stabrank v1 kind={kind} t={t} k={k} K={runs}\n{body}"
+            text = per_cell_text(kind, k, rows)
             in_file = f"line 1: {shape}" if shape else expected
             assert message_of(lambda: parse_runset(text)) == in_file
 
@@ -226,7 +212,7 @@ class TestConversions:
         assert masks.k == EXAMPLE_K
 
     def test_example_run_to_partial(self, full_run_set):
-        partial = RunSet("partial", truncate(full_run_set.matrix, EXAMPLE_K), EXAMPLE_K)
+        partial = RunSet("partial", read_as("partial", full_run_set.matrix, EXAMPLE_K), EXAMPLE_K)
         assert partial.matrix[0].tolist() == [3, 2, 4, 0, 0, 0, 0, 0, 1, 0]
 
     def test_example_partial_to_mask(self, partial_run_set):
@@ -246,12 +232,12 @@ class TestConversions:
 
     def test_partial_at_k_equals_t_is_the_ranking(self):
         ranks = np.array([[2, 3, 1], [1, 3, 2]])
-        partial = RunSet("partial", truncate(ranks, 3), 3)
+        partial = RunSet("partial", read_as("partial", ranks, 3), 3)
         assert np.array_equal(partial.matrix, ranks)
         assert 0 not in partial.matrix
 
     def test_small_truncation(self):
-        assert truncate([[1, 2, 3]], 2).tolist() == [[1, 2, 0]]
+        assert read_as("partial", [[1, 2, 3]], 2).tolist() == [[1, 2, 0]]
         partial = RunSet("partial", [[1, 0, 2], [0, 1, 2]], 2)
         assert partial.to_topk().matrix.tolist() == [[1, 0, 1], [0, 1, 1]]
 
@@ -271,7 +257,7 @@ class TestConversions:
             full = RunSet("full", ranks)
             for k in range(1, t + 1):
                 direct = full.to_topk(k)
-                via_partial = RunSet("partial", truncate(ranks, k), k).to_topk()
+                via_partial = RunSet("partial", read_as("partial", ranks, k), k).to_topk()
                 assert direct.k == via_partial.k == k
                 assert np.array_equal(direct.matrix, via_partial.matrix)
 
@@ -281,8 +267,8 @@ class TestConversions:
         ranks = np.array([perm, perm[::-1]])
         full = RunSet("full", ranks)
         assert row_violations("topk", full.to_topk(k).matrix, k) == [None, None]
-        assert row_violations("partial", truncate(ranks, k), k) == [None, None]
-        partial = RunSet("partial", truncate(ranks, k), k)
+        assert row_violations("partial", read_as("partial", ranks, k), k) == [None, None]
+        partial = RunSet("partial", read_as("partial", ranks, k), k)
         assert row_violations("topk", partial.to_topk().matrix, k) == [None, None]
 
 
@@ -375,9 +361,8 @@ class TestRunSet:
         input as numpy reads it, checked as it is (a list becomes an int64
         array; a bool or int32 array is not copied), then the int8 copy that
         is kept."""
-        mask = np.tile(np.arange(5000) < 1500, (200, 1))
-        np.random.default_rng(6).permuted(mask, axis=1, out=mask)
-        data = mask.astype(int).tolist() if given is list else mask.astype(given)
+        mask = random_lists(6, "topk", 5000, 1500, 200)
+        data = mask.tolist() if given is list else mask.astype(given)
         _, peak = traced_peak(RunSet, "topk", data, 1500)
         assert peak <= 1.2 * mask.size * 8
 
@@ -389,9 +374,9 @@ class TestRunSet:
     def test_to_topk_equals_the_two_pass_mask(self, drawn):
         ranks, k = drawn
         full = RunSet("full", ranks)
-        partial = RunSet("partial", truncate(ranks, k), k)
+        partial = RunSet("partial", read_as("partial", ranks, k), k)
         for masks, expected in [
-            (full.to_topk(k).matrix, (full.matrix <= k).astype(np.int64)),
+            (full.to_topk(k).matrix, read_as("topk", full.matrix, k)),
             (partial.to_topk().matrix, (partial.matrix != 0).astype(np.int64)),
         ]:
             np.testing.assert_array_equal(masks, expected)
@@ -399,19 +384,15 @@ class TestRunSet:
             assert not masks.flags.writeable
 
     def test_to_topk_peaks_near_one_int64_mask_matrix(self):
-        m = np.tile(np.arange(1, 5001), (200, 1))
-        np.random.default_rng(4).permuted(m, axis=1, out=m)
-        full = RunSet("full", m)
-        del m
+        full = random_run_set(4, "full", 5000, 5000, 200)
         _, peak = traced_peak(full.to_topk, 1500)
         assert peak <= 1.3 * full.matrix.nbytes
 
     def test_example_partial_matches_conversion(self):
-        assert truncate(EXAMPLE_FULL, EXAMPLE_K).tolist() == [list(r) for r in EXAMPLE_PARTIAL]
+        assert np.array_equal(read_as("partial", EXAMPLE_FULL, EXAMPLE_K), EXAMPLE_PARTIAL)
 
     def test_example_masks_match_conversion(self):
-        masks = (np.array(EXAMPLE_FULL) <= EXAMPLE_K).astype(np.int64)
-        assert masks.tolist() == [list(r) for r in EXAMPLE_MASKS]
+        assert np.array_equal(read_as("topk", EXAMPLE_FULL, EXAMPLE_K), EXAMPLE_MASKS)
 
 
 class TestNoCoercion:

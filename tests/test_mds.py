@@ -23,7 +23,7 @@ from stabrank import (
     js_pair,
     run_probabilities,
 )
-from conftest import record_calls
+from conftest import random_lists, random_run_set, read_as, record_calls
 
 SQRT_LN2 = math.sqrt(math.log(2.0))
 
@@ -61,9 +61,7 @@ def labeled_mask_run_sets(draw):
     t = draw(st.integers(1, 30))
     k = draw(st.integers(1, t))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    pool = np.zeros((draw(st.integers(1, 8)), t), dtype=np.int64)
-    for row in pool:
-        row[rng.permutation(t)[:k]] = 1
+    pool = random_lists(rng, "topk", t, k, draw(st.integers(1, 8)))
     sizes = draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))
     return mask_sets(k, *(pool[rng.integers(0, len(pool), size)] for size in sizes))
 
@@ -87,9 +85,7 @@ class TestSqrtJsOnMasks:
         rng = np.random.default_rng(seed)
         labeled = []
         for label, fixed in (("a", 20), ("b", 0)):
-            ranks = np.array([rng.permutation(200) + 1 for _ in range(30)])
-            ranks[:fixed] = ranks[0]
-            labeled.append((label, RunSet("full", ranks).to_topk(k)))
+            labeled.append((label, random_run_set(rng, "full", 200, 200, 30, fixed).to_topk(k)))
         np.testing.assert_array_equal(distance_matrix(labeled).d, js_pair_loop(labeled))
 
     def test_no_js_pair_calls_on_masks(self, monkeypatch):
@@ -133,6 +129,13 @@ class TestDistanceMatrix:
         full = gen_ranking_family(ExperimentConfig(t=40, k=40, runs=3, seed=2))
         with pytest.raises(ValueError, match="mixed"):
             distance_matrix([("a", stable), ("b", full)])
+        # one check per rule: kinds that differ at one (t, k), one kind at two k
+        partial = RunSet("partial", read_as("partial", full.matrix, 8), 8)
+        wider, _ = stable_and_random(k=10)
+        for other, message in [(partial, "mixed run set kinds: ['partial', 'topk']"),
+                               (wider, "mixed run set shapes (t, k): [(40, 8), (40, 10)]")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                distance_matrix([("a", stable), ("b", other)])
 
     def test_unknown_distance_and_no_input_rejected(self):
         stable, _ = stable_and_random()

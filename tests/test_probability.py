@@ -6,6 +6,7 @@ implementation under test. Each list is mapped as a row of a run set.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from stabrank import (
     run_probabilities,
 )
 from stabrank.probability import _rank_weights
+from conftest import random_run_set, read_as
 from oracles import oracle_normalizer, oracle_row, oracle_weight
 
 
@@ -94,7 +96,7 @@ class TestMapPartialAndTopk:
     @given(st.permutations(list(range(1, 9))), st.integers(1, 8))
     @settings(max_examples=50, deadline=None)
     def test_partial_sums_to_one_and_zero_support(self, perm, k):
-        ranks = [r if r <= k else 0 for r in perm]
+        ranks = read_as("partial", perm, k).tolist()
         probs = mapped("partial", ranks, k)
         assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
         assert np.all((probs > 0) == (np.array(ranks) > 0))
@@ -133,12 +135,10 @@ class TestRunProbabilities:
         int64 ranks, at every storage width."""
         rng = np.random.default_rng(seed)
         k = t if kind == "full" else int(rng.integers(1, t + 1))
-        ranks = np.array([rng.permutation(t) + 1 for _ in range(runs)])
+        rs = random_run_set(rng, kind, t, k, runs)
         if kind == "topk":
-            rs = RunSet("topk", (ranks <= k).astype(np.int64), k)
             want = rs.matrix / float(k)
         else:
-            rs = RunSet(kind, np.where(ranks <= k, ranks, 0), k)
             want = np.concatenate(([0.0], _rank_weights(k)))[rs.matrix.astype(np.int64)]
         got = run_probabilities(rs)
         assert got.dtype == want.dtype == np.float64
@@ -187,14 +187,16 @@ class TestNormalizer:
             assert normalizer("partial", t, k) > 0
 
     def test_argument_checks(self):
-        with pytest.raises(ValueError):
-            normalizer("full", 5, 3)
-        with pytest.raises(ValueError):
-            normalizer("topk", 5)
-        with pytest.raises(ValueError):
-            normalizer("topk", 5, 6)
-        with pytest.raises(ValueError):
-            normalizer("banana", 5, 3)
+        for args, message in [
+            (("full", 5, 3), "kind=full requires k == t, got k=3, t=5"),
+            (("topk", 5), "topk kind requires k"),
+            (("partial", 5), "partial kind requires k"),
+            (("topk", 5, 6), "k=6 out of range 1..5"),
+            (("banana", 5, 3),
+             "unknown kind 'banana', expected one of ('full', 'partial', 'topk')"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                normalizer(*args)
 
     @pytest.mark.parametrize(
         "args, name",

@@ -34,7 +34,8 @@ from stabrank import (
 )
 from stabrank import lists
 from stabrank.lists import _CHECK_ROWS, _GATHER_BLOCK, _lookup, _storage_dtype
-from conftest import traced_peak
+from conftest import random_lists, random_run_set, traced_peak
+from oracles import per_cell_text
 
 SOURCE = Path(stabrank.__file__).resolve().parent
 SIGNED = (np.int8, np.int16, np.int32, np.int64)
@@ -68,17 +69,7 @@ def run_sets(draw):
     runs = draw(st.integers(2, 5))
     k = t if kind == "full" else draw(st.integers(1, t))
     seed, fixed = draw(st.integers(0, 2**32)), draw(st.integers(0, runs))
-    return kind, t, k, _matrix(kind, t, k, runs, seed, fixed)
-
-
-def _matrix(kind, t, k, runs, seed, fixed):
-    """``runs`` random lists of the kind, the first ``fixed`` of them equal."""
-    ranks = np.tile(np.arange(1, t + 1), (runs, 1))
-    np.random.default_rng(seed).permuted(ranks, axis=1, out=ranks)
-    ranks[:fixed] = ranks[0]
-    if kind == "topk":
-        return (ranks <= k).astype(np.int64)
-    return np.where(ranks <= k, ranks, 0)
+    return kind, t, k, random_lists(seed, kind, t, k, runs, fixed)
 
 
 def outcome(call):
@@ -112,9 +103,9 @@ def results(kind, matrix, k):
 
 
 @given(run_sets())
-@example(("full", 46340, 46340, _matrix("full", 46340, 46340, 2, 1, 0)))
-@example(("full", 46341, 46341, _matrix("full", 46341, 46341, 2, 2, 0)))
-@example(("partial", 46341, 300, _matrix("partial", 46341, 300, 2, 3, 0)))
+@example(("full", 46340, 46340, random_lists(1, "full", 46340, 46340, 2)))
+@example(("full", 46341, 46341, random_lists(2, "full", 46341, 46341, 2)))
+@example(("partial", 46341, 300, random_lists(3, "partial", 46341, 300, 2)))
 def test_narrow_storage_gives_every_result_of_int64_storage(drawn):
     kind, t, k, matrix = drawn
     dtype, narrow = results(kind, matrix, k)
@@ -137,17 +128,15 @@ def test_narrow_storage_gives_every_result_of_int64_storage(drawn):
 def test_a_cell_that_would_wrap_is_refused_as_itself(kind, k, cell, message):
     """t = 100 stores ranks as int16 and masks as int8: narrowed first, the
     cell would wrap to a valid value and pass."""
-    matrix = _matrix(kind, 100, k, 2, 7, 0)
+    matrix = random_lists(7, kind, 100, k, 2)
     j = int(np.argmax(matrix[0] == (k if kind != "topk" else 1)))
     matrix[0, j] = cell
     wrapped = matrix.astype(_storage_dtype(kind, 100))
     assert row_violations(kind, wrapped, k) == [None, None]
     with pytest.raises(ValueError, match=f"^run 0: {message}$"):
         RunSet(kind, matrix, k)
-    rows = "".join(f"{a},{b}\n" for a, b in matrix.T.tolist())
-    text = f"#stabrank v1 kind={kind} t=100 k={k} K=2\n{rows}"
     with pytest.raises(RunSetValidationError, match=f"^column 1: {message}$"):
-        parse_runset(text)
+        parse_runset(per_cell_text(kind, k, matrix))
 
 
 @pytest.mark.parametrize("runs, t", [(200, 5000), (100, 20000)])
@@ -155,9 +144,7 @@ def test_public_constructor_allocates_its_copy_and_one_block_of_rows(runs, t):
     """On an int64 input ``RunSet`` checks the input as it is, counting one
     block of rows at a time (an intp index of the block's cells and a bool
     table of the ranks they mark), then makes its one narrow copy."""
-    m = np.tile(np.arange(1, t + 1), (runs, 1))
-    np.random.default_rng(8).permuted(m, axis=1, out=m)
-    rs, peak = traced_peak(RunSet, "full", m)
+    rs, peak = traced_peak(RunSet, "full", random_lists(8, "full", t, t, runs))
     assert rs.matrix.itemsize == 4  # int32 at these t
     block = _CHECK_ROWS * t * (8 + 1) + 8 * t
     assert peak <= rs.matrix.nbytes + block + 2**16
@@ -167,8 +154,7 @@ def test_public_constructor_allocates_its_copy_and_one_block_of_rows(runs, t):
 def test_public_constructor_checks_a_narrow_mask_without_copying_it(given):
     """A bool or int32 mask is checked as it is: the one allocation is the
     int8 copy that is kept, one byte per cell."""
-    mask = np.tile(np.arange(5000) < 1500, (200, 1))
-    np.random.default_rng(10).permuted(mask, axis=1, out=mask)
+    mask = random_lists(10, "topk", 5000, 1500, 200)
     data = mask.astype(given)
     rs, peak = traced_peak(RunSet, "topk", data, 1500)
     assert rs.matrix.tolist() == mask.tolist()
@@ -178,10 +164,7 @@ def test_public_constructor_checks_a_narrow_mask_without_copying_it(given):
 def test_row_violations_checks_a_stored_run_set_in_its_own_dtype():
     """A stored int32 run set is checked as it is, a block of rows at a
     time: the check allocates less than the stored matrix."""
-    m = np.tile(np.arange(1, 5001), (200, 1))
-    np.random.default_rng(11).permuted(m, axis=1, out=m)
-    rs = RunSet("full", m)
-    del m
+    rs = random_run_set(11, "full", 5000, 5000, 200)
     problems, peak = traced_peak(row_violations, rs.kind, rs.matrix, rs.k)
     assert rs.matrix.itemsize == 4 and problems == [None] * rs.runs
     assert peak <= rs.matrix.nbytes
@@ -238,10 +221,7 @@ def test_row_violations_reads_a_big_endian_matrix_by_value():
 
 
 def test_to_topk_writes_one_byte_per_cell():
-    m = np.tile(np.arange(1, 5001), (200, 1))
-    np.random.default_rng(9).permuted(m, axis=1, out=m)
-    full = RunSet("full", m)
-    del m
+    full = random_run_set(9, "full", 5000, 5000, 200)
     masks, peak = traced_peak(full.to_topk, 1500)
     assert masks.matrix.nbytes == masks.matrix.size
     assert peak <= masks.matrix.nbytes + 2**16

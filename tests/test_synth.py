@@ -30,7 +30,11 @@ class TestExperimentConfig:
          ("q", -0.1), ("overlap", 0), ("overlap", 11)],
     )
     def test_rejects_out_of_range(self, field, value):
-        with pytest.raises(ValueError):
+        message = {"t": "t must be >= 1, got {}", "k": "k={} out of range 1..40",
+                   "runs": "runs must be >= 2, got {}", "fixed": "fixed={} out of range 0..6",
+                   "lam": "lam={} out of range [0, 1]", "q": "q={} out of range [0, 1]",
+                   "overlap": "overlap={} out of range 1..k=10"}[field].format(value)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             cfg(**{field: value})
 
     @pytest.mark.parametrize(

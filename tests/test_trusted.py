@@ -37,8 +37,8 @@ from stabrank import (
 from stabrank import runset_io
 from stabrank.lists import _storage_dtype
 from stabrank.runset_io import read_columns
+from conftest import near_valid_texts, pool_shapes, preset_shapes, random_run_set
 from conftest import record_calls, traced_peak
-from test_fuzz import near_valid_texts
 
 FAMILIES = (gen_ranking_family, gen_subset_family, gen_overlap_family, gen_rank_shuffle_family)
 SOURCE = Path(stabrank.__file__).resolve().parent
@@ -51,27 +51,13 @@ def generator_calls(draw):
     runs, seed = draw(st.integers(2, 8)), draw(st.integers(0, 2**32))
     if family is gen_overlap_family:
         k = draw(st.integers(2, 12))
-        overlap = draw(st.integers(1, k - 1))
-        t = draw(st.integers(2 * k - overlap, 2 * k - overlap + 10))  # the pool holds k - overlap
+        t, overlap = draw(pool_shapes(k))
         knobs = dict(overlap=overlap, lam=draw(st.floats(0, 1)))
     else:
         t = draw(st.integers(1, 30))
         k = draw(st.integers(1, t))
         knobs = dict(fixed=draw(st.integers(0, runs)), q=draw(st.floats(0, 1)))
     return "generate", family, ExperimentConfig(t=t, k=k, runs=runs, seed=seed, **knobs)
-
-
-@st.composite
-def curves(draw):
-    """One preset of ``run_experiment`` at a small shape valid for it."""
-    name = draw(st.sampled_from(EXPERIMENT_NAMES))
-    seed, runs = draw(st.integers(0, 2**32)), draw(st.integers(2, 10))
-    k = draw(st.integers(2, 10))
-    if name != "fig6":
-        return "curve", name, seed, dict(t=draw(st.integers(k + 1, k + 20)), k=k, runs=runs)
-    overlap = draw(st.integers(1, k - 1))
-    t = draw(st.integers(2 * k - overlap, 2 * k - overlap + 10))
-    return "curve", name, seed, dict(t=t, k=k, runs=runs, overlap=overlap)
 
 
 def built(case) -> list[tuple[RunSet, int]]:
@@ -111,7 +97,7 @@ def config(**fields) -> ExperimentConfig:
 
 
 @settings(max_examples=150)
-@given(st.one_of(generator_calls(), curves()))
+@given(st.one_of(generator_calls(), preset_shapes().map(lambda case: ("curve", *case))))
 @example(("generate", gen_ranking_family, config(t=1, k=1, runs=2, fixed=1)))
 @example(("generate", gen_subset_family, config(t=9, k=1, runs=2, fixed=0)))  # k=1
 @example(("generate", gen_subset_family, config(t=9, k=9, runs=3, fixed=1)))  # k=t
@@ -265,10 +251,6 @@ def test_parse_runset_peaks_below_its_bound(kind, bound):
     """Peak memory of one parse, in int64 K x t matrices: the line list, one
     matrix and one column check, with no second check and no copy."""
     runs, t, k = 200, 5000, 1500
-    ranks = np.tile(np.arange(1, t + 1), (runs, 1))
-    np.random.default_rng(5).permuted(ranks, axis=1, out=ranks)
-    matrix = {"full": ranks, "partial": np.where(ranks <= k, ranks, 0), "topk": ranks <= k}[kind]
-    text = serialize_runset(RunSet(kind, matrix, t if kind == "full" else k))
-    del ranks, matrix
+    text = serialize_runset(random_run_set(5, kind, t, k, runs))
     _, peak = traced_peak(parse_runset, text)
     assert peak <= bound * runs * t * 8
