@@ -11,7 +11,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from stabrank import (
     DistanceMatrix,

@@ -8,7 +8,10 @@ complex numbers, an object array holding ``None``, a 0-d and a 3-d array.
 Each is refused with a ``ValueError`` that names its field (``matrix``,
 ``first list``, ``second list``, ``p``, ``q``, ``probabilities``,
 ``distances`` or ``coords``) or, where an object array reaches the integer
-check, the entry and its run or list; none is numpy's own message.
+check, the entry and its run or list; none is numpy's own message. The
+messages are matched by pattern, since a printed dtype (``<U3``) or shape
+varies with the input; ``tests/test_refusals.py`` runs these calls in its
+check that every refusal in ``src/`` is reached.
 """
 
 import re

@@ -16,7 +16,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stabrank import (
-    MetricMismatchError,
     RunSet,
     jaccard,
     kuncheva,
@@ -46,36 +45,12 @@ class TestSpearman:
         assert spearman((1, 2, 3), (3, 2, 1)) == pytest.approx(-1.0, abs=1e-15)
         assert spearman((1, 2), (2, 1)) == pytest.approx(-1.0, abs=1e-15)
 
-    def test_requires_two_features(self):
-        with pytest.raises(ValueError):
-            spearman((1,), (1,))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            spearman((1, 2), (1, 2, 3))
-
     @given(st.permutations(list(range(1, 8))), st.permutations(list(range(1, 8))))
     @settings(max_examples=60, deadline=None)
     def test_symmetry_and_oracle(self, a, b):
         value = spearman(a, b)
         assert value == spearman(b, a)
         assert value == pytest.approx(oracle_spearman(a, b), abs=1e-12)
-
-    @pytest.mark.parametrize(
-        "first, second, message",
-        [
-            ((1, 2, 3), (1, 1, 1), "^second list is not a full ranking: duplicate rank 1$"),
-            ((0, 1, 2), (1, 2, 3), "^first list is not a full ranking: rank 0 out of range 1..3$"),
-            ((1.5, 2, 3), (1, 2, 3), "^first list: entry 1.5 is not an int64 integer$"),
-            ([[1, 2], [2, 1]], (1, 2), r"^first list must be 1-dimensional \(features\)$"),
-            ((1.0, 2**53 + 1), (1, 2),
-             f"^first list is not a full ranking: rank {2**53 + 1} out of range 1..2$"),
-        ],
-        ids=["duplicate", "zero-rank", "fraction", "two-dimensional", "int-above-2**53"],
-    )
-    def test_rejects_non_permutations(self, first, second, message):
-        with pytest.raises(ValueError, match=message):
-            spearman(first, second)
 
 
 class TestKuncheva:
@@ -99,30 +74,6 @@ class TestKuncheva:
         b = (0, 0, 1, 1)
         assert kuncheva(a, b) < 0
 
-    def test_degenerate_k(self):
-        with pytest.raises(ValueError):
-            kuncheva((0, 0, 0), (0, 0, 0))
-        with pytest.raises(ValueError):
-            kuncheva((1, 1, 1), (1, 1, 1))
-
-    def test_mismatched_counts(self):
-        with pytest.raises(ValueError):
-            kuncheva((1, 1, 0, 0), (1, 0, 0, 0))
-
-    @pytest.mark.parametrize(
-        "first, second, message",
-        [
-            ((2, 0, 0, 0), (0, 1, 1, 0), "^first list is not a 0/1 mask: entry 2 is not 0 or 1$"),
-            ((1, 1, 0, 0), (1, -1, 1, 1), "^second list is not a 0/1 mask: entry -1 is not 0 or 1$"),
-            ((1, 0.5, 0, 0), (1, 0, 0, 0), "^first list: entry 0.5 is not an int64 integer$"),
-            ((1, 0, 1), (1, 1), r"^length mismatch: \(3,\) vs \(2,\)$"),
-        ],
-        ids=["two", "negative", "fraction", "length-mismatch"],
-    )
-    def test_rejects_non_binary(self, first, second, message):
-        with pytest.raises(ValueError, match=message):
-            kuncheva(first, second)
-
     def test_exhaustive_set_arithmetic_oracle(self):
         for a, b in mask_pairs(6, (1, 2, 3, 5)):
             assert kuncheva(a, b) == pytest.approx(oracle_kuncheva(a, b), abs=1e-14)
@@ -140,28 +91,10 @@ class TestJaccard:
             1 / 3, abs=1e-15
         )
 
-    def test_both_empty_rejected(self):
-        with pytest.raises(ValueError):
-            jaccard((0, 0), (0, 0))
-
     def test_exhaustive_set_arithmetic_oracle(self):
         for a, b in mask_pairs(5, (1, 2, 4)):
             assert jaccard(a, b) == pytest.approx(oracle_jaccard(a, b), abs=1e-14)
             assert 0.0 <= jaccard(a, b) <= 1.0
-
-    @pytest.mark.parametrize(
-        "first, second, message",
-        [
-            ((2, 0, 0), (1, 0, 0), "^first list is not a 0/1 mask: entry 2 is not 0 or 1$"),
-            ((1, 0, 0), (1, 0, -1), "^second list is not a 0/1 mask: entry -1 is not 0 or 1$"),
-            ((1, 0, 0), (1.5, 0, 0), "^second list: entry 1.5 is not an int64 integer$"),
-            ((1, 0), (1, 0, 0), r"^length mismatch: \(2,\) vs \(3,\)$"),
-        ],
-        ids=["two", "negative", "fraction", "length-mismatch"],
-    )
-    def test_rejects_non_binary(self, first, second, message):
-        with pytest.raises(ValueError, match=message):
-            jaccard(first, second)
 
 
 class TestPairwiseStability:
@@ -204,16 +137,6 @@ class TestPairwiseStability:
             reference, abs=1e-13
         )
 
-    def test_kind_mismatch_raises(self, full_run_set, mask_run_set):
-        with pytest.raises(MetricMismatchError):
-            pairwise_stability(full_run_set, "kuncheva")
-        with pytest.raises(MetricMismatchError):
-            pairwise_stability(mask_run_set, "spearman")
-
-    def test_unknown_metric(self, full_run_set):
-        with pytest.raises(ValueError, match="unknown metric"):
-            pairwise_stability(full_run_set, "kendall")
-
     def test_similarity_matrix_is_symmetric_with_unit_diagonal(self, full_run_set, mask_run_set):
         for run_set, metric in (
             (full_run_set, "spearman"),
@@ -224,12 +147,6 @@ class TestPairwiseStability:
             assert got.shape == (run_set.runs, run_set.runs)
             assert np.array_equal(got, got.T)
             assert np.all(np.diag(got) == 1.0)
-
-    def test_similarity_matrix_degenerate_shapes(self):
-        with pytest.raises(ValueError, match="at least 2 features"):
-            similarity_matrix(RunSet("full", [[1], [1]]), "spearman")
-        with pytest.raises(ValueError, match="undefined for k=3 of t=3"):
-            similarity_matrix(RunSet("topk", [[1, 1, 1], [1, 1, 1]], 3), "kuncheva")
 
     @given(
         st.sampled_from(["spearman", "kuncheva"]),

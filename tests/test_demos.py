@@ -4,7 +4,7 @@ Each ``demos/*.py`` and each fenced ``python`` block of ``README.md`` runs
 in its own process from an empty directory (demo 04 writes
 ``mds_coords.csv`` into the working directory), with the package's ``src``
 directory on the path and ``-W error``, so a warning fails the script as it
-fails a test.
+fails a test. A block's id is the heading of its README section.
 """
 
 import os
@@ -17,9 +17,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-README_BLOCKS = re.findall(
-    r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S
-)
+# (heading, block): each python block under the heading of its README section
+README_BLOCKS = [
+    (section.split("\n", 1)[0], block)
+    for section in re.split("^## ", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.M)
+    for block in re.findall(r"^```python\n(.*?)^```$", section, re.M | re.S)
+]
 
 
 def run(argv, cwd) -> subprocess.CompletedProcess:
@@ -51,6 +54,6 @@ def test_demo_runs(demo, tmp_path):
     run([str(demo)], tmp_path)
 
 
-@pytest.mark.parametrize("block", README_BLOCKS, ids=range(len(README_BLOCKS)))
-def test_readme_python_block_runs(block, tmp_path):
+@pytest.mark.parametrize("heading, block", README_BLOCKS, ids=[h for h, _ in README_BLOCKS])
+def test_readme_python_block_runs(heading, block, tmp_path):
     assert run(["-c", block], tmp_path).stdout

@@ -1,7 +1,6 @@
 """Distance-matrix construction and classical-MDS projection tests."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -13,8 +12,6 @@ from stabrank import (
     DistanceMatrix,
     Embedding,
     ExperimentConfig,
-    MdsConvergenceError,
-    MetricMismatchError,
     RunSet,
     classical_mds,
     distance_matrix,
@@ -23,7 +20,7 @@ from stabrank import (
     js_pair,
     run_probabilities,
 )
-from conftest import random_lists, random_run_set, read_as, record_calls
+from conftest import random_lists, random_run_set, record_calls
 
 SQRT_LN2 = math.sqrt(math.log(2.0))
 
@@ -124,78 +121,10 @@ class TestDistanceMatrix:
             i, j, l = rng.integers(0, dm.n, size=3)
             assert dm.d[i, j] <= dm.d[i, l] + dm.d[l, j] + 1e-12
 
-    def test_mixed_kinds_rejected(self):
-        stable, _ = stable_and_random()
-        full = gen_ranking_family(ExperimentConfig(t=40, k=40, runs=3, seed=2))
-        with pytest.raises(ValueError, match="mixed"):
-            distance_matrix([("a", stable), ("b", full)])
-        # one check per rule: kinds that differ at one (t, k), one kind at two k
-        partial = RunSet("partial", read_as("partial", full.matrix, 8), 8)
-        wider, _ = stable_and_random(k=10)
-        for other, message in [(partial, "mixed run set kinds: ['partial', 'topk']"),
-                               (wider, "mixed run set shapes (t, k): [(40, 8), (40, 10)]")]:
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                distance_matrix([("a", stable), ("b", other)])
-
-    def test_unknown_distance_and_no_input_rejected(self):
-        stable, _ = stable_and_random()
-        with pytest.raises(ValueError, match="^unknown distance 'euclid', expected one of "):
-            distance_matrix([("a", stable)], distance="euclid")
-        with pytest.raises(ValueError, match="^need at least one run set$"):
-            distance_matrix([])
-
-    def test_metric_distance_requires_matching_kind(self):
-        stable, _ = stable_and_random()
-        with pytest.raises(MetricMismatchError):
-            distance_matrix([("a", stable)], distance="one-minus-spearman")
-
     def test_one_minus_kuncheva_distance(self):
         stable, _ = stable_and_random()
         dm = distance_matrix([("s", stable)], distance="one-minus-kuncheva")
         assert np.all(dm.d == 0)
-
-    def test_validation_of_raw_matrices(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            DistanceMatrix(np.array([[0, 1.0], [2.0, 0]]), (("a", 0), ("a", 1)))
-        with pytest.raises(ValueError, match="diagonal"):
-            DistanceMatrix(np.array([[1.0, 1.0], [1.0, 0]]), (("a", 0), ("a", 1)))
-        with pytest.raises(ValueError, match="non-negative"):
-            DistanceMatrix(np.array([[0, -1.0], [-1.0, 0]]), (("a", 0), ("a", 1)))
-        ragged = "^distances must be one rectangular array, not ragged nesting$"
-        with pytest.raises(ValueError, match=ragged):
-            DistanceMatrix([[0, 1], [1]], (("a", 0), ("a", 1)))  # ragged
-        with pytest.raises(ValueError, match="^distance matrix must be square$"):
-            DistanceMatrix(np.zeros((2, 3)), (("a", 0), ("a", 1)))
-        with pytest.raises(ValueError, match="^one label per point required$"):
-            DistanceMatrix(np.zeros((2, 2)), (("a", 0),))
-        with pytest.raises(TypeError, match="^labels must be \\(label, run\\) pairs, got 'a'$"):
-            DistanceMatrix(np.zeros((2, 2)), ("a", "b"))  # not pairs
-        for labels in (None, 5):  # len() would have named no field
-            with pytest.raises(TypeError, match=rf"^labels must be a sequence of \(label, run\) "
-                                                rf"pairs, got {labels}$"):
-                DistanceMatrix(np.zeros((2, 2)), labels)
-
-    def test_run_tag_must_be_an_integer(self):
-        # int() would have made run 0.7 into run 0
-        with pytest.raises(TypeError, match=r"^run must be an integer, got 0\.7$"):
-            DistanceMatrix(np.zeros((2, 2)), (("a", 0.7), ("a", 1)))
-
-    @pytest.mark.parametrize("label", [None, b"x", 0])
-    def test_label_must_be_a_str(self, label):
-        # str() would have printed None as 'None' and b'x' as "b'x'"
-        with pytest.raises(TypeError, match=rf"^label must be a str, got {re.escape(repr(label))}$"):
-            DistanceMatrix(np.zeros((2, 2)), (("a", 0), (label, 1)))
-
-    def test_non_numeric_distances_rejected(self):
-        # a float cast would have read the strings '1' as 1.0
-        with pytest.raises(ValueError, match="distances must be real numbers, got dtype <U1"):
-            DistanceMatrix(np.array([["0", "1"], ["1", "0"]]), (("a", 0), ("a", 1)))
-
-    @pytest.mark.parametrize("other", [math.nan, 1.0])
-    def test_nan_named_before_symmetry(self, other):
-        d = np.array([[0, math.nan], [other, 0]])
-        with pytest.raises(ValueError, match="must not contain NaN"):
-            DistanceMatrix(d, (("a", 0), ("a", 1)))
 
     def test_callers_array_stays_writable_and_independent(self):
         # the array rule makes no copy, so DistanceMatrix must take its own
@@ -211,39 +140,13 @@ class TestDistanceMatrix:
         # a relative tolerance would let 1.0 vs 1.00001 through, and
         # classical_mds reads only one triangle of the matrix
         labels = (("a", 0), ("a", 1))
-        with pytest.raises(ValueError, match="symmetric"):
+        with pytest.raises(ValueError) as refused:
             DistanceMatrix(np.array([[0, 1.0], [1.00001, 0]]), labels)
+        assert str(refused.value) == "distance matrix must be symmetric"
         DistanceMatrix(np.array([[0, 1.0], [1.0 + 1e-13, 0]]), labels)
 
 
-# an id that names the field and its fault: (coords, eigvals, stress)
-MALFORMED_EMBEDDINGS = {
-    "coords-1d": (np.zeros(3), (1.0, 2.0), 0.0),
-    "coords-3-columns": (np.zeros((3, 3)), (1.0, 2.0), 0.0),
-    "coords-nan": (np.array([[0.0, math.nan]]), (1.0, 2.0), 0.0),
-    "coords-inf": (np.array([[0.0, math.inf]]), (1.0, 2.0), 0.0),
-    "eigvals-one": (np.zeros((3, 2)), (1.0,), 0.0),
-    "eigvals-three": (np.zeros((3, 2)), (1.0, 2.0, 3.0), 0.0),
-    "eigvals-scalar": (np.zeros((3, 2)), 1.0, 0.0),
-    "eigvals-negative": (np.zeros((3, 2)), (1.0, -2.0), 0.0),
-    "eigvals-nan": (np.zeros((3, 2)), (math.nan, 2.0), 0.0),
-    "eigvals-inf": (np.zeros((3, 2)), (math.inf, 2.0), 0.0),
-    "eigvals-string": (np.zeros((3, 2)), ("1", 2.0), 0.0),
-    "stress-negative": (np.zeros((3, 2)), (1.0, 2.0), -1.0),
-    "stress-nan": (np.zeros((3, 2)), (1.0, 2.0), math.nan),
-    "stress-inf": (np.zeros((3, 2)), (1.0, 2.0), math.inf),
-    "stress-bool": (np.zeros((3, 2)), (1.0, 2.0), True),
-    "stress-None": (np.zeros((3, 2)), (1.0, 2.0), None),
-}
-
-
 class TestEmbedding:
-    @pytest.mark.parametrize("case", MALFORMED_EMBEDDINGS)
-    def test_refuses_malformed_fields(self, case):
-        field = case.split("-")[0]
-        with pytest.raises(ValueError, match=f"^{field} must be "):
-            Embedding(*MALFORMED_EMBEDDINGS[case])
-
     def test_coords_cast_and_frozen_like_distance_matrix(self):
         source = np.array([[1, 2], [3, 4], [5, 6]])
         emb = Embedding(source, np.array([2, 1]), 0)
@@ -335,18 +238,6 @@ class TestClassicalMds:
         emb = classical_mds(DistanceMatrix(pairwise(points), tuple(("p", i) for i in range(30))))
         assert emb.eigvals[0] == pytest.approx(4.0, abs=1e-9)
         assert emb.eigvals[1] == pytest.approx(1.0, abs=1e-9)
-
-    def test_infinite_distance_raises(self):
-        d = np.ones((3, 3)) - np.eye(3)
-        d[0, 1] = d[1, 0] = np.inf
-        dm = DistanceMatrix(d, (("p", 0), ("p", 1), ("p", 2)))
-        with pytest.raises(MdsConvergenceError, match="not finite"):
-            classical_mds(dm)
-
-    def test_needs_three_points(self):
-        d = np.zeros((2, 2))
-        with pytest.raises(ValueError, match="at least 3"):
-            classical_mds(DistanceMatrix(d, (("a", 0), ("a", 1))))
 
     def test_negative_eigenvalues_clamped(self):
         # a 4-point star metric that is not Euclidean-embeddable in 2D

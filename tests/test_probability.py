@@ -6,7 +6,6 @@ implementation under test. Each list is mapped as a row of a run set.
 """
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabrank import (
-    DegenerateNormalizerError,
     RunSet,
     normalizer,
     run_probabilities,
@@ -47,13 +45,6 @@ class TestProbOfRank:
     @pytest.mark.parametrize("t", [1, 2, 5, 33])
     def test_last_rank_closed_form(self, t):
         assert weights(t)[-1] == pytest.approx((1 + 1 / t) / (2 * t), abs=1e-15)
-
-    def test_out_of_range(self):
-        # a rank outside 1..t never reaches the map: the run set refuses it
-        with pytest.raises(ValueError, match="rank 0 out of range 1..5"):
-            mapped("full", [0, 1, 2, 3, 4])
-        with pytest.raises(ValueError, match="rank 6 out of range 1..5"):
-            mapped("full", [1, 2, 3, 4, 6])
 
     @pytest.mark.parametrize("t", [1, 2, 3, 10, 211])
     def test_sums_to_one(self, t):
@@ -173,46 +164,10 @@ class TestNormalizer:
     def test_partial_with_k_equals_t_matches_full(self):
         assert normalizer("partial", 17, 17) == normalizer("full", 17)
 
-    def test_degenerate_cases_raise(self):
-        with pytest.raises(DegenerateNormalizerError):
-            normalizer("topk", 9, 9)
-        with pytest.raises(DegenerateNormalizerError):
-            normalizer("full", 1)
-        with pytest.raises(DegenerateNormalizerError):
-            normalizer("partial", 1, 1)
-
     def test_positive_for_proper_sublists(self):
         for t, k in [(3, 1), (3, 2), (100, 99), (100, 1)]:
             assert normalizer("topk", t, k) > 0
             assert normalizer("partial", t, k) > 0
-
-    def test_argument_checks(self):
-        for args, message in [
-            (("full", 5, 3), "kind=full requires k == t, got k=3, t=5"),
-            (("topk", 5), "topk kind requires k"),
-            (("partial", 5), "partial kind requires k"),
-            (("topk", 5, 6), "k=6 out of range 1..5"),
-            (("banana", 5, 3),
-             "unknown kind 'banana', expected one of ('full', 'partial', 'topk')"),
-        ]:
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                normalizer(*args)
-
-    @pytest.mark.parametrize(
-        "args, name",
-        [
-            (("topk", 10, 2.5), "k"),
-            (("topk", 10, 2.0), "k"),
-            (("partial", 10, True), "k"),
-            (("topk", 10.5, 2), "t"),
-            (("full", 10.0), "t"),
-            (("full", "10"), "t"),
-        ],
-        ids=["k=2.5", "k=2.0", "k=True", "t=10.5", "full-t=10.0", "t='10'"],
-    )
-    def test_non_integer_shape_raises_type_error(self, args, name):
-        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
-            normalizer(*args)
 
     def test_integer_types_accepted(self):
         assert normalizer("topk", np.int64(10), np.int32(2)) == normalizer("topk", 10, 2)
