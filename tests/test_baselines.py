@@ -26,6 +26,7 @@ from stabrank import (
 from stabrank import baselines
 from conftest import EXAMPLE_MASKS, random_run_set, traced_peak
 from oracles import oracle_jaccard, oracle_kuncheva, oracle_spearman
+from test_refusals import check_refusal, table_rows
 
 
 def mask_pairs(t: int, ks):
@@ -44,6 +45,11 @@ class TestSpearman:
         # the coefficient is computed as defined, without clamping to [0, 1]
         assert spearman((1, 2, 3), (3, 2, 1)) == pytest.approx(-1.0, abs=1e-15)
         assert spearman((1, 2), (2, 1)) == pytest.approx(-1.0, abs=1e-15)
+
+    @table_rows("spearman-", "duplicate", "zero-rank", "fraction", "two-dimensional",
+                "int-above-2**53")
+    def test_rejects_non_permutations(self, row):
+        check_refusal(row)
 
     @given(st.permutations(list(range(1, 8))), st.permutations(list(range(1, 8))))
     @settings(max_examples=60, deadline=None)
@@ -74,6 +80,10 @@ class TestKuncheva:
         b = (0, 0, 1, 1)
         assert kuncheva(a, b) < 0
 
+    @table_rows("kuncheva-", "two", "negative", "fraction", "length-mismatch")
+    def test_rejects_non_binary(self, row):
+        check_refusal(row)
+
     def test_exhaustive_set_arithmetic_oracle(self):
         for a, b in mask_pairs(6, (1, 2, 3, 5)):
             assert kuncheva(a, b) == pytest.approx(oracle_kuncheva(a, b), abs=1e-14)
@@ -95,6 +105,11 @@ class TestJaccard:
         for a, b in mask_pairs(5, (1, 2, 4)):
             assert jaccard(a, b) == pytest.approx(oracle_jaccard(a, b), abs=1e-14)
             assert 0.0 <= jaccard(a, b) <= 1.0
+
+
+    @table_rows("jaccard-", "two", "negative", "fraction", "length-mismatch")
+    def test_rejects_non_binary(self, row):
+        check_refusal(row)
 
 
 class TestPairwiseStability:

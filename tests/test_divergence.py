@@ -31,6 +31,7 @@ from stabrank import divergence
 from stabrank.lists import _integers
 from conftest import random_run_set, record_calls, traced_peak
 from oracles import decimal_d_js, fsum_js_multi
+from test_refusals import check_refusal, table_rows
 
 LN2 = math.log(2.0)
 
@@ -405,6 +406,14 @@ class TestSameBitsAsBefore:
         terms; the 0.5.2 body masks every row, so it checks them independently."""
         rs = random_run_set(fixed, kind, 2000, 600, 100, fixed)
         assert js_stability(rs).d_js.hex() == v052_js_multi(run_probabilities(rs)).hex()
+
+
+@table_rows("", "js_pair-bool-p", "kl-nan-in-p", "js_multi-nan-entry", "js_pair-inf-in-q",
+            "kl-minus-inf-in-p", "kl-negative-p", "js_pair-negative-q", "js_multi-negative-entry",
+            "js_pair-2d-p", "js_pair-scalar-p", "kl-short-p", "js_pair-midpoint-underflow",
+            "js_multi-midpoint-underflow", "kl-2d-q", "js_pair-nan-in-q")
+def test_refusals_name_their_problem(row):
+    check_refusal(row)
 
 
 def test_the_check_runs_once_per_input(monkeypatch):

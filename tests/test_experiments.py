@@ -17,6 +17,7 @@ from stabrank import (
     run_experiment,
 )
 from conftest import preset_shapes, record_calls, traced_peak
+from test_refusals import check_refusal, table_rows
 
 SMALL = dict(t=40, k=8, runs=6)
 COLUMNS = {"fig4": "i", "fig5": "i", "fig6": "lambda", "fig7": "q"}
@@ -26,6 +27,17 @@ GENERATORS = {
     "fig6": (gen_overlap_family, "lam"),
     "fig7": (gen_rank_shuffle_family, "q"),
 }
+
+
+@table_rows("run_experiment-", ("fig4", "fig4-overlap"), ("fig5", "fig5-overlap"),
+            ("fig7", "fig7-overlap"))
+def test_overlap_outside_fig6_is_refused(row):
+    check_refusal(row)
+
+
+@table_rows("run_experiment-", "fixed-3", "lam-0.5", "q-0.5", "points-6")
+def test_unknown_keyword_is_refused(row):
+    check_refusal(row)
 
 
 def test_fig4_ignores_k():
@@ -124,6 +136,11 @@ def test_selected_sets_do_not_move_along_a_partial_curve(case):
         np.testing.assert_array_equal(rs.to_topk().matrix, first)
 
 
+@table_rows("run_experiment-fig6-", "overlap-equals-k", "pool-exhausted")
+def test_overlap_family_errors_are_unchanged(row):
+    check_refusal(row)
+
+
 # Peak traced bytes of one sweep at t=1000, k=300, runs=50 with one generator
 # call per point (version 0.4.1): 4.44 (fig4) and 4.46 (fig6) K x t int64
 # matrices. The anchor a composed sweep holds may add one more matrix; a
@@ -138,3 +155,10 @@ def test_anchors_add_at_most_one_matrix(name):
     _, peak = traced_peak(lambda: run_experiment(name, 1, **shape))
     matrix = 8 * shape["runs"] * shape["t"]
     assert peak <= ONE_CALL_PER_POINT_PEAK[name] + matrix + 64 * 1024
+
+
+@table_rows("run_experiment-", ("fig5-None-shape0-seed", "seed-None"),
+            ("fig5-0-shape1-t", "t-30.5"), ("fig5-0-shape2-runs", "runs-4.0"),
+            ("fig6-0-shape3-overlap", "overlap-3.5"))
+def test_non_integer_shape_is_refused(row):
+    check_refusal(row)

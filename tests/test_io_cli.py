@@ -11,6 +11,7 @@ from stabrank.cli import main
 from stabrank.runset_io import read_columns
 from conftest import EXAMPLE_FULL, EXAMPLE_MASKS, random_run_set, traced_peak
 from oracles import per_cell_text
+from test_refusals import check_refusal, table_rows
 
 FULL_TEXT = per_cell_text("full", 10, EXAMPLE_FULL)
 MASK_TEXT = per_cell_text("topk", 4, EXAMPLE_MASKS)
@@ -27,6 +28,11 @@ class TestParsing:
         assert serialize_runset(parse_runset(FULL_TEXT)) == FULL_TEXT
         assert serialize_runset(parse_runset(MASK_TEXT)) == MASK_TEXT
 
+    @table_rows("parse_runset-cell-", "plus", "space", "tab", "leading-zeros", "underscore",
+                "arabic-indic-one", "minus-zero", "int64-max-plus-one")
+    def test_cell_outside_grammar_named_raw(self, row):
+        check_refusal(row)
+
     def test_int64_max_cell_reaches_validation(self, tmp_path, capsys):
         text = "#stabrank v1 kind=full t=2 k=2 K=2\n1,2\n2,9223372036854775807\n"
         assert read_columns(text)[1].tolist() == [[1, 2], [2, 2**63 - 1]]
@@ -34,6 +40,11 @@ class TestParsing:
         path.write_text(text, encoding="utf-8")
         assert main(["validate", str(path)]) == 3
         assert "column 2: rank 9223372036854775807 out of range 1..2" in capsys.readouterr().out
+
+    @table_rows("parse_runset-header-", "trailing-space", "carriage-return", "leading-zero",
+                "arabic-indic-two", "huge-K")
+    def test_header_outside_grammar(self, row):
+        check_refusal(row)
 
     def test_non_utf8_file(self, tmp_path):
         path = tmp_path / "latin1.csv"

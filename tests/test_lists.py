@@ -21,6 +21,7 @@ from stabrank.runset_io import parse_header
 from conftest import EXAMPLE_FULL, EXAMPLE_K, EXAMPLE_MASKS, EXAMPLE_PARTIAL
 from conftest import random_lists, random_run_set, read_as, traced_peak
 from oracles import per_cell_text
+from test_refusals import check_refusal, table_rows
 
 
 class TestValidate:
@@ -359,6 +360,12 @@ class TestRunSet:
 class TestNoCoercion:
     """A matrix entry or a ``k`` that is not an exact integer is refused, never cast."""
 
+    @table_rows("RunSet-", "fraction", "fraction-run-1", "string", "nan", "inf", "complex",
+                "python-int-beyond-int64", "python-int-read-as-float", "uint64-beyond-int64",
+                "python-int-above-2**53")
+    def test_rejects_non_integral_matrix(self, row):
+        check_refusal(row)
+
     def test_integral_floats_are_exact(self):
         # accepted entry for entry when integral
         for exact in (np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[1, 2.0], [2, 1]], dtype=object)):
@@ -368,6 +375,14 @@ class TestNoCoercion:
         # asarray reads this list as floats and rounds 2**63 - 1 up to 2**63
         assert _integers([2**63 - 1, 1.0], "list", ("features",)).tolist() == [2**63 - 1, 1]
         assert _integers([2**53 + 1, 1.0], "list", ("features",)).tolist() == [2**53 + 1, 1]
+
+    @table_rows("RunSet-k-", "fraction", "float", "bool")
+    def test_run_set_k_must_be_an_integer(self, row):
+        check_refusal(row)
+
+    @table_rows("to_topk-full-k-", "fraction", "float", "bool")
+    def test_to_topk_k_must_be_an_integer(self, row):
+        check_refusal(row)
 
     def test_to_topk_keeps_a_truncated_run_sets_own_k(self, partial_run_set, mask_run_set):
         assert partial_run_set.to_topk(EXAMPLE_K).k == mask_run_set.to_topk(EXAMPLE_K).k == EXAMPLE_K

@@ -21,6 +21,7 @@ from stabrank import (
     run_probabilities,
 )
 from conftest import random_lists, random_run_set, record_calls
+from test_refusals import check_refusal, table_rows
 
 SQRT_LN2 = math.sqrt(math.log(2.0))
 
@@ -126,6 +127,14 @@ class TestDistanceMatrix:
         dm = distance_matrix([("s", stable)], distance="one-minus-kuncheva")
         assert np.all(dm.d == 0)
 
+    @table_rows("DistanceMatrix-label-", "None", ("x", "bytes"), "0")
+    def test_label_must_be_a_str(self, row):
+        check_refusal(row)
+
+    @table_rows("DistanceMatrix-nan-and-", "nan", ("1.0", "1"))
+    def test_nan_named_before_symmetry(self, row):
+        check_refusal(row)
+
     def test_callers_array_stays_writable_and_independent(self):
         # the array rule makes no copy, so DistanceMatrix must take its own
         # before it freezes it
@@ -147,6 +156,13 @@ class TestDistanceMatrix:
 
 
 class TestEmbedding:
+    @table_rows("Embedding-", "coords-1d", "coords-3-columns", "coords-nan", "coords-inf",
+                "eigvals-one", "eigvals-three", "eigvals-scalar", "eigvals-negative",
+                "eigvals-nan", "eigvals-inf", "eigvals-string", "stress-negative", "stress-nan",
+                "stress-inf", "stress-bool", "stress-None")
+    def test_refuses_malformed_fields(self, row):
+        check_refusal(row)
+
     def test_coords_cast_and_frozen_like_distance_matrix(self):
         source = np.array([[1, 2], [3, 4], [5, 6]])
         emb = Embedding(source, np.array([2, 1]), 0)

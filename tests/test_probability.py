@@ -20,6 +20,7 @@ from stabrank import (
 from stabrank.probability import _rank_weights
 from conftest import random_run_set, read_as
 from oracles import oracle_normalizer, oracle_row, oracle_weight
+from test_refusals import check_refusal, table_rows
 
 
 def mapped(kind: str, row, k: int | None = None) -> np.ndarray:
@@ -168,6 +169,10 @@ class TestNormalizer:
         for t, k in [(3, 1), (3, 2), (100, 99), (100, 1)]:
             assert normalizer("topk", t, k) > 0
             assert normalizer("partial", t, k) > 0
+
+    @table_rows("normalizer-", "k=2.5", "k=2.0", "k=True", "t=10.5", "full-t=10.0", "t='10'")
+    def test_non_integer_shape_raises_type_error(self, row):
+        check_refusal(row)
 
     def test_integer_types_accepted(self):
         assert normalizer("topk", np.int64(10), np.int32(2)) == normalizer("topk", 10, 2)

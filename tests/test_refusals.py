@@ -3,7 +3,9 @@
 ``REFUSALS`` maps an id, ``<function>-<input>``, to ``(call, args, error,
 message)``; ``test_refusal`` asserts that ``call(*args)`` raises exactly
 ``error`` and that its text is exactly ``message``. ``rows`` builds the rows
-of one call. A message that prints a number is given a Python scalar, so that
+of one call. A parametrized family of refusals in another module keeps its
+name and case ids by running its rows through ``check_refusal`` under
+``table_rows``. A message that prints a number is given a Python scalar, so that
 no message depends on the numpy version.
 ``test_every_refusal_in_src_is_reached`` runs every row, and every call of
 the cross table of ``tests/test_array_rule.py``, under ``sys.settrace``:
@@ -422,12 +424,27 @@ REFUSALS = {
 }
 
 
-@pytest.mark.parametrize("call, args, error, message", REFUSALS.values(), ids=list(REFUSALS))
-def test_refusal(call, args, error, message):
+def check_refusal(row: str):
+    """The call of ``REFUSALS[row]`` raises exactly its error, with exactly its message."""
+    call, args, error, message = REFUSALS[row]
     with pytest.raises(error) as refused:
         call(*args)
     assert type(refused.value) is error
     assert str(refused.value) == message
+
+
+def table_rows(prefix: str, *cases):
+    """Parametrize ``row`` over the rows ``prefix + case``, each under its case as
+    its id, or under ``id`` for a case given as ``(id, case)``: a family of cases
+    in another module keeps its test name and ids while the table holds its rows."""
+    cases = [(case, case) if isinstance(case, str) else case for case in cases]
+    return pytest.mark.parametrize("row", [prefix + case for _, case in cases],
+                                   ids=[case_id for case_id, _ in cases])
+
+
+@pytest.mark.parametrize("row", REFUSALS)
+def test_refusal(row):
+    check_refusal(row)
 
 
 # the statements that no row reaches, each with the test that reaches it

@@ -13,6 +13,7 @@ from stabrank import (
     js_stability,
     row_violations,
 )
+from test_refusals import check_refusal, table_rows
 
 
 def cfg(**kwargs) -> ExperimentConfig:
@@ -22,6 +23,20 @@ def cfg(**kwargs) -> ExperimentConfig:
 
 
 class TestExperimentConfig:
+    @table_rows("ExperimentConfig-", "t-0", "k-0", "k-41", "runs-1", "fixed--1", "fixed-7",
+                "lam-1.5", "q--0.1", "overlap-0", "overlap-11")
+    def test_rejects_out_of_range(self, row):
+        check_refusal(row)
+
+    @table_rows("ExperimentConfig-", "k-10.5", "runs-True", "seed-3.0", "fixed-1.0")
+    def test_rejects_non_integers(self, row):
+        check_refusal(row)
+
+    @table_rows("ExperimentConfig-", "lam-True", "q-True", ("q-0.5", "q-'0.5'"), "lam-None",
+                ("q-value4", "q-False"), "lam-0.5j")
+    def test_rejects_non_real_knobs(self, row):
+        check_refusal(row)
+
     def test_real_knobs_accepted(self):
         config = cfg(lam=1, q=np.float64(0.25))
         assert (config.lam, config.q) == (1, 0.25)
