@@ -135,9 +135,9 @@ def _check_metric(run_set: RunSet, metric: str) -> None:
 def pairwise_stability(run_set: RunSet, metric: str) -> PairwiseStability:
     """Average a similarity metric over all P = K(K-1)/2 unordered pairs.
 
-    Spearman and Kuncheva are exact integer sums over columns, rounded once
-    (docs/derivations.md#column-sums); Jaccard averages the
-    ``similarity_matrix`` pairs.
+    Spearman and Kuncheva are exact integer sums over columns, rounded once,
+    and Spearman needs only the rank sums (docs/derivations.md#column-sums);
+    Jaccard averages the ``similarity_matrix`` pairs.
     """
     _check_metric(run_set, metric)
     runs, t, k = run_set.runs, run_set.t, run_set.k
@@ -145,12 +145,12 @@ def pairwise_stability(run_set: RunSet, metric: str) -> PairwiseStability:
         values = similarity_matrix(run_set, metric)[np.triu_indices(runs, 1)]
         return PairwiseStability(metric_name=metric, phi=math.fsum(values) / len(values))
     pairs = runs * (runs - 1) // 2
-    # int64 sums: einsum would otherwise add in the stored dtype, as narrow as int8
-    s1 = run_set.matrix.sum(axis=0, dtype=np.int64)
+    s1 = run_set.matrix.sum(axis=0, dtype=np.int64)  # int64: the stored dtype may be int8
     if metric == "spearman":
-        s2 = np.einsum("ij,ij->j", run_set.matrix, run_set.matrix, dtype=np.int64)
+        # the sum of all squared ranks: each row is a permutation of 1..t
+        squares = runs * t * (t + 1) * (2 * t + 1) // 6
         scale = pairs * t * (t * t - 1)
-        phi = (scale - 6 * sum((runs * s2 - s1 * s1).tolist())) / scale
+        phi = (scale - 6 * (runs * squares - sum((s1 * s1).tolist()))) / scale
     else:
         overlaps = sum((s1 * (s1 - 1) // 2).tolist())
         phi = (t * overlaps - pairs * k * k) / (pairs * k * (t - k))

@@ -10,9 +10,11 @@ so identical lists score 1, and random lists score about 0 as K grows
 (docs/derivations.md#normalizer). All divergences are in nats. Masks are
 scored from their selection counts, rankings through ``js_multi``'s
 reduction, ``_js_rows``, which maps a block of rows at a time, so no K x t
-float64 matrix is made from a run set. Caller input to ``kl``, ``js_pair``
+float64 matrix is made from a run set, and forms the KL terms of a chunk of
+rows at a time in one reused buffer. Caller input to ``kl``, ``js_pair``
 and ``js_multi`` is checked once, by ``_distribution``, and the KL term
-``p ln(p / q)`` is written once, in ``_kl_terms``.
+``p ln(p / q)`` is written once, in ``_kl_terms``, which sets the terms
+where p = 0 to 0 by one ``fmax`` instead of a boolean scatter.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .lists import RunSet, _array
 from .probability import normalizer, run_probabilities
 
 _BLOCK_CELLS = 1 << 20  # cells that ``_js_rows`` reads at a time: 8 MiB of float64
+_CHUNK_CELLS = 1 << 16  # cells of KL terms that ``_js_rows`` forms at a time: 512 KiB
 
 
 class SupportMismatchError(ValueError):
@@ -62,18 +65,19 @@ def _distributions(p, q) -> tuple[np.ndarray, np.ndarray]:
 def _kl_terms(p: np.ndarray, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``p_i ln(p_i / q_i)`` where p_i > 0, and 0 elsewhere; unchecked input.
 
-    Every entry is divided, into ``out`` when given, and the quotient is set
-    to 1 where p_i = 0, so those terms are ``0 * ln 1 = 0``
-    (docs/derivations.md#js-rows). Raises ``SupportMismatchError`` where
-    p_i > 0 = q_i, which includes a q_i that underflowed to 0 (a midpoint
-    ``0.5 * 5e-324``).
+    Every entry is divided, into ``out`` when given, and the quotient is
+    raised to 1 where p_i = 0 by one ``fmax`` with the 0/1 of ``p == 0``, so
+    those terms are ``0 * ln 1 = 0`` (docs/derivations.md#js-rows). ``p`` and
+    ``q`` may be rows of one shape or broadcast against each other. Raises
+    ``SupportMismatchError`` where p_i > 0 = q_i, which includes a q_i that
+    underflowed to 0 (a midpoint ``0.5 * 5e-324``).
     """
     try:
-        with np.errstate(divide="raise", invalid="ignore"):  # 0/0 is overwritten below
+        with np.errstate(divide="raise", invalid="ignore"):  # fmax drops the NaN of a 0/0
             ratio = np.divide(p, q, out=out)
+            np.fmax(ratio, p == 0, out=ratio)
     except FloatingPointError:
         raise SupportMismatchError("p has probability mass where q has none") from None
-    ratio[p == 0] = 1.0
     return np.multiply(p, np.log(ratio, out=ratio), out=ratio)
 
 
@@ -120,8 +124,9 @@ def _js_rows(m: np.ndarray, probabilities=None) -> float:
     ``probabilities`` is given, a matrix that it maps injectively to them:
     ``probabilities(rows)`` returns the float64 rows of the slice ``rows``.
     Rows that all equal the first give 0. Otherwise each block is mapped once
-    per pass, or once in all when there is one, in O(t) working memory
-    besides the block.
+    per pass, or once in all when there is one, and the KL terms are formed
+    a chunk of whole rows (at most ``_CHUNK_CELLS`` cells, or one row) at a
+    time in one buffer, in O(t) working memory besides the block.
     """
     runs, t = m.shape
     if runs < 2:
@@ -135,13 +140,18 @@ def _js_rows(m: np.ndarray, probabilities=None) -> float:
         mapped = probabilities(blocks[0])
         probabilities = lambda _: mapped
 
-    def rows():
-        for block in blocks:
-            yield from probabilities(block)
+    mean = _column_sums((row for block in blocks for row in probabilities(block)), t) / runs
+    chunk = max(1, _CHUNK_CELLS // max(1, t))
+    buffer = np.empty((min(chunk, runs), t))  # a chunk's terms, summed before the next's
 
-    mean = _column_sums(rows(), t) / runs
-    terms = np.empty(t)  # each row's terms, added to the sums before the next row's
-    return math.fsum(_column_sums((_kl_terms(row, mean, terms) for row in rows()), t)) / runs
+    def terms():
+        for block in blocks:
+            rows = probabilities(block)
+            for start in range(0, len(rows), chunk):
+                part = rows[start : start + chunk]
+                yield from _kl_terms(part, mean, buffer[: len(part)])
+
+    return math.fsum(_column_sums(terms(), t)) / runs
 
 
 def js_multi(ps) -> float:

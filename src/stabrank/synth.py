@@ -15,15 +15,17 @@ Four scenario families, each returning one ``RunSet``:
   rankings (q=0) to independently shuffled ones (q=1).
 
 Randomness comes from numpy's PCG64 generator. Per-run streams are derived
-by ``SeedSequence(seed).spawn``: child 0 drives the shared arrangement,
-child j+1 drives run j. Identical configs therefore reproduce bit-identical
-run sets, and the stream layout is part of the golden-file contract.
+by ``SeedSequence(seed).spawn``, once per (seed, runs): child 0 drives the
+shared arrangement, child j+1 drives run j. Identical configs therefore
+reproduce bit-identical run sets, and the stream layout is part of the
+golden-file contract.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -86,8 +88,16 @@ class ExperimentConfig:
             raise ValueError(f"overlap={self.overlap} out of range 1..k={self.k}")
 
 
+@lru_cache(maxsize=8)
+def _children(seed: int, runs: int) -> tuple[np.random.SeedSequence, ...]:
+    """``SeedSequence(seed).spawn(runs + 1)``, spawned once per (seed, runs): the
+    children depend on nothing else (docs/derivations.md#stream-layout)."""
+    return tuple(np.random.SeedSequence(seed).spawn(runs + 1))
+
+
 def _rngs(cfg: ExperimentConfig) -> tuple[np.random.Generator, list[np.random.Generator]]:
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.runs + 1)
+    """Fresh generators of the shared stream and of each run's, from ``_children``."""
+    children = _children(cfg.seed, cfg.runs)
     shared = np.random.default_rng(children[0])
     per_run = [np.random.default_rng(c) for c in children[1:]]
     return shared, per_run

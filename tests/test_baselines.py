@@ -181,6 +181,19 @@ class TestPairwiseStability:
             math.fsum(pairs) / len(pairs), abs=1e-15
         )
 
+    @given(st.sampled_from([2, 11, 12, 181, 182, 600]), st.sampled_from([2, 3, 15]),
+           st.integers(0, 15), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_rank_sums_alone_keep_the_bits(self, t, runs, fixed, seed):
+        """Spearman from S1 alone is the form that sums S2 by ``einsum``, by
+        ``float.hex``, over int8 (t <= 11), int16 (t <= 181) and int32 storage."""
+        m = random_run_set(seed, "full", t, t, runs, min(fixed, runs)).matrix
+        s1 = m.sum(axis=0, dtype=np.int64)
+        s2 = np.einsum("ij,ij->j", m, m, dtype=np.int64)
+        scale = runs * (runs - 1) // 2 * t * (t * t - 1)
+        want = (scale - 6 * sum((runs * s2 - s1 * s1).tolist())) / scale
+        assert pairwise_stability(RunSet("full", m), "spearman").phi.hex() == want.hex()
+
     def test_column_sum_means_raise_like_similarity_matrix(self, full_run_set, mask_run_set):
         for run_set, metric in (
             (RunSet("full", [[1], [1]]), "spearman"),

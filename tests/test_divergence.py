@@ -6,8 +6,10 @@ described in ``tests/oracles.py``, and criterion 08 holds ``s_js`` to the
 entropy identity. ``TestRowBlocks`` holds the d_js of rankings mapped a
 block of rows at a time to that of the whole matrix, by ``float.hex``.
 ``kl``, ``js_pair`` and ``js_multi`` are held bit for bit to their 0.5.2
-bodies (``v052_*``). Every input their check refuses has a row in
-``tests/test_refusals.py`` or in the cross table of ``tests/test_array_rule.py``.
+bodies (``v052_*``), which form the KL terms one row at a time, and so is
+``TestChunks``' reduction a chunk of rows at a time. Every input their check
+refuses has a row in ``tests/test_refusals.py`` or in the cross table of
+``tests/test_array_rule.py``.
 """
 
 import math
@@ -29,7 +31,7 @@ from stabrank import (
 )
 from stabrank import divergence
 from stabrank.lists import _integers
-from conftest import random_run_set, record_calls, traced_peak
+from conftest import random_lists, random_run_set, record_calls, traced_peak
 from oracles import decimal_d_js, fsum_js_multi
 from test_refusals import check_refusal, table_rows
 
@@ -406,6 +408,75 @@ class TestSameBitsAsBefore:
         terms; the 0.5.2 body masks every row, so it checks them independently."""
         rs = random_run_set(fixed, kind, 2000, 600, 100, fixed)
         assert js_stability(rs).d_js.hex() == v052_js_multi(run_probabilities(rs)).hex()
+
+
+def chunk_and_block(draw, t: int, runs: int) -> tuple[int, int]:
+    """A chunk of 1, t - 1, t, t + 1 or 3t cells, and a block of ``runs * t``
+    cells, all the rows, or of one cell fewer, which takes ``runs - 1`` rows."""
+    return draw(st.sampled_from([1, t - 1, t, t + 1, 3 * t])), runs * t - draw(st.integers(0, 1))
+
+
+@st.composite
+def chunked_rankings(draw):
+    """Full or partial rankings at a t on either side of a storage width, the
+    partial ones at k = 1, k = t or between and some with a feature that no
+    run ranks; K = 2 often and all rows identical at times; with
+    ``chunk_and_block``."""
+    kind = draw(st.sampled_from(["full", "partial"]))
+    t = draw(st.sampled_from([2, 11, 12, 181, 182, 600]))
+    unranked = kind == "partial" and draw(st.booleans())
+    ranked = t - unranked
+    k = ranked if kind == "full" else draw(st.sampled_from([1, ranked]) | st.integers(1, ranked))
+    runs = draw(st.just(2) | st.integers(2, 12))
+    lists = random_lists(draw(st.integers(0, 2**32 - 1)), kind, ranked, k, runs,
+                         draw(st.integers(0, runs)))
+    if unranked:  # its cells are 0/0 in the KL terms
+        lists = np.insert(lists, draw(st.integers(0, ranked)), 0, axis=1)
+    return RunSet(kind, lists, None if kind == "full" else k), *chunk_and_block(draw, t, runs)
+
+
+@st.composite
+def chunked_vectors(draw):
+    """``vectors_with_zeros`` with one entry zero in every vector, and
+    ``chunk_and_block``."""
+    m = draw(vectors_with_zeros())
+    m[:, draw(st.integers(0, m.shape[1] - 1))] = 0.0
+    return m, *chunk_and_block(draw, *m.shape[::-1])
+
+
+class TestChunks:
+    """``_js_rows`` forms the KL terms a chunk of whole rows at a time; the
+    result is that of the per-row body ``v052_js_multi``, bit for bit, at
+    every chunk size and on either side of one block."""
+
+    @given(chunked_rankings())
+    @example((random_run_set(3, "full", 2, 2, 2), 1, 3))
+    @example((RunSet("partial", [[1, 0, 0], [0, 0, 1]], 1), 4, 5))  # feature 1 unranked
+    @example((random_run_set(5, "partial", 12, 12, 7, fixed=7), 36, 84))  # identical rows
+    @settings(max_examples=150, deadline=None)
+    def test_chunks_keep_the_per_row_bits(self, drawn):
+        run_set, chunk, block = drawn
+        probs = run_probabilities(run_set)
+        want = v052_js_multi(probs).hex()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(divergence, "_CHUNK_CELLS", chunk)
+            patch.setattr(divergence, "_BLOCK_CELLS", block)
+            assert js_stability(run_set).d_js.hex() == want
+            assert js_multi(probs).hex() == want
+
+    @given(chunked_vectors())
+    @settings(max_examples=150, deadline=None)
+    def test_shared_zeros_keep_the_bits_and_warn_of_nothing(self, drawn):
+        """The 0/0 cells of a zero that every vector shares; a warning would
+        fail the test, since the suite turns warnings into errors."""
+        m, chunk, block = drawn
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(divergence, "_CHUNK_CELLS", chunk)
+            patch.setattr(divergence, "_BLOCK_CELLS", block)
+            assert outcome(js_multi, m) == outcome(v052_js_multi, m)
+        for p, q in ((m[0], m[1]), (m[1], m[0])):
+            assert outcome(kl, p, q) == outcome(v052_kl, p, q)
+            assert outcome(js_pair, p, q) == outcome(v052_js_pair, p, q)
 
 
 @table_rows("", "js_pair-bool-p", "kl-nan-in-p", "js_multi-nan-entry", "js_pair-inf-in-q",

@@ -231,7 +231,6 @@ def test_to_topk_writes_one_byte_per_cell():
 # the sums over a stored matrix that the scan below must find
 KNOWN_SUMS = {
     ("baselines.py", "pairwise_stability", "sum"),
-    ("baselines.py", "pairwise_stability", "einsum"),
     ("divergence.py", "_js_masks", "sum"),
 }
 

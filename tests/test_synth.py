@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stabrank import synth
 from stabrank import (
     ExperimentConfig,
     RunSet,
@@ -166,3 +167,36 @@ class TestConsistencyWithRunSetModel:
         rs = generator(cfg(**kwargs))
         rebuilt = RunSet(rs.kind, rs.matrix, rs.k)
         assert np.array_equal(rebuilt.matrix, rs.matrix)
+
+
+@pytest.mark.parametrize(
+    "generator, kwargs",
+    [
+        (gen_ranking_family, dict(fixed=2)),
+        (gen_subset_family, dict(fixed=2)),
+        (gen_overlap_family, dict(overlap=4, lam=0.5)),
+        (gen_rank_shuffle_family, dict(q=0.5)),
+    ],
+)
+def test_cached_children_give_the_fresh_spawn_bytes(monkeypatch, generator, kwargs):
+    """Run sets from the cached children are those of a fresh
+    ``SeedSequence(seed).spawn(runs + 1)``, byte for byte: for one seed at two
+    ``runs``, on the call that fills the cache, on one that hits it and on
+    one after other configs evicted it; no cached child has spawned."""
+    configs = [cfg(runs=runs, **kwargs) for runs in (6, 9)]
+    with monkeypatch.context() as patch:
+        patch.setattr(synth, "_children",
+                      lambda seed, runs: np.random.SeedSequence(seed).spawn(runs + 1))
+        fresh = [generator(config).matrix.tobytes() for config in configs]
+    synth._children.cache_clear()
+    for _ in range(2):  # the first round fills the cache, the second hits it
+        assert [generator(config).matrix.tobytes() for config in configs] == fresh
+    assert synth._children.cache_info()[:2] == (2, 2)  # hits, misses
+    maxsize = synth._children.cache_info().maxsize
+    for seed in range(maxsize):  # seeds other than cfg's evict both configs
+        generator(cfg(seed=seed, **kwargs))
+    assert [generator(config).matrix.tobytes() for config in configs] == fresh
+    assert synth._children.cache_info().misses == 2 + maxsize + 2
+    children = [child for config in configs for child in synth._children(config.seed, config.runs)]
+    assert len(children) == 7 + 10
+    assert all(child.n_children_spawned == 0 for child in children)
