@@ -25,12 +25,12 @@ class DegenerateNormalizerError(ValueError):
 
 @lru_cache(maxsize=64)
 def _rank_weights(n: int) -> np.ndarray:
-    """Probability of ranks 1..n of an n-long ranked list, cached per n and frozen:
-    ``w[r-1] = (1/2n) * (1 + H_n - H_{r-1})``, H the harmonic numbers
-    (docs/derivations.md#rank-weights)."""
+    """Probability of ranks 0..n of an n-long ranked list, cached per n and frozen:
+    ``w[r] = (1/2n) * (1 + H_n - H_{r-1})`` for r >= 1, H the harmonic numbers, and
+    ``w[0] = 0`` for an unranked feature (docs/derivations.md#rank-weights)."""
     h = np.cumsum(1.0 / np.arange(1, n + 1))
     tail = h[-1] - np.concatenate(([0.0], h[:-1]))  # sum_{m=r}^{n} 1/m
-    w = (1.0 + tail) / (2.0 * n)
+    w = np.concatenate(([0.0], (1.0 + tail) / (2.0 * n)))
     w.setflags(write=False)
     return w
 
@@ -43,10 +43,9 @@ def run_probabilities(run_set: RunSet, rows: slice | None = None) -> np.ndarray:
     map. Ranks and mask entries index a table of their weights through
     ``lists._lookup``.
     """
-    weights = [1.0 / run_set.k] if run_set.kind == "topk" else _rank_weights(run_set.k)
-    m = run_set.matrix if rows is None else run_set.matrix[rows]
-    # 0 (unselected, unranked) reads 0; full rankings have k = t and no zeros
-    return _lookup(np.concatenate(([0.0], weights)), m)
+    k = run_set.k
+    table = np.array([0.0, 1.0 / k]) if run_set.kind == "topk" else _rank_weights(k)
+    return _lookup(table, run_set.matrix if rows is None else run_set.matrix[rows])
 
 
 def normalizer(kind: str, t: int, k: int | None = None) -> float:
@@ -69,7 +68,7 @@ def normalizer(kind: str, t: int, k: int | None = None) -> float:
     if kind == "topk":
         value = math.log(t) - math.log(k)
     else:
-        w = _rank_weights(k)
+        w = _rank_weights(k)[1:]
         value = math.fsum(w * np.log(w * t))
     if value <= 0.0:
         raise DegenerateNormalizerError(

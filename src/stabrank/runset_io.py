@@ -120,24 +120,18 @@ def _bulk_cells(lines: list[str], runs: int) -> np.ndarray | None:
 
 
 def _scan_cells(lines: list[str], first_line: int, runs: int) -> np.ndarray:
-    """``read_cells`` cell by cell: the reference, and the path that names errors."""
-    # sized by the first row, not by ``runs``: a header that overstates K then
-    # fails the column check below instead of asking for a huge allocation
-    matrix = np.empty((len(lines), lines[0].count(",") + 1), dtype=np.int64)
-    for row, line in enumerate(lines):
+    """``read_cells`` cell by cell: the reference, and the path that names errors.
+    The block holds only the rows read so far (docs/derivations.md#parse-memory)."""
+    rows = []
+    for row, line in enumerate(lines, first_line):
         cells = line.split(",")
         if len(cells) != runs:
-            raise RunSetParseError(
-                f"line {first_line + row}: expected {runs} columns, found {len(cells)}"
-            )
-        for col, cell in enumerate(cells):
-            value = _cell_value(cell)
-            if value is None:
-                raise RunSetParseError(
-                    f"line {first_line + row}, column {col + 1}: invalid integer {cell!r}"
-                )
-            matrix[row, col] = value
-    return matrix
+            raise RunSetParseError(f"line {row}: expected {runs} columns, found {len(cells)}")
+        rows.append([_cell_value(cell) for cell in cells])
+        if None in rows[-1]:
+            col = rows[-1].index(None)
+            raise RunSetParseError(f"line {row}, column {col + 1}: invalid integer {cells[col]!r}")
+    return np.array(rows, dtype=np.int64)
 
 
 def read_columns(text: str) -> tuple[RunSetFileHeader, np.ndarray]:
@@ -148,7 +142,9 @@ def read_columns(text: str) -> tuple[RunSetFileHeader, np.ndarray]:
     ``RunSet`` keeps. It is int64, the width of the cell grammar, so every
     cell is checked before a ``RunSet`` narrows it. Raises
     ``RunSetParseError`` for structural problems, naming the first bad line;
-    the lists themselves are judged by ``check_runset``.
+    the lists themselves are judged by ``check_runset``. A text shorter than
+    two characters a cell has a bad line, so it is read, with no matrix
+    allocated, only to name it (docs/derivations.md#parse-memory).
     """
     lines = text.split("\n")
     ended = lines[-1] == ""
@@ -161,14 +157,12 @@ def read_columns(text: str) -> tuple[RunSetFileHeader, np.ndarray]:
         raise RunSetParseError(f"line {len(lines)}: no newline at the end of the file")
     if len(lines) - 1 != header.t:
         raise RunSetParseError(f"expected {header.t} data rows, found {len(lines) - 1}")
-    matrix = None
+    fits = len(text) >= 2 * header.runs * header.t
+    matrix = np.empty((header.runs, header.t), dtype=np.int64) if fits else None
     for start in range(1, len(lines), _BLOCK_LINES):
         block = read_cells(lines[start:start + _BLOCK_LINES], start + 1, header.runs)
-        if matrix is None:
-            # allocated only once a block has shown K columns, so a header that
-            # overstates K fails the column check instead of a huge allocation
-            matrix = np.empty((header.runs, header.t), dtype=np.int64)
-        matrix[:, start - 1:start - 1 + len(block)] = block.T
+        if fits:
+            matrix[:, start - 1:start - 1 + len(block)] = block.T
     return header, matrix
 
 

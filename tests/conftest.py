@@ -6,20 +6,24 @@ the conversion and baseline metrics. ``read_as`` is the one cut of full
 rankings to partial rankings or masks, ``random_lists`` the one seeded
 builder of random lists (``random_run_set`` its run set), ``traced_peak``
 the one memory measurement and ``record_calls`` the one way a test sees a
-function's calls. The strategies that more than one test module draws from
+function's calls, and ``src_nodes`` the one walk of the source of
+``src/stabrank``. The strategies that more than one test module draws from
 live here too: ``preset_shapes`` and ``pool_shapes`` for the experiment
 presets, ``run_set_texts`` and ``near_valid_texts`` for file text. The
 Hypothesis profile loaded here makes every property test deterministic.
 """
 
+import ast
 import inspect
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+import stabrank
 from stabrank import EXPERIMENT_NAMES, RunSet
 from oracles import per_cell_text
 
@@ -103,6 +107,28 @@ def record_calls(monkeypatch, owner, name: str) -> list[dict]:
 
     monkeypatch.setattr(owner, name, recording)
     return calls
+
+
+def src_nodes():
+    """(path, scope, node) for every AST node of every module of ``src/stabrank``,
+    depth first in source order. ``scope`` is the module's name, then each
+    enclosing class and function, dotted: ``lists.RunSet.to_topk``."""
+
+    def visit(path, node, scope):
+        for child in ast.iter_child_nodes(node):
+            yield path, scope, child
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            yield from visit(path, child, f"{scope}.{child.name}" if named else scope)
+
+    for path in sorted(Path(stabrank.__file__).parent.glob("*.py")):
+        yield from visit(path, ast.parse(path.read_text(encoding="utf-8")), path.stem)
+
+
+def called_name(node) -> str | None:
+    """The name a call node calls, as ``name(...)`` or ``x.name(...)``; ``None``
+    for any other node."""
+    called = node.func if isinstance(node, ast.Call) else None
+    return getattr(called, "attr", getattr(called, "id", None))
 
 
 @st.composite

@@ -1,7 +1,8 @@
 """Fuzzed input contract: the bulk cell check against the per-cell reference,
-blocked file reads against one-block reads, the table writer against the
-per-cell formatter, and the command line on arbitrary and near-valid file
-bytes, where ``validate`` and ``stability`` reach one verdict."""
+blocked file reads against one-block reads, texts that claim more cells
+than they hold against a memory bound, the table writer against the per-cell
+formatter, and the command line on arbitrary and near-valid file bytes,
+where ``validate`` and ``stability`` reach one verdict."""
 
 import contextlib
 import io
@@ -11,6 +12,7 @@ import warnings
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +29,7 @@ from stabrank import (
 from stabrank.cli import main
 from stabrank import runset_io
 from stabrank.runset_io import _bulk_cells, _scan_cells, read_cells, read_columns
-from conftest import mutate, near_valid_texts, random_run_set, run_set_texts
+from conftest import mutate, near_valid_texts, random_run_set, run_set_texts, traced_peak
 from oracles import per_cell_text
 
 
@@ -125,6 +127,32 @@ def test_blocks_of_lines_read_like_one_block(drawn, block_lines):
     whole = _columns_outcome(text)
     with mock.patch.object(runset_io, "_BLOCK_LINES", block_lines):
         assert _columns_outcome(text) == whole
+
+
+ONES = ",".join(["1"] * 1000)
+# (K, data lines, message): texts whose first line, first block or header
+# claims far more cells than the text holds; the last is too short for its
+# shape and has a bad cell before its short line
+HOSTILE_TEXTS = {
+    "first-line-of-100000-cells": (2, [",".join([ONES] * 100)] + ["1,2"] * 1023,
+                                   "line 2: expected 2 columns, found 100000"),
+    "one-block-of-1000-columns": (1000, [ONES] * 1024 + ["1"] * 98_976,
+                                  "line 1026: expected 1000 columns, found 1"),
+    "header-K-of-1e12": (10**12, ["1,2", "2,1"],
+                         "line 2: expected 1000000000000 columns, found 2"),
+    "bad-cell-before-a-short-line": (50, [ONES[:99], "1,x," + ONES[:95], ONES[:99], "1"],
+                                     "line 3, column 2: invalid integer 'x'"),
+}
+
+
+@pytest.mark.parametrize("runs, lines, message", HOSTILE_TEXTS.values(), ids=HOSTILE_TEXTS)
+def test_hostile_text_is_refused_within_its_memory_bound(runs, lines, message):
+    """The first bad line is named, in file order, with no array sized by a
+    header or a first row (docs/derivations.md#parse-memory)."""
+    text = f"#stabrank v1 kind=topk t={len(lines)} k=1 K={runs}\n" + "\n".join(lines) + "\n"
+    outcome, peak = traced_peak(_columns_outcome, text)
+    assert outcome == message
+    assert peak <= 32 * len(text) + 2**20
 
 
 # t and k on both sides of a change in digit count

@@ -131,7 +131,7 @@ class TestRunProbabilities:
         if kind == "topk":
             want = rs.matrix / float(k)
         else:
-            want = np.concatenate(([0.0], _rank_weights(k)))[rs.matrix.astype(np.int64)]
+            want = _rank_weights(k)[rs.matrix.astype(np.int64)]
         got = run_probabilities(rs)
         assert got.dtype == want.dtype == np.float64
         assert got.tobytes() == want.tobytes()

@@ -22,12 +22,10 @@ from argparse import Namespace
 from collections import Counter
 from contextlib import suppress
 from functools import reduce
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import stabrank
 from stabrank import (
     DegenerateNormalizerError,
     DistanceMatrix,
@@ -59,7 +57,7 @@ from stabrank import (
     spearman,
 )
 from stabrank.cli import cmd_stability
-from conftest import EXAMPLE_FULL, EXAMPLE_K, EXAMPLE_MASKS, EXAMPLE_PARTIAL, read_as
+from conftest import EXAMPLE_FULL, EXAMPLE_K, EXAMPLE_MASKS, EXAMPLE_PARTIAL, read_as, src_nodes
 from test_array_rule import ENTRY_POINTS, INPUTS
 
 NAN, INF = math.nan, math.inf
@@ -465,26 +463,17 @@ def refusal_statements() -> dict[tuple[str, str, int], str]:
     text in one function): the event is ``line`` for a raise and ``return``
     for a message."""
     statements, seen = {}, Counter()
-    for path in sorted(Path(stabrank.__file__).parent.glob("*.py")):
-        source = path.read_text(encoding="utf-8")
-
-        def visit(node, scope):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                    visit(child, f"{scope}.{child.name}")
-                    continue
-                message = (scope in MESSAGE_FUNCTIONS and isinstance(child, ast.Return)
-                           and any(isinstance(n, ast.JoinedStr) or isinstance(n, ast.Constant)
-                                   and isinstance(n.value, str) for n in ast.walk(child)))
-                if isinstance(child, ast.Raise) or message:
-                    name = f"{scope}: {' '.join(ast.get_source_segment(source, child).split())}"
-                    seen[name] += 1
-                    name += f" #{seen[name]}" if seen[name] > 1 else ""
-                    for line in range(child.lineno, child.end_lineno + 1):
-                        statements["return" if message else "line", str(path), line] = name
-                visit(child, scope)
-
-        visit(ast.parse(source), path.stem)
+    for path, scope, node in src_nodes():
+        message = (scope in MESSAGE_FUNCTIONS and isinstance(node, ast.Return)
+                   and any(isinstance(n, ast.JoinedStr) or isinstance(n, ast.Constant)
+                           and isinstance(n.value, str) for n in ast.walk(node)))
+        if isinstance(node, ast.Raise) or message:
+            text = ast.get_source_segment(path.read_text(encoding="utf-8"), node)
+            name = f"{scope}: {' '.join(text.split())}"
+            seen[name] += 1
+            name += f" #{seen[name]}" if seen[name] > 1 else ""
+            for line in range(node.lineno, node.end_lineno + 1):
+                statements["return" if message else "line", str(path), line] = name
     return statements
 
 

@@ -10,14 +10,12 @@ and scan ``src/`` for the sums that would wrap in a narrow dtype.
 """
 
 import ast
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-import stabrank
 from stabrank import (
     DISTANCES,
     KINDS,
@@ -34,10 +32,9 @@ from stabrank import (
 )
 from stabrank import lists
 from stabrank.lists import _CHECK_ROWS, _GATHER_BLOCK, _lookup, _storage_dtype
-from conftest import random_lists, random_run_set, traced_peak
+from conftest import called_name, random_lists, random_run_set, src_nodes, traced_peak
 from oracles import per_cell_text
 
-SOURCE = Path(stabrank.__file__).resolve().parent
 SIGNED = (np.int8, np.int16, np.int32, np.int64)
 
 
@@ -235,39 +232,26 @@ KNOWN_SUMS = {
 }
 
 
-def matrix_sums(source: str):
-    """(function, called name, whether it passes ``dtype=``) of every
-    ``sum``, ``cumsum`` and ``einsum`` call on or of a ``.matrix``."""
-    found = []
+def matrix_sums() -> set[tuple[str, str, str, bool]]:
+    """(module file, function, called name, whether it passes ``dtype=``) of
+    every ``sum``, ``cumsum`` and ``einsum`` call on or of a ``.matrix`` under
+    ``src/stabrank``."""
 
     def is_matrix(node):
         return isinstance(node, ast.Attribute) and node.attr == "matrix"
 
-    def visit(node, function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                called = child.func
-                name = getattr(called, "attr", getattr(called, "id", None))
-                receiver = getattr(called, "value", None)
-                if name in ("sum", "cumsum", "einsum") and (
-                    is_matrix(receiver) or any(map(is_matrix, child.args))
-                ):
-                    dtype = any(keyword.arg == "dtype" for keyword in child.keywords)
-                    found.append((function, name, dtype))
-            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(child, child.name if inner else function)
-
-    visit(ast.parse(source), None)
-    return found
+    return {
+        (path.name, scope.rsplit(".", 1)[-1], called_name(node),
+         any(keyword.arg == "dtype" for keyword in node.keywords))
+        for path, scope, node in src_nodes()
+        if called_name(node) in ("sum", "cumsum", "einsum")
+        and (is_matrix(getattr(node.func, "value", None)) or any(map(is_matrix, node.args)))
+    }
 
 
 def test_every_sum_over_a_stored_matrix_names_its_dtype():
     """A sum in a narrow dtype wraps: int16 ranks squared and summed over K
     runs pass 2**15 at once, and ``einsum`` keeps its input dtype."""
-    found = {
-        (path.name, function, name, dtype)
-        for path in SOURCE.glob("*.py")
-        for function, name, dtype in matrix_sums(path.read_text(encoding="utf-8"))
-    }
+    found = matrix_sums()
     assert {call[:3] for call in found} >= KNOWN_SUMS
     assert [call for call in found if not call[3]] == []

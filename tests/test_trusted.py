@@ -8,7 +8,6 @@ hold every such builder, and the parser, to the public constructor, and the
 other tests pin where the boundary lies.
 """
 
-import ast
 import re
 from pathlib import Path
 
@@ -38,7 +37,7 @@ from stabrank import runset_io
 from stabrank.lists import _storage_dtype
 from stabrank.runset_io import read_columns
 from conftest import near_valid_texts, pool_shapes, preset_shapes, random_run_set
-from conftest import record_calls, traced_peak
+from conftest import called_name, record_calls, src_nodes, traced_peak
 
 FAMILIES = (gen_ranking_family, gen_subset_family, gen_overlap_family, gen_rank_shuffle_family)
 SOURCE = Path(stabrank.__file__).resolve().parent
@@ -134,19 +133,12 @@ TRUSTED_CALLERS = {
 
 def calls_by_function(module: str, name: str) -> dict[str, list[tuple[int, int]]]:
     """Where ``module`` calls ``name`` (as ``name(...)`` or ``x.name(...)``):
-    (line, column) of each call, keyed by the innermost enclosing function."""
+    (line, column) of each call, keyed by the innermost function, class or
+    module that encloses it."""
     found: dict[str, list[tuple[int, int]]] = {}
-
-    def visit(node, function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                called = child.func
-                if getattr(called, "attr", getattr(called, "id", None)) == name:
-                    found.setdefault(function, []).append((child.lineno, child.col_offset))
-            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(child, child.name if inner else function)
-
-    visit(ast.parse((SOURCE / module).read_text(encoding="utf-8")), None)
+    for path, scope, node in src_nodes():
+        if path.name == module and called_name(node) == name:
+            found.setdefault(scope.rsplit(".", 1)[-1], []).append((node.lineno, node.col_offset))
     return found
 
 
